@@ -34,6 +34,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations
+from math import comb
 from typing import Sequence
 
 from .graphs import (
@@ -305,21 +306,21 @@ def _run_reduced(
     if found is not None or search.split_at is None:
         return found, nodes
     tasks = [(search.edge_masks, search.cliques, t, snap) for snap in search.snapshots]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_subtree_worker, tasks))
-    else:
-        results = []
-        for task in tasks:
-            outcome = _subtree_worker(task)
-            results.append(outcome)
-            if outcome[0] is not None:
-                break
-    for found, sub_nodes in results:
-        nodes += sub_nodes
-        if found is not None:
-            return found, nodes
-    return None, nodes
+    pool = ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else None
+    try:
+        if pool is None:
+            outcomes = map(_subtree_worker, tasks)
+        else:
+            outcomes = (f.result() for f in [pool.submit(_subtree_worker, task) for task in tasks])
+        # discovery order; the first counterexample cancels the unstarted subtrees
+        for found, sub_nodes in outcomes:
+            nodes += sub_nodes
+            if found is not None:
+                return found, nodes
+        return None, nodes
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
 
 
 def _search_order(edge_masks: Sequence[int]) -> list[int]:
@@ -359,10 +360,18 @@ def _cliques_of_graph(g: Graph, n: int) -> list[int]:
 
 
 def _cliques_of_hypergraph(h: Hypergraph, n: int) -> list[int]:
-    """Edge-index bitmask of every complete n-window of h."""
+    """Edge-index bitmask of every complete n-window of h.
+
+    A window needs C(n, r) edges and vertices of degree C(n-1, r-1) or more.
+    """
+    if comb(n, h.r) > len(h.edge_masks):
+        return []
     index = {em: i for i, em in enumerate(h.edge_masks)}
+    need = comb(n - 1, h.r - 1)
+    # the v-bits of the edges sum to degree(v) << v
+    able = [v for v in range(h.n) if sum(map((1 << v).__and__, h.edge_masks)) >> v >= need]
     out = []
-    for window in combinations(range(h.n), n):
+    for window in combinations(able, n):
         bits = 0
         for sub in combinations(window, h.r):
             mask = 0
@@ -370,10 +379,9 @@ def _cliques_of_hypergraph(h: Hypergraph, n: int) -> list[int]:
                 mask |= 1 << v
             pos = index.get(mask)
             if pos is None:
-                bits = -1
                 break
             bits |= 1 << pos
-        if bits >= 0:
+        else:
             out.append(bits)
     return out
 
@@ -382,10 +390,9 @@ def _reduced_budget(kind: str) -> int:
     raw = os.environ.get(BUDGET_ENV_VAR)
     if raw is None:
         return REDUCED_MAX_EDGES[kind]
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"{BUDGET_ENV_VAR} must be an integer, got {raw!r}") from None
+    if not raw.strip().isdecimal() or int(raw) < 1:
+        raise ValueError(f"{BUDGET_ENV_VAR} must be a positive integer, got {raw!r}")
+    return int(raw)
 
 
 def _pick_mode(search: str, m: int, kind: str) -> str:

@@ -13,6 +13,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from itertools import combinations
+from math import comb
 from typing import Iterable, Iterator, Sequence
 
 MAX_GRAPH_VERTICES = 64
@@ -705,7 +706,10 @@ def has_red_complete_r(h: Hypergraph, red_edges: Iterable[Iterable[int] | int], 
         if mask not in host:
             raise ValueError(f"red edge {e!r} is not a host edge")
         red.add(mask)
-    for window in combinations(range(h.n), n):
+    # a red K_n^r needs red degree C(n-1, r-1); the red v-bits sum to degree(v) << v
+    need = comb(n - 1, h.r - 1)
+    able = [v for v in range(h.n) if sum(map((1 << v).__and__, red)) >> v >= need]
+    for window in combinations(able, n):
         if all(_vertices_mask(sub) in red for sub in combinations(window, h.r)):
             return True
     return False

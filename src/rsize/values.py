@@ -9,9 +9,15 @@ subject to sum(s_i) >= t; that minimum IS the size Ramsey number of
 C(n + s - 2, 2), target 2t, the form the decoloring lemma produces) and
 the r-uniform generalization g_r (cost C(n + r*(s - 1), r), target t).
 
-Every part cost here is strictly convex and increasing in s, so the
-optimum over "sum >= target" is attained at exact sum, which is what the
-DP uses; overshooting a target never pays.
+Every part cost c here is strictly convex and increasing in s, so the
+optimum over "sum >= target" is attained at exact sum; overshooting a
+target never pays.  The solver scans the part count l.  For fixed l,
+near-equal parts are optimal, at cost h(l) = (l-e)*c(q) + e*c(q+1) with
+q, e = divmod(total, l).  h(l) is l times the piecewise-linear
+interpolation of c at total/l, the perspective of a convex function, so
+h is convex in l.  The fewest-part optimum is the first l with
+h(l+1) >= h(l): a binary search finds it in O(log total) cost
+evaluations, and a whole row of totals takes O(total) (see _row).
 """
 
 from __future__ import annotations
@@ -105,52 +111,54 @@ class ValueResult:
             raise ValueError("value and witness objective disagree")
 
 
-def _min_cost_rows(cost_of: Callable[[int], int], total: int) -> tuple[list[int], list[int]]:
-    """DP over compositions of each exact sum m = 0..total.
-
-    Returns (value, count) arrays where value[m] is the least achievable
-    summed cost and count[m] the fewest parts among value-optimal
-    compositions.  The pairwise-lexicographic minimum decomposes because
-    adding a fixed (cost, 1) to both sides preserves the order.
-    """
-    costs = [0] * (total + 1)
-    for s in range(1, total + 1):
-        costs[s] = cost_of(s)
-    value = [0] * (total + 1)
-    count = [0] * (total + 1)
-    for m in range(1, total + 1):
-        best_v = costs[m]
-        best_c = 1
-        for s in range(1, m):
-            v = value[m - s] + costs[s]
-            if v < best_v or (v == best_v and count[m - s] + 1 < best_c):
-                best_v = v
-                best_c = count[m - s] + 1
-        value[m] = best_v
-        count[m] = best_c
-    return value, count
-
-
 def _near_equal(total: int, parts: int) -> tuple[int, ...]:
     q, extra = divmod(total, parts)
     return (q + 1,) * extra + (q,) * (parts - extra)
 
 
-def _solve(flavor: Flavor, n: int, total: int, r: int | None) -> tuple[int, PartitionWitness]:
+def _split_cost(cost_of: Callable[[int], int], total: int, parts: int) -> int:
+    """h(parts): the cost of near-equal parts, the least for that many parts."""
+    q, extra = divmod(total, parts)
+    return (parts - extra) * cost_of(q) + extra * cost_of(q + 1)
+
+
+def _fewest_parts(cost_of: Callable[[int], int], total: int) -> int:
+    """The first l < total with h(l+1) >= h(l), else total; h convex makes it bisectable."""
+    lo, hi = 1, total
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if _split_cost(cost_of, total, mid + 1) >= _split_cost(cost_of, total, mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
+def _solve(flavor: Flavor, n: int, t: int, total: int, r: int | None) -> ValueResult:
     cost_of = lambda s: part_cost(flavor, n, s, r)
-    value, count = _min_cost_rows(cost_of, total)
-    parts = _near_equal(total, count[total])
-    # strict convexity of every cost family makes the fewest-part optimum
-    # unique and near-equal; if that ever breaks, fail loudly
-    if sum(cost_of(s) for s in parts) != value[total]:
-        raise AssertionError(
-            f"near-equal reconstruction missed the DP optimum for "
-            f"{flavor.value}, n={n}, total={total}"
-        )
-    witness = PartitionWitness(
-        flavor=flavor, n=n, parts=parts, objective=value[total], target_sum=total, r=r
-    )
-    return value[total], witness
+    parts = _fewest_parts(cost_of, total)
+    objective = _split_cost(cost_of, total, parts)
+    witness = PartitionWitness(flavor, n, _near_equal(total, parts), objective, total, r)
+    return ValueResult(n=n, t=t, value=objective, witness=witness, r=r)
+
+
+def _row(cost_of: Callable[[int], int], total: int) -> list[int]:
+    """The optimum for every exact sum m = 0..total, in O(total) cost lookups.
+
+    The fewest-part count never falls as m grows (h_m(l+1) - h_m(l) is
+    nonincreasing in m), so one pointer on l walks forward across the row.
+    """
+    cost = ([0] + [cost_of(s) for s in range(1, total + 2)]).__getitem__
+    row, parts = [0], 1
+    for m in range(1, total + 1):
+        best = _split_cost(cost, m, parts)
+        while parts < m:
+            more = _split_cost(cost, m, parts + 1)
+            if more >= best:
+                break
+            parts, best = parts + 1, more
+        row.append(best)
+    return row
 
 
 def _check_nt(n: int, t: int, n_min: int = 2) -> None:
@@ -163,15 +171,13 @@ def _check_nt(n: int, t: int, n_min: int = 2) -> None:
 def g(n: int, t: int) -> ValueResult:
     """Least edge total of a clique strategy covering t stripes against K_n."""
     _check_nt(n, t)
-    value, witness = _solve(Flavor.G, n, t, None)
-    return ValueResult(n=n, t=t, value=value, witness=witness)
+    return _solve(Flavor.G, n, t, t, None)
 
 
 def g_hat(n: int, t: int) -> ValueResult:
     """The companion minimum with part cost C(n + s - 2, 2) and target 2t."""
     _check_nt(n, t)
-    value, witness = _solve(Flavor.GHAT, n, 2 * t, None)
-    return ValueResult(n=n, t=t, value=value, witness=witness)
+    return _solve(Flavor.GHAT, n, t, 2 * t, None)
 
 
 def g_r(n: int, r: int, t: int) -> ValueResult:
@@ -179,22 +185,19 @@ def g_r(n: int, r: int, t: int) -> ValueResult:
     if r < 2:
         raise ValueError(f"need r >= 2, got r={r}")
     _check_nt(n, t, n_min=r)
-    value, witness = _solve(Flavor.GR, n, t, r)
-    return ValueResult(n=n, t=t, value=value, witness=witness, r=r)
+    return _solve(Flavor.GR, n, t, t, r)
 
 
 def g_values(n: int, t_max: int) -> list[int]:
-    """g(n, t) for t = 0..t_max in one DP pass (index by t; entry 0 is 0)."""
+    """g(n, t) for t = 0..t_max in one O(t_max) pass (index by t; entry 0 is 0)."""
     _check_nt(n, max(t_max, 1))
-    value, _ = _min_cost_rows(lambda s: part_cost(Flavor.G, n, s), t_max)
-    return value
+    return _row(lambda s: part_cost(Flavor.G, n, s), t_max)
 
 
 def g_hat_values(n: int, t_max: int) -> list[int]:
-    """g_hat(n, t) for t = 0..t_max in one DP pass (index by t)."""
+    """g_hat(n, t) for t = 0..t_max in one O(t_max) pass (index by t)."""
     _check_nt(n, max(t_max, 1))
-    value, _ = _min_cost_rows(lambda s: part_cost(Flavor.GHAT, n, s), 2 * t_max)
-    return value[::2]
+    return _row(lambda s: part_cost(Flavor.GHAT, n, s), 2 * t_max)[::2]
 
 
 def size_ramsey(n: int, t: int) -> ValueResult:
@@ -236,24 +239,9 @@ def bounds(n: int, t: int) -> tuple[int, int | None]:
 
 
 def structural_witness(n: int, t: int) -> PartitionWitness:
-    """Independent route to the g(n, t) optimum: scan the part count.
-
-    For a fixed number of parts l the strictly convex cost makes near-equal
-    parts optimal, so the global optimum is the best l in 1..t with parts
-    floor(t/l) and ceil(t/l).  No DP involved; ties prefer fewer parts.
-    """
+    """The fewest-part optimal witness of g(n, t), without the ValueResult wrapper."""
     _check_nt(n, t)
-    best_obj: int | None = None
-    best_parts: tuple[int, ...] = ()
-    for l in range(1, t + 1):
-        parts = _near_equal(t, l)
-        obj = sum(part_cost(Flavor.G, n, s) for s in parts)
-        if best_obj is None or obj < best_obj:
-            best_obj, best_parts = obj, parts
-    assert best_obj is not None
-    return PartitionWitness(
-        flavor=Flavor.G, n=n, parts=best_parts, objective=best_obj, target_sum=t
-    )
+    return _solve(Flavor.G, n, t, t, None).witness
 
 
 def iter_partitions(total: int, max_part: int | None = None) -> Iterator[tuple[int, ...]]:

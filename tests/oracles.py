@@ -1,8 +1,9 @@
 """Independent brute-force oracles used to pin expected values.
 
 Nothing here shares algorithms with the package: minimizations enumerate
-partitions outright, matchings enumerate edge subsets, colorings try every
-assignment.  Slow on purpose; only run at oracle scale.
+partitions outright or run the O(total^2) composition DP, matchings
+enumerate edge subsets, colorings try every assignment, hypergraph cliques
+test every vertex window.  Slow on purpose; only run at oracle scale.
 """
 
 from __future__ import annotations
@@ -35,6 +36,47 @@ def brute_min_cost(cost_of: Callable[[int], int], target: int, slack: int = 2) -
                 best = obj
     assert best is not None
     return best
+
+
+def min_cost_rows(
+    cost_of: Callable[[int], int], total: int
+) -> tuple[list[int], list[tuple[int, ...]]]:
+    """DP over compositions of each exact sum m = 0..total.
+
+    Returns (value, parts): value[m] is the least summed cost and parts[m]
+    a value-optimal composition with the fewest parts, nonincreasing.  The
+    pairwise-lexicographic minimum of (cost, count) decomposes because
+    adding a fixed (cost, 1) to both sides preserves the order.
+    """
+    costs = [0] + [cost_of(s) for s in range(1, total + 1)]
+    value = [0] * (total + 1)
+    parts: list[tuple[int, ...]] = [()] * (total + 1)
+    for m in range(1, total + 1):
+        best_v, best_c, best_s = costs[m], 1, m
+        for s in range(1, m):
+            v = value[m - s] + costs[s]
+            c = len(parts[m - s]) + 1
+            if v < best_v or (v == best_v and c < best_c):
+                best_v, best_c, best_s = v, c, s
+        value[m] = best_v
+        parts[m] = tuple(sorted(parts[m - best_s] + (best_s,), reverse=True))
+    return value, parts
+
+
+def window_cliques(vertices: int, r: int, edge_masks: Sequence[int], n: int) -> list[int]:
+    """Edge-index bitmask of every n-set of vertices all of whose r-subsets are edges."""
+    index = {em: i for i, em in enumerate(edge_masks)}
+    out = []
+    for window in combinations(range(vertices), n):
+        bits = 0
+        for sub in combinations(window, r):
+            pos = index.get(sum(1 << v for v in sub))
+            if pos is None:
+                break
+            bits |= 1 << pos
+        else:
+            out.append(bits)
+    return out
 
 
 def brute_max_matching(n_vertices: int, edges: Sequence[tuple[int, int]]) -> int:

@@ -8,6 +8,7 @@ from rsize.arrowing import (
     BUDGET_ENV_VAR,
     EdgeColoring,
     UndecidedError,
+    _cliques_of_hypergraph,
     arrows_hyper,
     arrows_pair,
     is_good_coloring,
@@ -28,6 +29,8 @@ from rsize.graphs import (
     max_matching,
 )
 from rsize.values import g, iter_partitions
+
+from oracles import window_cliques
 
 
 def random_graph(rng: random.Random, n: int, m: int) -> Graph:
@@ -173,10 +176,24 @@ def test_jobs_do_not_change_the_result():
         base = arrows_pair(complete(7), 3, 3, search="reduced", jobs=1)
         par = arrows_pair(complete(7), 3, 3, search="reduced", jobs=jobs)
         assert (base.arrows, base.nodes) == (par.arrows, par.nodes)
-    base = arrows_pair(complete(4), 3, 2, search="reduced", jobs=1)
-    par = arrows_pair(complete(4), 3, 2, search="reduced", jobs=2)
-    assert base.counterexample.blue == par.counterexample.blue
-    assert base.nodes == par.nodes
+    # refutations: the first refuting subtree ends the search at any jobs,
+    # and only the subtrees before it count towards the nodes
+    for host, n, t in ((complete(4), 3, 2), (complete(8), 5, 3)):
+        base = arrows_pair(host, n, t, search="reduced", jobs=1)
+        par = arrows_pair(host, n, t, search="reduced", jobs=2)
+        assert base.arrows is False
+        assert (base.counterexample.blue, base.nodes) == (par.counterexample.blue, par.nodes)
+
+
+def test_hypergraph_cliques_match_window_enumeration():
+    rng = random.Random(53)
+    for _ in range(60):
+        nv = rng.randint(3, 9)
+        pool = list(combinations(range(nv), 3))
+        host = Hypergraph(nv, 3, rng.sample(pool, rng.randint(1, len(pool))))
+        for n in range(3, nv + 1):
+            want = window_cliques(host.n, 3, host.edge_masks, n)
+            assert _cliques_of_hypergraph(host, n) == want, (host.edge_tuples(), n)
 
 
 # ----------------------------------------------------- clique constructions
@@ -272,9 +289,10 @@ def test_over_budget_is_undecided_not_guessed():
 def test_budget_env_override(monkeypatch):
     monkeypatch.setenv(BUDGET_ENV_VAR, "40")
     assert arrows_pair(complete(9), 3, 1, search="reduced").arrows
-    monkeypatch.setenv(BUDGET_ENV_VAR, "ten")
-    with pytest.raises(ValueError):
-        arrows_pair(complete(9), 3, 1, search="reduced")
+    for bad in ("ten", "0", "-5"):
+        monkeypatch.setenv(BUDGET_ENV_VAR, bad)
+        with pytest.raises(ValueError, match=BUDGET_ENV_VAR):
+            arrows_pair(complete(9), 3, 1, search="reduced")
 
 
 def test_argument_validation():

@@ -3,6 +3,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from importlib.resources import files
 
@@ -205,6 +206,19 @@ def test_check_arrow_hypergraph_file(capsys, tmp_path):
     assert all(len(e) == 3 for e in payload["outputs"]["counterexample_blue_edges"])
 
 
+def test_check_arrow_sparse_wide_hypergraph_is_fast(capsys, tmp_path):
+    # C(32, 16) windows exist, but no vertex has the degree a red K_16^(3) needs
+    path = tmp_path / "sparse.hg"
+    path.write_text("32 3\n0 1 2\n3 4 5\n")
+    start = time.perf_counter()
+    code, payload = run_json(
+        capsys, "check-arrow", "--hyper", str(path), "--n", "16", "--t", "2"
+    )
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    assert payload["outputs"]["arrows"] is False
+
+
 def test_check_arrow_jobs_do_not_change_output(capsys, tmp_path):
     path = write_graph6(tmp_path, "k6.g6", complete(6))
     results = []
@@ -246,6 +260,16 @@ def test_check_arrow_budget_and_override(capsys, tmp_path, monkeypatch):
     code, payload = run_json(capsys, "check-arrow", "--host", path, "--n", "3", "--t", "2")
     assert code == 0
     assert payload["outputs"]["arrows"] is True
+
+
+def test_check_arrow_rejects_nonpositive_budget(capsys, tmp_path, monkeypatch):
+    path = write_graph6(tmp_path, "k4.g6", complete(4))
+    for bad in ("0", "-3"):
+        monkeypatch.setenv("RSIZE_BUDGET_EDGES", bad)
+        code, payload = run_json(capsys, "check-arrow", "--host", path, "--n", "3", "--t", "2")
+        assert code == 2
+        assert payload["status"] == "error"
+        assert "RSIZE_BUDGET_EDGES" in payload["outputs"]["message"]
 
 
 # -- verify --------------------------------------------------------------------

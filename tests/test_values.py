@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rsize.exactmath import binomial
 from rsize.values import (
@@ -17,7 +19,20 @@ from rsize.values import (
     structural_witness,
 )
 
-from oracles import brute_min_cost
+from oracles import brute_min_cost, min_cost_rows
+
+
+def _solver(flavor, n, r=None):
+    """(single-value call, total for t) for one flavor."""
+    if flavor is Flavor.G:
+        return (lambda t: g(n, t)), (lambda t: t)
+    if flavor is Flavor.GHAT:
+        return (lambda t: g_hat(n, t)), (lambda t: 2 * t)
+    return (lambda t: g_r(n, r, t)), (lambda t: t)
+
+
+def _dp(flavor, n, total, r=None):
+    return min_cost_rows(lambda s: part_cost(flavor, n, s, r), total)
 
 
 # ---------------------------------------------------------------- oracle grid
@@ -48,6 +63,46 @@ def test_g_r_with_r2_collapses_to_g():
     for n in range(2, 12):
         for t in range(1, 8):
             assert g_r(n, 2, t).value == g(n, t).value
+
+
+# --------------------------------------------------------- DP oracle grid
+
+def test_values_and_parts_match_dp_oracle_grid():
+    cases = [(Flavor.G, n, None) for n in range(2, 22)]
+    cases += [(Flavor.GHAT, n, None) for n in range(2, 22)]
+    cases += [(Flavor.GR, n, r) for r in (3, 4, 5) for n in range(r, r + 9)]
+    for flavor, n, r in cases:
+        solve, total_of = _solver(flavor, n, r)
+        value, parts = _dp(flavor, n, total_of(100), r)
+        for t in range(1, 101):
+            res = solve(t)
+            total = total_of(t)
+            got = (res.value, res.witness.parts)
+            assert got == (value[total], parts[total]), (flavor, n, r, t)
+
+
+def test_row_helpers_match_dp_oracle():
+    for n in range(2, 25):
+        value, _ = _dp(Flavor.G, n, 150)
+        assert g_values(n, 150) == value, n
+        value, _ = _dp(Flavor.GHAT, n, 300)
+        assert g_hat_values(n, 150) == value[::2], n
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    flavor=st.sampled_from(list(Flavor)),
+    n=st.integers(2, 40),
+    r=st.integers(3, 6),
+    t=st.integers(1, 300),
+)
+def test_solver_matches_dp_oracle_differential(flavor, n, r, t):
+    r = r if flavor is Flavor.GR else None
+    n = max(n, r or 2)
+    solve, total_of = _solver(flavor, n, r)
+    value, parts = _dp(flavor, n, total_of(t), r)
+    res = solve(t)
+    assert (res.value, res.witness.parts) == (value[-1], parts[-1])
 
 
 # ------------------------------------------------------------- pinned values
@@ -133,8 +188,10 @@ def test_structural_witness_examples():
 
 def test_structural_witness_agrees_with_dp_everywhere():
     for n in range(2, 41):
+        value, parts = _dp(Flavor.G, n, 20)
         for t in range(1, 21):
-            assert structural_witness(n, t).objective == g(n, t).value, (n, t)
+            w = structural_witness(n, t)
+            assert (w.objective, w.parts) == (value[t], parts[t]), (n, t)
 
 
 # ------------------------------------------------- condition, bounds, shape
