@@ -7,31 +7,48 @@ pairwise disjoint blue edges.  Equivalently F fails to arrow exactly when
 some blue set B has matching number at most t-1 while meeting the edge
 set of every n-clique of F; the searches below look for such a B.
 
-Two search modes are provided and cross-checked in the test suite:
+Three search modes are provided and cross-checked in the test suite:
 
+* structural (graphs only) -- by Mader's form of the Gallai-Edmonds
+  theorem every maximal graph with matching number at most t-1 is K_s
+  joined to disjoint cliques K_{c_1}, ..., K_{c_p} with
+  s + sum(floor(c_i/2)) <= t-1.  So a graph host fails to arrow iff some
+  vertex set S and partition of the other vertices into parts of that
+  total cost leave no n-clique that avoids S and meets every part at most
+  once.  The search runs over S (only vertices that lie in an n-clique),
+  then a memoised merge search kills the first live clique by merging the
+  parts of two of its vertices.  A packing of cliques that need a merge
+  each bounds both levels from below.  The blue set is every host edge
+  that touches S or lies inside a part.
 * naive -- table the matching number of every one of the 2^m edge subsets
   (a bytearray DP), then scan all subsets.  Independent of the pruned
-  search; memory-bound, so capped at modest edge counts.
+  searches; memory-bound, so capped at modest edge counts, and run only
+  when asked for.
 * reduced -- DFS over edges deciding blue/red with three prunes: a blue
   decision that pushes the matching number to t is abandoned; a red
   decision completing an all-red clique is abandoned; and the branch is
   reported as a counterexample as soon as every clique has a blue edge
   (the all-red completion of the current prefix is then a good coloring).
 
-The reduced DFS always splits at a fixed depth into prefix subtrees that
-are processed in discovery order, so the verdict, the counterexample, and
-the explored-node count are identical whatever `jobs` is.  Node counts
-mean: reduced, one per blue/red branch entered; naive, subsets scanned.
+Auto runs structural on graph hosts and reduced on hypergraph hosts, which
+have no such structure theorem.  The reduced DFS always splits at a fixed
+depth into prefix subtrees that are processed in discovery order, so the
+verdict, the counterexample, and the explored-node count are identical
+whatever `jobs` is; the structural search ignores `jobs`.  Node counts
+mean: structural, one per (S, parts) structure entered (zero when the
+packing bound alone decides); reduced, one per blue/red branch entered;
+naive, subsets scanned.
 
 Hosts larger than the search budget raise UndecidedError rather than
-guessing; the default reduced budget can be lifted through the
-RSIZE_BUDGET_EDGES environment variable.
+guessing; the default budget (the same edge count for structural and
+reduced) can be lifted through the RSIZE_BUDGET_EDGES environment
+variable.  A certificate that fails its own re-check raises
+CertificationError, which survives `python -O`.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
@@ -40,6 +57,7 @@ from typing import Sequence
 from .graphs import (
     Graph,
     Hypergraph,
+    _mask_vertices,
     complete,
     complete_r,
     has_clique,
@@ -49,7 +67,6 @@ from .graphs import (
 )
 
 NAIVE_MAX_EDGES = {"graph": 20, "hyper": 24}
-AUTO_NAIVE_MAX_EDGES = {"graph": 16, "hyper": 20}
 REDUCED_MAX_EDGES = {"graph": 28, "hyper": 36}
 BUDGET_ENV_VAR = "RSIZE_BUDGET_EDGES"
 
@@ -58,6 +75,10 @@ _SPLIT_DEPTH = 6
 
 class UndecidedError(RuntimeError):
     """The host exceeds the search budget: no verdict is offered."""
+
+
+class CertificationError(RuntimeError):
+    """A certificate built here failed its independent re-check: a defect, not an input error."""
 
 
 @dataclass(frozen=True)
@@ -199,9 +220,7 @@ class _ReducedSearch:
         self.clique_size = [c.bit_count() for c in cliques]
         self.edge_cliques: list[list[int]] = [[] for _ in range(self.m)]
         for ci, cmask in enumerate(cliques):
-            while cmask:
-                e = (cmask & -cmask).bit_length() - 1
-                cmask &= cmask - 1
+            for e in _mask_vertices(cmask):
                 self.edge_cliques[e].append(ci)
         self.blue_count = [0] * len(cliques)
         self.red_count = [0] * len(cliques)
@@ -286,8 +305,8 @@ def _subtree_worker(
     edge_masks, cliques, t, trail = args
     search = _ReducedSearch(edge_masks, cliques, t)
     for e, blue in trail:
-        applied = search.decide(e, blue)
-        assert applied, "snapshot replay must succeed"
+        if not search.decide(e, blue):
+            raise CertificationError(f"snapshot replay rejected edge {e} (blue={blue})")
     found = search.dfs(len(trail))
     return found, search.nodes
 
@@ -306,7 +325,12 @@ def _run_reduced(
     if found is not None or search.split_at is None:
         return found, nodes
     tasks = [(search.edge_masks, search.cliques, t, snap) for snap in search.snapshots]
-    pool = ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else None
+    pool = None
+    if jobs > 1:
+        # imported here: the pool's modules cost every command a noticeable start-up
+        from concurrent.futures import ProcessPoolExecutor
+
+        pool = ProcessPoolExecutor(max_workers=jobs)
     try:
         if pool is None:
             outcomes = map(_subtree_worker, tasks)
@@ -321,6 +345,117 @@ def _run_reduced(
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)
+
+
+def _odd_packing(live: Sequence[int], parts: Sequence[int]) -> tuple[int, int]:
+    """Size and vertex mask of a greedy packing of live cliques that each need a costly merge.
+
+    A packed clique touches only odd parts, and no two packed cliques
+    touch a common part.  Killing a packed clique joins two of its odd
+    parts inside one final part, and a final part holding 2k odd parts
+    costs at least k more than they did, so the packing size is a lower
+    bound on the merge cost still to pay.
+    """
+    even = 0
+    for p in parts:
+        if not p.bit_count() & 1:
+            even |= p
+    used = count = 0
+    for c in live:
+        if c & (even | used):
+            continue
+        closure = c
+        for p in parts:
+            if p & c:
+                closure |= p
+        if not closure & used:
+            used |= closure
+            count += 1
+    return count, used
+
+
+def _run_structural(
+    edges: Sequence[tuple[int, int]], cliques: Sequence[int], t: int
+) -> tuple[int | None, int]:
+    """Search (S, parts) structures; `cliques` are vertex masks.
+
+    Returns the blue edge mask of the first structure that leaves no live
+    clique (None if there is none) and the number of structures entered.
+    """
+    budget = t - 1
+    # a greedy packing comes out large when it takes the clique meeting the
+    # fewest remaining ones first; the cliques that rule picks lead the
+    # order, and every list of live cliques keeps it
+    picks, rest = [], list(cliques)
+    while rest:
+        best = min(rest, key=lambda c: sum(1 for d in rest if c & d))
+        picks.append(best)
+        rest = [d for d in rest if not d & best]
+    chosen = set(picks)
+    cliques = picks + [c for c in cliques if c not in chosen]
+    nodes = 0
+
+    def merge(
+        live: list[int], parts: tuple[int, ...], spare: int, failed: set[tuple[int, ...]]
+    ) -> tuple[int, ...] | None:
+        # parts: sorted masks of the parts with two or more vertices
+        nonlocal nodes
+        nodes += 1
+        if not live:
+            return parts
+        if _odd_packing(live, parts)[0] <= spare:
+            owners = [next((p for p in parts if p >> v & 1), 1 << v) for v in _mask_vertices(live[0])]
+            children = []
+            for a, b in combinations(owners, 2):
+                merged = a | b
+                cost = merged.bit_count() // 2 - a.bit_count() // 2 - b.bit_count() // 2
+                if cost <= spare:
+                    key = tuple(sorted([p for p in parts if p != a and p != b] + [merged]))
+                    children.append((cost, key, merged))
+            # free merges first: they reach a counterexample without spending budget
+            children.sort(key=lambda child: child[0])
+            for cost, key, merged in children:
+                if key in failed:
+                    continue
+                alive = [c for c in live if (c & merged) & ((c & merged) - 1) == 0]
+                found = merge(alive, key, spare - cost, failed)
+                if found is not None:
+                    return found
+        failed.add(parts)
+        return None
+
+    def choose(low: int, S: int, size: int) -> tuple[int, tuple[int, ...]] | None:
+        # every clique meeting S has a blue edge at S; the rest are live
+        live = [c for c in cliques if not c & S]
+        # a vertex added to S costs 1 and kills at most one packed clique, so
+        # the packing bounds every superset of S as well
+        packing, packed = _odd_packing(live, ())
+        if size + packing > budget:
+            return None
+        parts = merge(live, (), budget - size, set())
+        if parts is not None:
+            return S, parts
+        # S grows in vertex order, and only by vertices of live cliques
+        reach = 0
+        for c in live:
+            reach |= c
+        for v in _mask_vertices(reach >> low << low):
+            if size + 1 + packing - (packed >> v & 1) <= budget:
+                found = choose(v + 1, S | 1 << v, size + 1)
+                if found is not None:
+                    return found
+        return None
+
+    found = choose(0, 0, 0)
+    if found is None:
+        return None, nodes
+    S, parts = found
+    blue = 0
+    for i, (u, v) in enumerate(edges):
+        em = 1 << u | 1 << v
+        if em & S or any(em & p == em for p in parts):
+            blue |= 1 << i
+    return blue, nodes
 
 
 def _search_order(edge_masks: Sequence[int]) -> list[int]:
@@ -338,24 +473,32 @@ def _search_order(edge_masks: Sequence[int]) -> list[int]:
 
 
 def _cliques_of_graph(g: Graph, n: int) -> list[int]:
-    """Edge-index bitmask of every n-clique of g."""
-    index = {e: i for i, e in enumerate(g.edges())}
+    """Vertex bitmask of every n-clique of g."""
     adj = g.adj
     out: list[int] = []
 
-    def extend(members: list[int], cand: int, need: int) -> None:
+    def extend(members: int, cand: int, need: int) -> None:
         if need == 0:
-            bits = 0
-            for u, v in combinations(members, 2):
-                bits |= 1 << index[(u, v)]
-            out.append(bits)
+            out.append(members)
             return
         while cand:
             v = (cand & -cand).bit_length() - 1
             cand &= cand - 1
-            extend(members + [v], cand & adj[v], need - 1)
+            extend(members | 1 << v, cand & adj[v], need - 1)
 
-    extend([], (1 << g.n) - 1 if g.n else 0, n)
+    extend(0, (1 << g.n) - 1, n)
+    return out
+
+
+def _clique_edge_masks(g: Graph, cliques: Sequence[int]) -> list[int]:
+    """Edge-index bitmask of each vertex-mask clique of g."""
+    index = {e: i for i, e in enumerate(g.edges())}
+    out = []
+    for members in cliques:
+        bits = 0
+        for e in combinations(_mask_vertices(members), 2):
+            bits |= 1 << index[e]
+        out.append(bits)
     return out
 
 
@@ -396,8 +539,10 @@ def _reduced_budget(kind: str) -> int:
 
 
 def _pick_mode(search: str, m: int, kind: str) -> str:
-    if search not in ("auto", "naive", "reduced"):
-        raise ValueError(f"search must be auto, naive, or reduced, got {search!r}")
+    if search not in ("auto", "naive", "reduced", "structural"):
+        raise ValueError(f"search must be auto, naive, reduced, or structural, got {search!r}")
+    if search == "structural" and kind != "graph":
+        raise ValueError("the structural search needs a graph host; use naive or reduced")
     if search == "naive":
         if m > NAIVE_MAX_EDGES[kind]:
             raise UndecidedError(
@@ -406,53 +551,40 @@ def _pick_mode(search: str, m: int, kind: str) -> str:
             )
         return "naive"
     budget = _reduced_budget(kind)
-    if search == "reduced":
-        if m > budget:
-            raise UndecidedError(
-                f"undecided: {m} edges is too large (budget {budget}; "
-                f"set {BUDGET_ENV_VAR} to lift)"
-            )
-        return "reduced"
-    if m <= AUTO_NAIVE_MAX_EDGES[kind]:
-        return "naive"
-    if m <= budget:
-        return "reduced"
-    raise UndecidedError(
-        f"undecided: {m} edges is too large (budget {budget}; "
-        f"set {BUDGET_ENV_VAR} to lift)"
-    )
+    if m > budget:
+        raise UndecidedError(
+            f"undecided: {m} edges is too large (budget {budget}; "
+            f"set {BUDGET_ENV_VAR} to lift)"
+        )
+    if search == "auto":
+        return "structural" if kind == "graph" else "reduced"
+    return search
 
 
 def _run_search(
-    host: Graph | Hypergraph,
-    edge_masks: list[int],
-    cliques: list[int],
-    n: int,
-    t: int,
-    mode: str,
-    jobs: int,
-) -> ArrowVerdict:
+    edge_masks: list[int], cliques: list[int], t: int, mode: str, jobs: int
+) -> tuple[int | None, int]:
+    """Naive or reduced search over edge-index clique masks."""
     if mode == "naive":
-        found, nodes = _run_naive(edge_masks, cliques, t)
-    else:
-        order = _search_order(edge_masks)
-        position = {orig: i for i, orig in enumerate(order)}
-        ordered = [edge_masks[orig] for orig in order]
-        remapped = []
-        for cmask in cliques:
-            bits = 0
-            while cmask:
-                e = (cmask & -cmask).bit_length() - 1
-                cmask &= cmask - 1
-                bits |= 1 << position[e]
-            remapped.append(bits)
-        found, nodes = _run_reduced(ordered, remapped, t, jobs)
-        if found is not None:
-            back = 0
-            for i in range(len(ordered)):
-                if found >> i & 1:
-                    back |= 1 << order[i]
-            found = back
+        return _run_naive(edge_masks, cliques, t)
+    order = _search_order(edge_masks)
+    position = {orig: i for i, orig in enumerate(order)}
+    ordered = [edge_masks[orig] for orig in order]
+    remapped = []
+    for cmask in cliques:
+        bits = 0
+        for e in _mask_vertices(cmask):
+            bits |= 1 << position[e]
+        remapped.append(bits)
+    found, nodes = _run_reduced(ordered, remapped, t, jobs)
+    if found is not None:
+        found = sum(1 << order[i] for i in _mask_vertices(found))
+    return found, nodes
+
+
+def _verdict(
+    host: Graph | Hypergraph, found: int | None, n: int, t: int, mode: str, nodes: int
+) -> ArrowVerdict:
     counterexample = None if found is None else EdgeColoring(host, found)
     return ArrowVerdict(
         arrows=found is None,
@@ -480,9 +612,14 @@ def arrows_pair(
     if jobs < 1:
         raise ValueError(f"need jobs >= 1, got {jobs}")
     mode = _pick_mode(search, F.edge_count(), "graph")
-    edge_masks = [(1 << u) | (1 << v) for u, v in F.edges()]
+    edges = F.edges()
     cliques = _cliques_of_graph(F, n)
-    return _run_search(F, edge_masks, cliques, n, t, mode, jobs)
+    if mode == "structural":
+        found, nodes = _run_structural(edges, cliques, t)
+    else:
+        edge_masks = [(1 << u) | (1 << v) for u, v in edges]
+        found, nodes = _run_search(edge_masks, _clique_edge_masks(F, cliques), t, mode, jobs)
+    return _verdict(F, found, n, t, mode, nodes)
 
 
 def arrows_hyper(
@@ -499,7 +636,8 @@ def arrows_hyper(
         raise ValueError(f"need jobs >= 1, got {jobs}")
     mode = _pick_mode(search, F.edge_count(), "hyper")
     cliques = _cliques_of_hypergraph(F, n)
-    return _run_search(F, list(F.edge_masks), cliques, n, t, mode, jobs)
+    found, nodes = _run_search(list(F.edge_masks), cliques, t, mode, jobs)
+    return _verdict(F, found, n, t, mode, nodes)
 
 
 # ------------------------------------------------- certificates and wrappers
@@ -524,8 +662,12 @@ def lower_bound_coloring(n: int, t: int) -> EdgeColoring:
     for i, (u, v) in enumerate(host.edges()):
         if u >= cut and v >= cut:
             blue |= 1 << i
-    coloring = EdgeColoring(host, blue)
-    assert is_good_coloring(coloring, n, t)
+    return _certified(EdgeColoring(host, blue), n, t)
+
+
+def _certified(coloring: EdgeColoring, n: int, t: int) -> EdgeColoring:
+    if not is_good_coloring(coloring, n, t):
+        raise CertificationError(f"lower-bound coloring for (n={n}, t={t}) failed re-verification")
     return coloring
 
 
@@ -543,9 +685,7 @@ def lower_bound_coloring_hyper(n: int, r: int, t: int) -> EdgeColoring:
     for i, edge in enumerate(host.edge_tuples()):
         if edge[0] >= cut:
             blue |= 1 << i
-    coloring = EdgeColoring(host, blue)
-    assert is_good_coloring(coloring, n, t)
-    return coloring
+    return _certified(EdgeColoring(host, blue), n, t)
 
 
 def verify_graph_ramsey(

@@ -57,6 +57,7 @@ from .values import Flavor, bounds, equality_condition, g, g_hat, g_r, g_values
 
 __all__ = ["CommandResult", "main", "run"]
 
+_MODES = ("auto", "naive", "reduced", "structural")
 _INT_JSON_LIMIT = 1 << 53  # doubles hold integers exactly up to here
 _TABLE_CELL_LIMIT = 200
 
@@ -341,7 +342,7 @@ def _build_parser() -> argparse.ArgumentParser:
     which.add_argument("--hyper", help="hypergraph text file")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--t", type=int, required=True)
-    p.add_argument("--mode", choices=("auto", "naive", "reduced"), default="auto")
+    p.add_argument("--mode", choices=_MODES, default="auto")
     p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(handler=_cmd_check_arrow)
 
@@ -357,7 +358,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--T", type=int, default=50, help="largest stripe count (limit)")
     p.add_argument("--flavor", choices=("g", "ghat"), help="threshold flavor (tightness)")
     p.add_argument("--m-max", type=int, dest="m_max", help="search ceiling (minimality)")
-    p.add_argument("--mode", choices=("auto", "naive", "reduced"), default="auto")
+    p.add_argument("--mode", choices=_MODES, default="auto")
     p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(handler=_cmd_verify)
 

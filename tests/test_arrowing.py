@@ -1,7 +1,15 @@
+import os
 import random
+import subprocess
+import sys
+import time
 from itertools import combinations
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
+
+import rsize
 
 from rsize.arrowing import (
     ArrowVerdict,
@@ -31,6 +39,13 @@ from rsize.graphs import (
 from rsize.values import g, iter_partitions
 
 from oracles import window_cliques
+
+
+def run_python(*args: str) -> subprocess.CompletedProcess:
+    """A fresh interpreter that imports this checkout's rsize."""
+    src = str(Path(rsize.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, timeout=60, env=env)
 
 
 def random_graph(rng: random.Random, n: int, m: int) -> Graph:
@@ -109,15 +124,19 @@ def test_single_edge_targets_arrow():
 
 
 def test_two_triangles_arrow_for_two_matchings():
-    v = arrows_pair(disjoint_union([complete(3), complete(3)]), 3, 2)
+    host = disjoint_union([complete(3), complete(3)])
+    v = arrows_pair(host, 3, 2, search="naive")
     assert v.arrows and v.mode == "naive"
+    # auto sends every graph host to the structural search
+    v = arrows_pair(host, 3, 2)
+    assert v.arrows and v.mode == "structural"
 
 
 def test_k4_fails_and_counterexample_is_checked():
     v = arrows_pair(complete(4), 3, 2)
     assert not v.arrows
-    # naive scans masks in increasing order; the first good coloring of K_4
-    # is the blue triangle on {0,1,2}
+    # the structural search merges 0 with 1 and then 2 into one part, so
+    # its blue set is the triangle on {0,1,2}
     assert v.counterexample.blue_edges() == [(0, 1), (0, 2), (1, 2)]
     assert is_good_coloring(v.counterexample, 3, 2)
 
@@ -127,7 +146,9 @@ def test_k5_arrows_triangle_two_matching():
 
 
 def test_hyper_pinned_cases():
-    assert arrows_hyper(complete_r(6, 3), 3, 2).arrows
+    v = arrows_hyper(complete_r(6, 3), 3, 2)
+    # auto never builds the 2^m table: hypergraphs go to the reduced DFS
+    assert v.arrows and v.mode == "reduced"
     v = arrows_hyper(complete_r(5, 3), 3, 2)
     assert not v.arrows
     assert arrows_hyper(complete_r(4, 3), 4, 1).arrows
@@ -171,7 +192,62 @@ def test_reduced_equals_naive_on_random_hypergraphs():
                 assert a.arrows == b.arrows, (host, n, t)
 
 
+@st.composite
+def small_graphs(draw) -> Graph:
+    nv = draw(st.integers(1, 9))
+    pairs = draw(st.lists(st.tuples(st.integers(0, nv - 1), st.integers(0, nv - 1)), max_size=14))
+    return Graph(nv, {(min(e), max(e)) for e in pairs if e[0] != e[1]})
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(host=small_graphs(), n=st.integers(2, 5), t=st.integers(1, 4))
+def test_structural_agrees_with_naive_and_reduced(host, n, t):
+    verdicts = [arrows_pair(host, n, t, search=mode) for mode in ("structural", "naive", "reduced")]
+    assert len({v.arrows for v in verdicts}) == 1, (host, n, t)
+
+
+def test_structural_equals_reduced_on_denser_hosts():
+    # dense enough that the merge search must back out of failed branches
+    rng = random.Random(59)
+    for _ in range(40):
+        nv = rng.randint(6, 9)
+        host = random_graph(rng, nv, rng.randint(15, min(20, nv * (nv - 1) // 2)))
+        for n in (3, 4):
+            for t in (2, 3):
+                a = arrows_pair(host, n, t, search="reduced")
+                b = arrows_pair(host, n, t, search="structural")
+                assert a.arrows == b.arrows, (host, n, t)
+
+
+def test_structural_decides_many_disjoint_triangles():
+    # nine triangles pack nine vertex-disjoint cliques, each needing its own
+    # blue edge, so a blue matching of nine is forced and ten is not
+    host = disjoint_union([complete(3)] * 9)
+    for t, arrows in ((9, True), (10, False)):
+        start = time.perf_counter()
+        v = arrows_pair(host, 3, t)
+        assert time.perf_counter() - start < 1.0
+        assert (v.arrows, v.mode) == (arrows, "structural")
+
+
+def test_structural_decides_the_k9_threshold(monkeypatch):
+    # R(K_5, 3K_2) = 9: 36 and 28 edges, beyond the reach of the table
+    monkeypatch.setenv(BUDGET_ENV_VAR, "40")
+    assert arrows_pair(complete(9), 5, 3).arrows
+    v = arrows_pair(complete(8), 5, 3)
+    assert not v.arrows and v.mode == "structural"
+
+
+def test_structural_needs_a_graph_host():
+    with pytest.raises(ValueError, match="structural"):
+        arrows_hyper(complete_r(5, 3), 3, 2, search="structural")
+
+
 def test_jobs_do_not_change_the_result():
+    # the structural search has no pool and ignores jobs
+    base = arrows_pair(complete(7), 4, 3, jobs=1)
+    par = arrows_pair(complete(7), 4, 3, jobs=2)
+    assert (base.counterexample.blue, base.nodes) == (par.counterexample.blue, par.nodes)
     for jobs in (2, 3):
         base = arrows_pair(complete(7), 3, 3, search="reduced", jobs=1)
         par = arrows_pair(complete(7), 3, 3, search="reduced", jobs=jobs)
@@ -194,6 +270,26 @@ def test_hypergraph_cliques_match_window_enumeration():
         for n in range(3, nv + 1):
             want = window_cliques(host.n, 3, host.edge_masks, n)
             assert _cliques_of_hypergraph(host, n) == want, (host.edge_tuples(), n)
+
+
+def test_certification_survives_optimized_mode():
+    # asserts vanish under -O; a forced-bad certificate must still raise
+    script = (
+        "import rsize.arrowing as A\n"
+        "A.is_good_coloring = lambda *args: False\n"
+        "try:\n"
+        "    A.lower_bound_coloring(3, 2)\n"
+        "except A.CertificationError:\n"
+        "    print('raised')\n"
+    )
+    proc = run_python("-O", "-c", script)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "raised"
+
+
+def test_import_leaves_the_process_pool_unloaded():
+    proc = run_python("-c", "import sys, rsize.cli; print('concurrent.futures' in sys.modules)")
+    assert proc.stdout.strip() == "False", proc.stderr
 
 
 # ----------------------------------------------------- clique constructions

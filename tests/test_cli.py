@@ -185,13 +185,31 @@ def test_check_arrow_host_that_arrows(capsys, tmp_path):
 
 def test_check_arrow_counterexample_edges(capsys, tmp_path):
     path = write_graph6(tmp_path, "k4.g6", complete(4))
-    code, payload = run_json(capsys, "check-arrow", "--host", path, "--n", "3", "--t", "2")
+    code, payload = run_json(
+        capsys, "check-arrow", "--host", path, "--n", "3", "--t", "2", "--mode", "naive"
+    )
     assert code == 0
     out = payload["outputs"]
     assert out["arrows"] is False
     assert out["counterexample_blue_edges"] == [[0, 1], [0, 2], [1, 2]]
     assert out["mode"] == "naive"
     assert out["nodes_explored"] > 0
+    # auto runs the structural search on graph hosts
+    code, payload = run_json(capsys, "check-arrow", "--host", path, "--n", "3", "--t", "2")
+    assert code == 0
+    assert payload["outputs"]["arrows"] is False
+    assert payload["outputs"]["mode"] == "structural"
+
+
+def test_structural_mode_rejects_hypergraph_hosts(capsys, tmp_path):
+    path = tmp_path / "k5_3.hg"
+    path.write_text(hypergraph_to_text(complete_r(5, 3)))
+    code, payload = run_json(
+        capsys, "check-arrow", "--hyper", str(path), "--n", "3", "--t", "2", "--mode", "structural"
+    )
+    assert code == 2
+    assert payload["status"] == "error"
+    assert "structural" in payload["outputs"]["message"]
 
 
 def test_check_arrow_hypergraph_file(capsys, tmp_path):
@@ -277,6 +295,11 @@ def test_check_arrow_rejects_nonpositive_budget(capsys, tmp_path, monkeypatch):
 
 def test_verify_ramsey_passes(capsys):
     code, payload = run_json(capsys, "verify", "--suite", "ramsey", "--n", "3", "--t", "2")
+    assert code == 0
+    assert payload["outputs"]["pass"] is True
+    code, payload = run_json(
+        capsys, "verify", "--suite", "ramsey", "--n", "4", "--t", "3", "--mode", "structural"
+    )
     assert code == 0
     assert payload["outputs"]["pass"] is True
 
