@@ -7,11 +7,11 @@ pairwise disjoint blue edges.  Equivalently F fails to arrow exactly when
 some blue set B has matching number at most t-1 while meeting the edge
 set of every n-clique of F; the searches below look for such a B.
 
-Three search modes are provided and cross-checked in the test suite:
+Three searches are provided and cross-checked in the test suite:
 
-* structural (graphs only) -- by Mader's form of the Gallai-Edmonds
-  theorem every maximal graph with matching number at most t-1 is K_s
-  joined to disjoint cliques K_{c_1}, ..., K_{c_p} with
+* structural (what auto runs on graph hosts) -- by Mader's form of the
+  Gallai-Edmonds theorem every maximal graph with matching number at
+  most t-1 is K_s joined to disjoint cliques K_{c_1}, ..., K_{c_p} with
   s + sum(floor(c_i/2)) <= t-1.  So a graph host fails to arrow iff some
   vertex set S and partition of the other vertices into parts of that
   total cost leave no n-clique that avoids S and meets every part at most
@@ -30,9 +30,10 @@ Three search modes are provided and cross-checked in the test suite:
   reported as a counterexample as soon as every clique has a blue edge
   (the all-red completion of the current prefix is then a good coloring).
 
-Auto runs structural on graph hosts and reduced on hypergraph hosts, which
-have no such structure theorem.  The reduced DFS always splits at a fixed
-depth into prefix subtrees that are processed in discovery order, so the
+`search` is "auto", "naive" or "reduced".  Auto runs structural on graph
+hosts and reduced on hypergraph hosts, which have no such structure
+theorem.  The reduced DFS always splits at a fixed depth into prefix
+subtrees that are processed in discovery order, so the
 verdict, the counterexample, and the explored-node count are identical
 whatever `jobs` is; the structural search ignores `jobs`.  Node counts
 mean: structural, one per (S, parts) structure entered (zero when the
@@ -539,10 +540,8 @@ def _reduced_budget(kind: str) -> int:
 
 
 def _pick_mode(search: str, m: int, kind: str) -> str:
-    if search not in ("auto", "naive", "reduced", "structural"):
-        raise ValueError(f"search must be auto, naive, reduced, or structural, got {search!r}")
-    if search == "structural" and kind != "graph":
-        raise ValueError("the structural search needs a graph host; use naive or reduced")
+    if search not in ("auto", "naive", "reduced"):
+        raise ValueError(f"search must be auto, naive, or reduced, got {search!r}")
     if search == "naive":
         if m > NAIVE_MAX_EDGES[kind]:
             raise UndecidedError(

@@ -57,7 +57,7 @@ from .values import Flavor, bounds, equality_condition, g, g_hat, g_r, g_values
 
 __all__ = ["CommandResult", "main", "run"]
 
-_MODES = ("auto", "naive", "reduced", "structural")
+_MODES = ("auto", "naive", "reduced")
 _INT_JSON_LIMIT = 1 << 53  # doubles hold integers exactly up to here
 _TABLE_CELL_LIMIT = 200
 

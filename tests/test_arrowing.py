@@ -202,7 +202,8 @@ def small_graphs(draw) -> Graph:
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(host=small_graphs(), n=st.integers(2, 5), t=st.integers(1, 4))
 def test_structural_agrees_with_naive_and_reduced(host, n, t):
-    verdicts = [arrows_pair(host, n, t, search=mode) for mode in ("structural", "naive", "reduced")]
+    verdicts = [arrows_pair(host, n, t, search=mode) for mode in ("auto", "naive", "reduced")]
+    assert verdicts[0].mode == "structural"
     assert len({v.arrows for v in verdicts}) == 1, (host, n, t)
 
 
@@ -215,19 +216,23 @@ def test_structural_equals_reduced_on_denser_hosts():
         for n in (3, 4):
             for t in (2, 3):
                 a = arrows_pair(host, n, t, search="reduced")
-                b = arrows_pair(host, n, t, search="structural")
-                assert a.arrows == b.arrows, (host, n, t)
+                b = arrows_pair(host, n, t)
+                assert (a.arrows, b.mode) == (b.arrows, "structural"), (host, n, t)
 
 
 def test_structural_decides_many_disjoint_triangles():
     # nine triangles pack nine vertex-disjoint cliques, each needing its own
-    # blue edge, so a blue matching of nine is forced and ten is not
+    # blue edge, so a blue matching of nine is forced and ten is not; the
+    # packing bound alone decides (3, 9), and the refutation of (3, 10)
+    # enters one structure per merge plus the root (the reduced DFS grows
+    # about tenfold per triangle)
     host = disjoint_union([complete(3)] * 9)
-    for t, arrows in ((9, True), (10, False)):
+    for t, arrows, nodes in ((9, True, 0), (10, False, 10)):
         start = time.perf_counter()
         v = arrows_pair(host, 3, t)
-        assert time.perf_counter() - start < 1.0
-        assert (v.arrows, v.mode) == (arrows, "structural")
+        assert (v.arrows, v.mode, v.nodes) == (arrows, "structural", nodes)
+        # a backstop against runaway runs, not a timing assertion
+        assert time.perf_counter() - start < 30.0
 
 
 def test_structural_decides_the_k9_threshold(monkeypatch):
@@ -236,11 +241,6 @@ def test_structural_decides_the_k9_threshold(monkeypatch):
     assert arrows_pair(complete(9), 5, 3).arrows
     v = arrows_pair(complete(8), 5, 3)
     assert not v.arrows and v.mode == "structural"
-
-
-def test_structural_needs_a_graph_host():
-    with pytest.raises(ValueError, match="structural"):
-        arrows_hyper(complete_r(5, 3), 3, 2, search="structural")
 
 
 def test_jobs_do_not_change_the_result():

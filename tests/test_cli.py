@@ -201,17 +201,6 @@ def test_check_arrow_counterexample_edges(capsys, tmp_path):
     assert payload["outputs"]["mode"] == "structural"
 
 
-def test_structural_mode_rejects_hypergraph_hosts(capsys, tmp_path):
-    path = tmp_path / "k5_3.hg"
-    path.write_text(hypergraph_to_text(complete_r(5, 3)))
-    code, payload = run_json(
-        capsys, "check-arrow", "--hyper", str(path), "--n", "3", "--t", "2", "--mode", "structural"
-    )
-    assert code == 2
-    assert payload["status"] == "error"
-    assert "structural" in payload["outputs"]["message"]
-
-
 def test_check_arrow_hypergraph_file(capsys, tmp_path):
     path = tmp_path / "k5_3.hg"
     path.write_text(hypergraph_to_text(complete_r(5, 3)))
@@ -297,9 +286,8 @@ def test_verify_ramsey_passes(capsys):
     code, payload = run_json(capsys, "verify", "--suite", "ramsey", "--n", "3", "--t", "2")
     assert code == 0
     assert payload["outputs"]["pass"] is True
-    code, payload = run_json(
-        capsys, "verify", "--suite", "ramsey", "--n", "4", "--t", "3", "--mode", "structural"
-    )
+    # auto decides the K_8 host by the structural search
+    code, payload = run_json(capsys, "verify", "--suite", "ramsey", "--n", "4", "--t", "3")
     assert code == 0
     assert payload["outputs"]["pass"] is True
 
