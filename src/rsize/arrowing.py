@@ -58,6 +58,7 @@ from typing import Sequence
 from .graphs import (
     Graph,
     Hypergraph,
+    _graph_levels,
     _mask_vertices,
     complete,
     complete_r,
@@ -601,7 +602,12 @@ def _verdict(
 def arrows_pair(
     F: Graph, n: int, t: int, *, search: str = "auto", jobs: int = 1
 ) -> ArrowVerdict:
-    """Does every red/blue coloring of F have a red K_n or t disjoint blue edges?"""
+    """Does every red/blue coloring of F have a red K_n or t disjoint blue edges?
+
+    Auto runs the structural search, which is sequential and ignores
+    `jobs`; `jobs` only splits an explicit `search="reduced"` over a
+    process pool.
+    """
     if not isinstance(F, Graph):
         raise TypeError("arrows_pair expects a Graph host")
     if n < 2:
@@ -716,15 +722,14 @@ def min_size_ramsey_bruteforce(
     """Least edge count m <= m_max whose graphs include one that arrows (n, t).
 
     Exact because the per-edge-count enumeration is complete up to
-    isomorphism and arrowing ignores isolated vertices.  None means every
-    graph with at most m_max edges fails, i.e. the answer is > m_max.
+    isomorphism and arrowing ignores isolated vertices.  The levels
+    m = 1..m_max come from one walk, each built once from the one below.
+    None means every graph with at most m_max edges fails, i.e. the
+    answer is > m_max.
     """
-    from .graphs import enumerate_graphs
-
     if m_max < 1 or m_max > 8:
         raise ValueError(f"need 1 <= m_max <= 8, got {m_max}")
-    for m in range(1, m_max + 1):
-        for g in enumerate_graphs(m, max_vertices=max_vertices):
-            if arrows_pair(g, n, t).arrows:
-                return m
+    for m, level in enumerate(_graph_levels(m_max, max_vertices), start=1):
+        if any(arrows_pair(g, n, t).arrows for g in level):
+            return m
     return None

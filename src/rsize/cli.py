@@ -3,7 +3,7 @@
 Every subcommand prints a single JSON object -- the command name, an
 echo of its inputs, a structured payload, a status, and the elapsed
 wall time -- so runs can be logged and diffed mechanically.  The table
-subcommand can emit CSV instead.  Exit codes separate the four ways a
+subcommand can emit CSV instead.  Exit codes separate the five ways a
 run can end:
 
   0  the command succeeded (for verifications: ran and passed)
@@ -11,6 +11,9 @@ run can end:
   2  the request was unusable (bad flags, unreadable or malformed
      input, hypothesis violation)
   3  a search hit its budget and the question is genuinely undecided
+  4  an internal fault: a certificate failed its own re-check
+     (CertificationError) or some other exception escaped; the envelope
+     names the exception and the traceback goes to stderr
 
 Exact integers that cannot survive a round trip through an IEEE double
 are serialized as decimal strings, and rationals as "p/q", so consumers
@@ -60,6 +63,10 @@ __all__ = ["CommandResult", "main", "run"]
 _MODES = ("auto", "naive", "reduced")
 _INT_JSON_LIMIT = 1 << 53  # doubles hold integers exactly up to here
 _TABLE_CELL_LIMIT = 200
+_JOBS_HELP = (
+    "process-pool workers for the reduced search (hypergraph hosts under auto, or"
+    " --mode reduced); graph hosts under auto run the structural search, which ignores it"
+)
 
 _TABLE_COLUMNS = (
     "n",
@@ -343,7 +350,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--mode", choices=_MODES, default="auto")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1, help=_JOBS_HELP)
     p.set_defaults(handler=_cmd_check_arrow)
 
     p = sub.add_parser("verify", help="run one verification suite")
@@ -359,7 +366,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--flavor", choices=("g", "ghat"), help="threshold flavor (tightness)")
     p.add_argument("--m-max", type=int, dest="m_max", help="search ceiling (minimality)")
     p.add_argument("--mode", choices=_MODES, default="auto")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1, help=_JOBS_HELP)
     p.set_defaults(handler=_cmd_verify)
 
     p = sub.add_parser("decolor", help="vertex set whose removal leaves an (n-2)-colorable graph")
@@ -393,6 +400,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         outputs, code = {"message": str(exc), "line": exc.line}, 2
     except (ValueError, TypeError, OSError) as exc:
         outputs, code = {"message": str(exc)}, 2
+    except Exception as exc:  # a defect: still one envelope on stdout
+        import traceback  # only a fault needs it; keeps the import light
+
+        traceback.print_exc(file=sys.stderr)
+        outputs, code = {"message": str(exc), "exception": type(exc).__name__}, 4
     elapsed_ms = round((time.perf_counter() - start) * 1000)
     status = "ok" if code == 0 else "undecided" if code == 3 else "error"
     result = CommandResult(args.command, inputs, outputs, status, elapsed_ms)

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .arrowing import EdgeColoring, UndecidedError, is_good_coloring
+from .arrowing import CertificationError, EdgeColoring, UndecidedError, is_good_coloring
 from .graphs import (
     Graph,
     VertexColoring,
@@ -101,7 +101,9 @@ def max_potential_coloring(graph: Graph) -> VertexColoring:
     Each move strictly increases the sum of squared class sizes, so the
     scan terminates; at the fixpoint no class can absorb a vertex from a
     later one.  Deterministic: vertices in index order, target classes in
-    the list order of the pass, classes re-sorted between passes.
+    the list order of the pass, classes re-sorted between passes.  The
+    result is re-checked (chi classes, satisfies_claim_one) and a failure
+    raises CertificationError.
     """
     chi = chromatic_number(graph)
     base = is_k_colorable(graph, chi)
@@ -131,8 +133,8 @@ def max_potential_coloring(graph: Graph) -> VertexColoring:
             mask &= mask - 1
             assignment[v] = color
     coloring = coloring_from_assignment(graph, assignment)
-    assert coloring.num_colors == chi
-    assert satisfies_claim_one(graph, coloring)
+    if coloring.num_colors != chi or not satisfies_claim_one(graph, coloring):
+        raise CertificationError("max-potential coloring failed re-verification")
     return coloring
 
 
@@ -202,7 +204,8 @@ def find_decolor_set(graph: Graph, n: int, t: int) -> DecolorResult:
         removed = 0
         for v in cover:
             removed |= 1 << v
-        assert len(cover) <= 2 * t - 1  # cover <= |E| < 2t
+        if len(cover) > 2 * t - 1:  # a minimum cover has at most |E| < 2t vertices
+            raise CertificationError(f"vertex cover of {len(cover)} exceeds 2t-1 = {2 * t - 1}")
         return DecolorResult(
             graph=graph,
             n=n,
@@ -290,7 +293,7 @@ def witness_good_coloring(host: Graph, n: int, t: int) -> EdgeColoring:
     Blue = edges inside the decoloring set, red = everything else; a red
     n-clique would need n-1 mutually adjacent vertices off the set, which
     its (n-2)-coloring forbids.  Certified by direct clique and matching
-    checks before returning.
+    checks before returning; a failed check raises CertificationError.
     """
     result = find_decolor_set_matching(host, n, t)
     blue = 0
@@ -298,7 +301,8 @@ def witness_good_coloring(host: Graph, n: int, t: int) -> EdgeColoring:
         if result.removed >> u & 1 and result.removed >> v & 1:
             blue |= 1 << i
     coloring = EdgeColoring(host, blue)
-    assert is_good_coloring(coloring, n, t), "witness failed certification: bug"
+    if not is_good_coloring(coloring, n, t):
+        raise CertificationError(f"witness coloring for (n={n}, t={t}) failed re-verification")
     return coloring
 
 

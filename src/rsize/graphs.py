@@ -153,7 +153,12 @@ def disjoint_union(graphs: Sequence[Graph]) -> Graph:
 
 
 def max_matching(g: Graph) -> int:
-    """Matching number, by branching on the lowest non-isolated vertex."""
+    """Matching number, by branching on the lowest non-isolated vertex.
+
+    Summed over the connected components: the memo is keyed on sets of
+    available vertices, so one search over k components would store the
+    product of their subset counts rather than the sum.
+    """
     adj = g.adj
     memo: dict[int, int] = {}
 
@@ -184,7 +189,8 @@ def max_matching(g: Graph) -> int:
         memo[avail] = best
         return best
 
-    return rec((1 << g.n) - 1)
+    # singletons hold no edge
+    return sum(rec(comp) for comp in _components(g) if comp & (comp - 1))
 
 
 def has_clique(g: Graph, k: int) -> bool:
@@ -454,38 +460,51 @@ def _canon_connected(g: Graph) -> tuple[tuple[int, int], ...]:
     return best
 
 
-def _components(g: Graph) -> list[list[int]]:
-    seen = 0
+def _components(g: Graph) -> list[int]:
+    """The connected components as vertex masks, by lowest vertex."""
+    adj = g.adj
     comps = []
-    for start in range(g.n):
-        if seen >> start & 1:
-            continue
-        frontier = 1 << start
-        comp = 0
+    rest = (1 << g.n) - 1
+    while rest:
+        comp = frontier = rest & -rest
         while frontier:
-            comp |= frontier
-            nxt = 0
-            while frontier:
-                v = (frontier & -frontier).bit_length() - 1
-                frontier &= frontier - 1
-                nxt |= g.adj[v]
-            frontier = nxt & ~comp
-        seen |= comp
-        comps.append([v for v in range(g.n) if comp >> v & 1])
+            v = (frontier & -frontier).bit_length() - 1
+            frontier &= frontier - 1
+            new = adj[v] & ~comp
+            comp |= new
+            frontier |= new
+        comps.append(comp)
+        rest &= ~comp
     return comps
 
 
-def canonical_form(g: Graph) -> tuple[int, tuple[tuple[int, int], ...]]:
+# labeled component (n, adj) -> its canonical edge list
+_ComponentMemo = dict[tuple[int, tuple[int, ...]], tuple[tuple[int, int], ...]]
+
+
+def canonical_form(
+    g: Graph, memo: _ComponentMemo | None = None
+) -> tuple[int, tuple[tuple[int, int], ...]]:
     """A complete isomorphism invariant: canonical (n, edge tuple).
 
     Each connected component is canonicalized on its own (components stay
     small even when the whole graph does not), then components are sorted
     and concatenated.  Two graphs get equal forms iff they are isomorphic.
+    A caller that canonicalizes many related graphs may pass one memo dict
+    to every call; it maps each labeled component (n, adj) to its canonical
+    edge list, so a component seen before costs no second search.  The
+    form is the same with or without it.
     """
+    if memo is None:
+        memo = {}
     keys = []
     for comp in _components(g):
-        sub = g.induced(comp)
-        keys.append((sub.n, _canon_connected(sub)))
+        sub = g if comp.bit_count() == g.n else g.induced(_mask_vertices(comp))
+        key = (sub.n, sub.adj)
+        form = memo.get(key)
+        if form is None:
+            form = memo[key] = _canon_connected(sub)
+        keys.append((sub.n, form))
     keys.sort()
     edges = []
     offset = 0
@@ -495,39 +514,56 @@ def canonical_form(g: Graph) -> tuple[int, tuple[tuple[int, int], ...]]:
     return offset, tuple(sorted(edges))
 
 
+def _graph_levels(m: int, max_vertices: int | None) -> Iterator[list[Graph]]:
+    """Levels 1..m of the isomorphism-free walk, each sorted by canonical form.
+
+    Level k+1 is grown from level k by adding one edge in every way: between
+    two present vertices, to one new vertex, or on two new vertices.  Every
+    (k+1)-edge graph arises so from a k-edge one by edge removal plus
+    isolated-vertex cleanup, and removal never adds vertices, so each level
+    is complete, also under the vertex cap.  One component memo serves the
+    whole walk, so each distinct labeled component is canonicalized once.
+    """
+    memo: _ComponentMemo = {}
+    cap = 2 * m if max_vertices is None else max_vertices
+    level = [canonical_form(complete(2))] if cap >= 2 else []
+    for k in range(1, m + 1):
+        yield [Graph(n, edges) for n, edges in level]
+        if k == m:
+            return
+        nxt: set[tuple[int, tuple[tuple[int, int], ...]]] = set()
+        for n, edges in level:
+            present = set(edges)
+            for u, v in combinations(range(n), 2):
+                if (u, v) not in present:
+                    nxt.add(canonical_form(Graph(n, edges + ((u, v),)), memo))
+            if n + 1 <= cap:
+                for u in range(n):
+                    nxt.add(canonical_form(Graph(n + 1, edges + ((u, n),)), memo))
+            if n + 2 <= cap:
+                nxt.add(canonical_form(Graph(n + 2, edges + ((n, n + 1),)), memo))
+        level = sorted(nxt)
+
+
 def enumerate_graphs(m: int, max_vertices: int | None = None) -> Iterator[Graph]:
     """All graphs with exactly m edges and no isolated vertices, up to iso.
 
-    Grows one edge at a time from K_2, deduplicating by canonical form at
-    every level; every m-edge graph arises from an (m-1)-edge one by edge
-    removal plus isolated-vertex cleanup, so the levels are complete.
+    Yields level m of the one-edge-at-a-time walk from K_2, in sorted
+    canonical-form order, each graph labeled by its canonical form.  The
+    walk deduplicates by canonical form at every level and shares one
+    component memo across its levels; a caller that needs every level up
+    to m walks them once through the same generator rather than calling
+    this per level.
     """
     if m < 0:
         raise ValueError(f"need m >= 0, got {m}")
     if m > ENUMERATION_MAX_EDGES:
         raise CapacityError(f"enumeration capped at {ENUMERATION_MAX_EDGES} edges, got {m}")
-    cap = 2 * m if max_vertices is None else min(max_vertices, 2 * m)
     if m == 0:
         yield Graph(0)
         return
-    if cap < 2:
-        return
-    level = {canonical_form(complete(2))}
-    for _ in range(m - 1):
-        nxt: set[tuple[int, tuple[tuple[int, int], ...]]] = set()
-        for n, edges in sorted(level):
-            present = set(edges)
-            for u, v in combinations(range(n), 2):
-                if (u, v) not in present:
-                    nxt.add(canonical_form(Graph(n, edges + ((u, v),))))
-            if n + 1 <= cap:
-                for u in range(n):
-                    nxt.add(canonical_form(Graph(n + 1, edges + ((u, n),))))
-            if n + 2 <= cap:
-                nxt.add(canonical_form(Graph(n + 2, edges + ((n, n + 1),))))
-        level = nxt
-    for n, edges in sorted(level):
-        yield Graph(n, edges)
+    *_, last = _graph_levels(m, max_vertices)
+    yield from last
 
 
 # -------------------------------------------------------------------- graph6

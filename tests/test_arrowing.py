@@ -235,6 +235,23 @@ def test_structural_decides_many_disjoint_triangles():
         assert time.perf_counter() - start < 30.0
 
 
+def test_many_path_components_are_matched_and_refuted(monkeypatch):
+    # twelve 3-edge paths under shuffled labels: matching number 24, and a
+    # blue set inside every path is a good coloring for t = 25.  One
+    # matching search over all components at once memoises a product of
+    # per-path subset counts; per component it is a sum.
+    monkeypatch.setenv(BUDGET_ENV_VAR, "40")
+    path = Graph(4, [(0, 1), (1, 2), (2, 3)])
+    union = disjoint_union([path] * 12)
+    perm = list(range(union.n))
+    random.Random(3).shuffle(perm)
+    host = Graph(union.n, [(perm[u], perm[v]) for u, v in union.edges()])
+    assert max_matching(host) == 24
+    v = arrows_pair(host, 2, 25)
+    assert not v.arrows and v.mode == "structural"
+    assert is_good_coloring(v.counterexample, 2, 25)
+
+
 def test_structural_decides_the_k9_threshold(monkeypatch):
     # R(K_5, 3K_2) = 9: 36 and 28 edges, beyond the reach of the table
     monkeypatch.setenv(BUDGET_ENV_VAR, "40")
@@ -275,16 +292,28 @@ def test_hypergraph_cliques_match_window_enumeration():
 def test_certification_survives_optimized_mode():
     # asserts vanish under -O; a forced-bad certificate must still raise
     script = (
-        "import rsize.arrowing as A\n"
-        "A.is_good_coloring = lambda *args: False\n"
-        "try:\n"
-        "    A.lower_bound_coloring(3, 2)\n"
-        "except A.CertificationError:\n"
-        "    print('raised')\n"
+        "import rsize.arrowing as A, rsize.decolor as D\n"
+        "from rsize.graphs import Graph, complete\n"
+        "def outcome(call):\n"
+        "    try:\n"
+        "        call()\n"
+        "    except A.CertificationError:\n"
+        "        return 'raised'\n"
+        "    return 'returned'\n"
+        "good = D.is_good_coloring\n"
+        "A.is_good_coloring = D.is_good_coloring = lambda *args: False\n"
+        "print(outcome(lambda: A.lower_bound_coloring(3, 2)))\n"
+        "print(outcome(lambda: D.witness_good_coloring(complete(3), 4, 1)))\n"
+        "A.is_good_coloring = D.is_good_coloring = good\n"
+        "D.satisfies_claim_one = lambda *args: False\n"
+        "print(outcome(lambda: D.max_potential_coloring(complete(3))))\n"
+        "D.min_vertex_cover = lambda g: tuple(range(g.n))\n"
+        "star = Graph(4, [(0, 1), (0, 2), (0, 3)])\n"
+        "print(outcome(lambda: D.find_decolor_set(star, 3, 2)))\n"
     )
     proc = run_python("-O", "-c", script)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "raised"
+    assert proc.stdout.split() == ["raised"] * 4
 
 
 def test_import_leaves_the_process_pool_unloaded():
@@ -366,6 +395,26 @@ def test_min_size_bruteforce_matches_formula():
     assert min_size_ramsey_bruteforce(3, 1, 4) == 3 == g(3, 1).value
     assert min_size_ramsey_bruteforce(3, 2, 6) == 6 == g(3, 2).value
     assert min_size_ramsey_bruteforce(3, 3, 4) is None  # g(3,3) = 9 > 4
+
+
+@pytest.mark.parametrize(
+    "n, t, m_max, max_vertices, expected",
+    [
+        (2, 1, 1, None, 1),
+        (2, 3, 5, None, 3),
+        (2, 4, 7, None, 4),
+        (4, 1, 6, None, 6),
+        (3, 2, 5, None, None),  # g(3,2) = 6
+        (3, 1, 4, 3, 3),  # the triangle fits the cap
+        (3, 1, 4, 2, None),  # no triangle on two vertices
+        (2, 3, 5, 6, 3),  # 3K_2 needs six vertices
+        (2, 3, 5, 5, None),
+        (3, 2, 6, 6, 6),  # 2K_3 needs six vertices
+        (3, 2, 6, 5, None),  # K_5 (10 edges) is past m_max
+    ],
+)
+def test_min_size_bruteforce_grid(n, t, m_max, max_vertices, expected):
+    assert min_size_ramsey_bruteforce(n, t, m_max, max_vertices=max_vertices) == expected
 
 
 def test_min_size_bruteforce_rejects_large_budget():

@@ -10,6 +10,8 @@ from importlib.resources import files
 import jsonschema
 import pytest
 
+from rsize import cli
+from rsize.arrowing import CertificationError
 from rsize.cli import _jsonify, main
 from rsize.graphs import complete, complete_r, disjoint_union, hypergraph_to_text, to_graph6
 from rsize.values import g_r
@@ -397,6 +399,25 @@ def test_decolor_hypothesis_violation_names_both_numbers(capsys, tmp_path):
     assert code == 2
     message = payload["outputs"]["message"]
     assert "6" in message and "2" in message  # |E| and the threshold
+
+
+# -- internal faults -------------------------------------------------------------
+
+
+@pytest.mark.parametrize("fault", [CertificationError("witness failed re-verification"), ZeroDivisionError("boom")])
+def test_internal_fault_is_an_envelope_with_exit_4(capsys, monkeypatch, fault):
+    def broken(args):
+        raise fault
+
+    monkeypatch.setattr(cli, "_cmd_verify", broken)
+    code = main(["verify", "--suite", "ramsey", "--n", "3", "--t", "2"])
+    captured = capsys.readouterr()
+    payload = json.loads(captured.out)
+    VALIDATOR.validate(payload)
+    assert code == 4
+    assert payload["status"] == "error"
+    assert payload["outputs"] == {"message": str(fault), "exception": type(fault).__name__}
+    assert "Traceback" in captured.err
 
 
 # -- process-level entry ---------------------------------------------------------

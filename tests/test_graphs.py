@@ -91,6 +91,20 @@ def test_max_matching_against_bruteforce():
         assert max_matching(g) == brute_max_matching(n, g.edges()), g
 
 
+def test_max_matching_on_disjoint_unions_against_bruteforce():
+    rng = random.Random(11)
+    for _ in range(60):
+        parts = []
+        for _ in range(rng.randint(2, 4)):
+            n = rng.randint(1, 5)
+            parts.append(random_graph(rng, n, rng.randint(0, min(4, n * (n - 1) // 2))))
+        union = disjoint_union(parts)
+        perm = list(range(union.n))
+        rng.shuffle(perm)
+        g = relabel(union, perm)
+        assert max_matching(g) == brute_max_matching(g.n, g.edges()), g
+
+
 def test_has_clique_known_and_bruteforce():
     assert has_clique(complete(6), 6)
     assert not has_clique(complete(6), 7)
@@ -250,8 +264,39 @@ def test_canonical_form_separates_nonisomorphic_catalog():
 
 
 def test_enumerate_graphs_counts():
-    # 1, 2, 5, 11 by hand; 26 pinned after a full labeled brute-force count
-    assert [sum(1 for _ in enumerate_graphs(m)) for m in (1, 2, 3, 4, 5)] == [1, 2, 5, 11, 26]
+    # 1, 2, 5, 11 by hand; 26 pinned after a full labeled brute-force count;
+    # 68 and 177 are OEIS A000664
+    counts = [sum(1 for _ in enumerate_graphs(m)) for m in (1, 2, 3, 4, 5, 6, 7)]
+    assert counts == [1, 2, 5, 11, 26, 68, 177]
+
+
+@pytest.mark.slow
+def test_enumerate_graphs_count_at_eight_edges():
+    assert sum(1 for _ in enumerate_graphs(8)) == 497  # OEIS A000664
+
+
+def children(g: Graph) -> list[Graph]:
+    """Every one-edge extension of g: inside, to one new vertex, on two new ones."""
+    edges = g.edges()
+    out = [Graph(g.n, edges + [(u, v)]) for u, v in combinations(range(g.n), 2) if not g.has_edge(u, v)]
+    out += [Graph(g.n + 1, edges + [(u, g.n)]) for u in range(g.n)]
+    out.append(Graph(g.n + 2, edges + [(g.n, g.n + 1)]))
+    return out
+
+
+def test_canonical_form_shared_memo_changes_nothing():
+    # one memo across the whole walk, children met under fresh labels too
+    rng = random.Random(23)
+    memo: dict = {}
+    for m in range(1, 6):
+        for parent in enumerate_graphs(m):
+            for child in children(parent):
+                want = canonical_form(child)
+                assert canonical_form(child, memo) == want, child
+                perm = list(range(child.n))
+                rng.shuffle(perm)
+                assert canonical_form(relabel(child, perm), memo) == want, child
+    assert memo
 
 
 def test_enumerate_graphs_properties():
@@ -265,9 +310,12 @@ def test_enumerate_graphs_properties():
 
 
 def test_enumerate_graphs_vertex_cap():
-    capped = list(enumerate_graphs(4, max_vertices=5))
-    assert all(g.n <= 5 for g in capped)
-    assert len(capped) < 11
+    # the capped walk yields exactly the uncapped level with n <= cap, in order
+    for m in range(1, 7):
+        full = list(enumerate_graphs(m))
+        for cap in range(2, 9):
+            assert list(enumerate_graphs(m, max_vertices=cap)) == [g for g in full if g.n <= cap], (m, cap)
+    assert list(enumerate_graphs(3, max_vertices=1)) == []
 
 
 def test_enumerate_graphs_capacity():
