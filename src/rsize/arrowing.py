@@ -56,6 +56,7 @@ from math import comb
 from typing import Sequence
 
 from .graphs import (
+    CertificationError,
     Graph,
     Hypergraph,
     _graph_levels,
@@ -77,10 +78,6 @@ _SPLIT_DEPTH = 6
 
 class UndecidedError(RuntimeError):
     """The host exceeds the search budget: no verdict is offered."""
-
-
-class CertificationError(RuntimeError):
-    """A certificate built here failed its independent re-check: a defect, not an input error."""
 
 
 @dataclass(frozen=True)
@@ -148,7 +145,7 @@ class ArrowVerdict:
         if self.counterexample is not None and not is_good_coloring(
             self.counterexample, self.n, self.t
         ):
-            raise ValueError("counterexample failed re-verification")
+            raise CertificationError("counterexample failed re-verification")
 
 
 # ----------------------------------------------------------------- searches

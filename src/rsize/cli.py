@@ -42,10 +42,10 @@ from .arrowing import (
     verify_hyper_ramsey,
 )
 from .decolor import (
+    _witness_coloring,
     check_tightness_remark,
     find_decolor_set,
     find_decolor_set_matching,
-    witness_good_coloring,
 )
 from .exactmath import binomial, limit_constant
 from .graphs import (
@@ -312,7 +312,7 @@ def _cmd_decolor(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
         "residual_colors": coloring.num_colors,
     }
     if args.matching:
-        witness = witness_good_coloring(host, args.n, args.t)
+        witness = _witness_coloring(result)
         outputs["matching_in_set"] = max_matching(host.induced(result.removed_vertices()))
         outputs["witness_blue_edges"] = [list(edge) for edge in witness.blue_edges()]
     return outputs, 0

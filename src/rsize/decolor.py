@@ -10,22 +10,26 @@ reads off a good coloring of any under-sized host: color the edges inside
 S blue and the rest red — no red n-clique fits (it would need n-1 mutually
 adjacent vertices outside S) and the blue side has no t disjoint edges.
 
-Each public routine tries the cheap structural construction first and
-falls back to a bounded exact subset scan; existence is a theorem, so a
-fallback miss is an implementation bug and raises AssertionError.  The
-result records which route produced it.
+Both variants run the paper's construction (a minimum vertex cover for
+n = 3, else the classes past n-2 of a max-potential coloring) and check
+the lemma's bounds on its result.  Existence is a theorem, so a missed
+bound is an implementation bug and raises CertificationError, which
+survives `python -O`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import combinations
+from dataclasses import dataclass, field
+from itertools import combinations, count
+from typing import Sequence
 
-from .arrowing import CertificationError, EdgeColoring, UndecidedError, is_good_coloring
+from .arrowing import EdgeColoring, UndecidedError, is_good_coloring
 from .graphs import (
+    CertificationError,
     Graph,
     VertexColoring,
-    chromatic_number,
+    _mask_vertices,
+    _vertices_mask,
     coloring_from_assignment,
     complete,
     disjoint_union,
@@ -54,26 +58,27 @@ class DecolorResult:
     t: int
     removed: int
     residual_coloring: VertexColoring
-    method: str
+    method: str = field(default="heuristic", init=False)  # the paper's construction
 
     def __post_init__(self) -> None:
-        if self.method not in ("heuristic", "exact_fallback"):
-            raise ValueError(f"unknown method {self.method!r}")
         if not 0 <= self.removed < 1 << self.graph.n:
             raise ValueError("removed-set mask out of range")
         residual = self.graph.without_vertices(self.removed_vertices())
         # re-validate properness and the color budget from scratch
-        check = coloring_from_assignment(residual, self.residual_coloring.color_of)
+        try:
+            check = coloring_from_assignment(residual, self.residual_coloring.color_of)
+        except ValueError as exc:
+            raise CertificationError(f"residual coloring does not match G - S: {exc}") from None
         if check.classes != self.residual_coloring.classes:
-            raise ValueError("residual coloring does not match G - S")
+            raise CertificationError("residual coloring does not match G - S")
         if self.residual_coloring.num_colors > self.n - 2:
-            raise ValueError(
+            raise CertificationError(
                 f"residual coloring uses {self.residual_coloring.num_colors} colors, "
                 f"allowed {self.n - 2}"
             )
 
     def removed_vertices(self) -> tuple[int, ...]:
-        return tuple(v for v in range(self.graph.n) if self.removed >> v & 1)
+        return _mask_vertices(self.removed)
 
     def removed_size(self) -> int:
         return self.removed.bit_count()
@@ -83,10 +88,7 @@ def satisfies_claim_one(graph: Graph, coloring: VertexColoring) -> bool:
     """Every vertex of a later class has a neighbor in every earlier class."""
     classes = coloring.classes
     for j in range(1, len(classes)):
-        mask = classes[j]
-        while mask:
-            v = (mask & -mask).bit_length() - 1
-            mask &= mask - 1
+        for v in _mask_vertices(classes[j]):
             for i in range(j):
                 if not graph.adj[v] & classes[i]:
                     return False
@@ -105,9 +107,9 @@ def max_potential_coloring(graph: Graph) -> VertexColoring:
     result is re-checked (chi classes, satisfies_claim_one) and a failure
     raises CertificationError.
     """
-    chi = chromatic_number(graph)
-    base = is_k_colorable(graph, chi)
-    assert base is not None
+    # deepen k: the first coloring found is chromatic
+    base = next(filter(None, (is_k_colorable(graph, k) for k in count(1))))
+    chi = base.num_colors
     classes = list(base.classes)
     moved = True
     while moved:
@@ -125,56 +127,15 @@ def max_potential_coloring(graph: Graph) -> VertexColoring:
                     moved = True
                     break
         classes.sort(key=lambda m: (-m.bit_count(), m & -m))
-    assert all(classes), "a chromatic class emptied, contradicting minimality"
+    # an emptied class would leave fewer than chi colors: caught below
     assignment = [0] * graph.n
     for color, mask in enumerate(classes):
-        while mask:
-            v = (mask & -mask).bit_length() - 1
-            mask &= mask - 1
+        for v in _mask_vertices(mask):
             assignment[v] = color
     coloring = coloring_from_assignment(graph, assignment)
     if coloring.num_colors != chi or not satisfies_claim_one(graph, coloring):
         raise CertificationError("max-potential coloring failed re-verification")
     return coloring
-
-
-def _restrict_coloring(graph: Graph, coloring: VertexColoring, removed: int) -> VertexColoring:
-    kept = [v for v in range(graph.n) if not removed >> v & 1]
-    residual = graph.without_vertices(v for v in range(graph.n) if removed >> v & 1)
-    return coloring_from_assignment(residual, [coloring.color_of[v] for v in kept])
-
-
-def _edgeless_coloring(graph: Graph, removed: int) -> VertexColoring:
-    residual = graph.without_vertices(v for v in range(graph.n) if removed >> v & 1)
-    return coloring_from_assignment(residual, [0] * residual.n)
-
-
-def _exact_scan(
-    graph: Graph, n: int, t: int, max_size: int, matching_bound: int | None
-) -> DecolorResult:
-    for k in range(max_size + 1):
-        for subset in combinations(range(graph.n), k):
-            if matching_bound is not None:
-                if max_matching(graph.induced(subset)) > matching_bound:
-                    continue
-            residual = graph.without_vertices(subset)
-            coloring = is_k_colorable(residual, n - 2)
-            if coloring is None:
-                continue
-            removed = 0
-            for v in subset:
-                removed |= 1 << v
-            return DecolorResult(
-                graph=graph,
-                n=n,
-                t=t,
-                removed=removed,
-                residual_coloring=coloring,
-                method="exact_fallback",
-            )
-    raise AssertionError(
-        "no qualifying set within the guaranteed bound: implementation bug"
-    )
 
 
 def _check_shape(graph: Graph, n: int, t: int) -> None:
@@ -186,48 +147,66 @@ def _check_shape(graph: Graph, n: int, t: int) -> None:
         raise ValueError(f"need t >= 1, got {t}")
 
 
+def _decolor(graph: Graph, n: int, t: int, matching: bool) -> DecolorResult:
+    """The paper's decoloring construction, behind both public variants.
+
+    Lemma.  Let G have fewer than g_hat(n,t) edges (plain variant) or
+    fewer than g(n,t) edges (matching variant), and let S be the vertices
+    past the first n-2 classes of a chromatic coloring in which no vertex
+    can move to an earlier class (Claim 1, max_potential_coloring).  Then
+    G - S is (n-2)-colored by the first n-2 classes, and |S| <= 2t-1
+    (plain), or G[S] spans no t disjoint edges and |S| <= 2t (matching).
+    The paper counts the edges Claim 1 forces: every vertex of S has a
+    neighbor in each earlier class, so a larger S, or t disjoint edges
+    inside it, would give at least the threshold number of edges.
+
+    For n = 3 one color is left, so S must be a vertex cover; take a
+    minimum one.  It has at most |E| < g_hat(3,t) <= 2t vertices.  And each
+    of its vertices has a private edge leaving the cover, or dropping the
+    vertex would leave a smaller cover; so t disjoint edges inside it,
+    with the private edges of their 2t ends, make 3t >= g(3,t) edges,
+    against the hypothesis.
+
+    A bound the construction misses would contradict the lemma, so it
+    raises CertificationError.
+    """
+    _check_shape(graph, n, t)
+    bound = (g if matching else g_hat)(n, t).value
+    if graph.edge_count() >= bound:
+        raise HypothesisError(
+            f"{graph.edge_count()} edges, but the guarantee needs fewer than {bound}"
+        )
+    if n == 3:
+        removed = _vertices_mask(min_vertex_cover(graph))
+        color_of: Sequence[int] = [0] * graph.n
+    else:
+        coloring = max_potential_coloring(graph)
+        removed = 0
+        for mask in coloring.classes[n - 2 :]:
+            removed |= mask
+        color_of = coloring.color_of
+    vertices = _mask_vertices(removed)
+    if matching:
+        inside = max_matching(graph.induced(vertices))
+        if inside > t - 1:
+            raise CertificationError(f"decoloring set spans {inside} disjoint edges, allowed {t - 1}")
+        cap = 2 * t if n >= 4 else graph.n  # for n = 3 only the matching bound holds
+    else:
+        cap = 2 * t - 1
+    if len(vertices) > cap:
+        raise CertificationError(f"decoloring set of {len(vertices)} vertices exceeds {cap}")
+    kept = [color_of[v] for v in range(graph.n) if not removed >> v & 1]
+    residual = coloring_from_assignment(graph.without_vertices(vertices), kept)
+    return DecolorResult(graph=graph, n=n, t=t, removed=removed, residual_coloring=residual)
+
+
 def find_decolor_set(graph: Graph, n: int, t: int) -> DecolorResult:
     """S with |S| <= 2t-1 and G - S properly (n-2)-colorable.
 
     Requires fewer edges than the one-clique-per-stripe optimum; that
     hypothesis is what makes the bound a theorem.
     """
-    _check_shape(graph, n, t)
-    bound = g_hat(n, t).value
-    if graph.edge_count() >= bound:
-        raise HypothesisError(
-            f"{graph.edge_count()} edges, but the guarantee needs fewer than {bound}"
-        )
-    if n == 3:
-        # one color allowed: S must be a vertex cover, so take a minimum one
-        cover = min_vertex_cover(graph)
-        removed = 0
-        for v in cover:
-            removed |= 1 << v
-        if len(cover) > 2 * t - 1:  # a minimum cover has at most |E| < 2t vertices
-            raise CertificationError(f"vertex cover of {len(cover)} exceeds 2t-1 = {2 * t - 1}")
-        return DecolorResult(
-            graph=graph,
-            n=n,
-            t=t,
-            removed=removed,
-            residual_coloring=_edgeless_coloring(graph, removed),
-            method="heuristic",
-        )
-    coloring = max_potential_coloring(graph)
-    removed = 0
-    for mask in coloring.classes[n - 2 :]:
-        removed |= mask
-    if removed.bit_count() <= 2 * t - 1:
-        return DecolorResult(
-            graph=graph,
-            n=n,
-            t=t,
-            removed=removed,
-            residual_coloring=_restrict_coloring(graph, coloring, removed),
-            method="heuristic",
-        )
-    return _exact_scan(graph, n, t, 2 * t - 1, None)
+    return _decolor(graph, n, t, matching=False)
 
 
 def find_decolor_set_matching(graph: Graph, n: int, t: int) -> DecolorResult:
@@ -236,55 +215,22 @@ def find_decolor_set_matching(graph: Graph, n: int, t: int) -> DecolorResult:
     Requires fewer edges than the two-per-stripe optimum.  When n >= 4
     the returned set also has at most 2t vertices.
     """
-    _check_shape(graph, n, t)
-    bound = g(n, t).value
-    if graph.edge_count() >= bound:
-        raise HypothesisError(
-            f"{graph.edge_count()} edges, but the guarantee needs fewer than {bound}"
-        )
-    if n == 3:
-        cover = min_vertex_cover(graph)
-        removed = 0
-        for v in cover:
-            removed |= 1 << v
-        # a minimum cover never spans t disjoint edges here: each cover
-        # vertex owns a private edge, so t disjoint covered edges would
-        # force 3t distinct edges, beyond the hypothesis
-        if max_matching(graph.induced(cover)) <= t - 1:
-            return DecolorResult(
-                graph=graph,
-                n=n,
-                t=t,
-                removed=removed,
-                residual_coloring=_edgeless_coloring(graph, removed),
-                method="heuristic",
-            )
-        return _exact_scan(graph, n, t, graph.n, t - 1)
-    coloring = max_potential_coloring(graph)
-    removed = 0
-    for mask in coloring.classes[n - 2 :]:
-        removed |= mask
-    small = removed.bit_count() <= 2 * t
-    sparse = max_matching(graph.induced(_mask_tuple(removed))) <= t - 1
-    if small and sparse:
-        return DecolorResult(
-            graph=graph,
-            n=n,
-            t=t,
-            removed=removed,
-            residual_coloring=_restrict_coloring(graph, coloring, removed),
-            method="heuristic",
-        )
-    return _exact_scan(graph, n, t, 2 * t, t - 1)
+    return _decolor(graph, n, t, matching=True)
 
 
-def _mask_tuple(mask: int) -> tuple[int, ...]:
-    out = []
-    while mask:
-        v = (mask & -mask).bit_length() - 1
-        mask &= mask - 1
-        out.append(v)
-    return tuple(out)
+def _witness_coloring(result: DecolorResult) -> EdgeColoring:
+    """Blue inside the matching variant's set, red elsewhere; re-checked."""
+    host, removed = result.graph, result.removed
+    blue = 0
+    for i, (u, v) in enumerate(host.edges()):
+        if removed >> u & 1 and removed >> v & 1:
+            blue |= 1 << i
+    coloring = EdgeColoring(host, blue)
+    if not is_good_coloring(coloring, result.n, result.t):
+        raise CertificationError(
+            f"witness coloring for (n={result.n}, t={result.t}) failed re-verification"
+        )
+    return coloring
 
 
 def witness_good_coloring(host: Graph, n: int, t: int) -> EdgeColoring:
@@ -295,15 +241,7 @@ def witness_good_coloring(host: Graph, n: int, t: int) -> EdgeColoring:
     its (n-2)-coloring forbids.  Certified by direct clique and matching
     checks before returning; a failed check raises CertificationError.
     """
-    result = find_decolor_set_matching(host, n, t)
-    blue = 0
-    for i, (u, v) in enumerate(host.edges()):
-        if result.removed >> u & 1 and result.removed >> v & 1:
-            blue |= 1 << i
-    coloring = EdgeColoring(host, blue)
-    if not is_good_coloring(coloring, n, t):
-        raise CertificationError(f"witness coloring for (n={n}, t={t}) failed re-verification")
-    return coloring
+    return _witness_coloring(find_decolor_set_matching(host, n, t))
 
 
 def check_tightness_remark(n: int, t: int, flavor: Flavor) -> bool:
@@ -336,10 +274,12 @@ def check_tightness_remark(n: int, t: int, flavor: Flavor) -> bool:
         for parts in iter_partitions(target, target)
         if sum(part_cost(flavor, n, s) for s in parts) == value
     ]
-    assert achievers, "the optimum is always attained by some partition"
+    if not achievers:
+        raise CertificationError(f"no partition attains the threshold {value}")
     for parts in achievers:
         example = disjoint_union([complete(clique_of(s)) for s in parts])
-        assert example.edge_count() == value
+        if example.edge_count() != value:
+            raise CertificationError(f"parts {parts} give {example.edge_count()} edges, not {value}")
         cap = 2 * t - 1 if flavor is Flavor.GHAT else 2 * t
         for k in range(cap + 1):
             for subset in combinations(range(example.n), k):

@@ -63,14 +63,13 @@ def limit_constant(n: int, t_max: int) -> tuple[Fraction, int]:
         raise ValueError(f"limit_constant needs n >= 2, got n={n}")
     if t_max < n:
         raise ValueError(f"limit_constant needs t_max >= n, got t_max={t_max}")
-    best: Fraction | None = None
-    best_t = 0
     base = binomial(n, 2)
-    for t in range(1, t_max + 1):
-        q = Fraction(binomial(n + 2 * t - 2, 2), t * base)
-        if best is None or q < best:
-            best, best_t = q, t
-    assert best is not None
+
+    def quotient(t: int) -> Fraction:
+        return Fraction(binomial(n + 2 * t - 2, 2), t * base)
+
+    best_t = min(range(1, t_max + 1), key=quotient)  # min keeps the first of ties
+    best = quotient(best_t)
     if n >= 4:
         closed = Fraction(4 * (2 * n - 5), n * (n - 1))
         if best != closed:

@@ -24,6 +24,7 @@ __all__ = [
     "MAX_GRAPH_VERTICES",
     "MAX_HYPER_VERTICES",
     "CapacityError",
+    "CertificationError",
     "Graph6Error",
     "HypergraphFormatError",
     "Graph",
@@ -48,6 +49,10 @@ __all__ = [
     "hypergraph_to_text",
     "hypergraph_from_text",
 ]
+
+
+class CertificationError(RuntimeError):
+    """A certificate built here failed its independent re-check: a defect, not an input error."""
 
 
 class CapacityError(ValueError):
@@ -393,8 +398,8 @@ def _canon_connected(g: Graph) -> tuple[tuple[int, int], ...]:
     factorial on vertex-transitive graphs.
     """
     n, adj = g.n, g.adj
-    best: tuple[tuple[int, int], ...] | None = None
-    best_colors: tuple[int, ...] | None = None
+    best: tuple[tuple[int, int], ...] = ()
+    best_colors: tuple[int, ...] = ()  # empty until the first leaf
     gens: list[tuple[int, ...]] = []
 
     def leaf(colors: tuple[int, ...]) -> None:
@@ -406,16 +411,17 @@ def _canon_connected(g: Graph) -> tuple[tuple[int, int], ...]:
                 for u, v in g.edges()
             )
         )
-        if best is None or key < best:
+        if not best_colors or key < best:
             best, best_colors = key, colors
         elif key == best and len(gens) < _MAX_STORED_AUTOMORPHISMS:
-            assert best_colors is not None
             inverse = [0] * n
             for v in range(n):
                 inverse[best_colors[v]] = v
             auto = tuple(inverse[colors[v]] for v in range(n))
             if any(auto[v] != v for v in range(n)):
-                assert all(adj[auto[u]] >> auto[v] & 1 for u, v in g.edges())
+                # the orbit prune trusts every stored generator
+                if not all(adj[auto[u]] >> auto[v] & 1 for u, v in g.edges()):
+                    raise CertificationError(f"leaf relabeling {auto} is not an automorphism")
                 gens.append(auto)
 
     def same_orbit(v: int, explored: list[int], fixed: tuple[int, ...]) -> bool:
@@ -456,7 +462,6 @@ def _canon_connected(g: Graph) -> tuple[tuple[int, int], ...]:
             search(_refine(n, adj, split), fixed + (v,))
 
     search(_refine(n, adj, (0,) * n), ())
-    assert best is not None
     return best
 
 
@@ -659,15 +664,12 @@ class Hypergraph:
                 raise ValueError(f"edge {tuple(edge)} is not a set of {r} vertices")
             if vs[0] < 0 or vs[-1] >= n:
                 raise ValueError(f"edge {tuple(vs)} out of range for {n} vertices")
-            mask = 0
-            for v in vs:
-                mask |= 1 << v
-            masks.append(mask)
+            masks.append(_vertices_mask(vs))
         if len(set(masks)) != len(masks):
             raise ValueError("duplicate hyperedges")
         self.n = n
         self.r = r
-        self.edge_masks = tuple(sorted(masks, key=_mask_key))
+        self.edge_masks = tuple(sorted(masks, key=_mask_vertices))
 
     def edge_tuples(self) -> list[tuple[int, ...]]:
         return [_mask_vertices(m) for m in self.edge_masks]
@@ -697,8 +699,11 @@ def _mask_vertices(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _mask_key(mask: int) -> tuple[int, ...]:
-    return _mask_vertices(mask)
+def _vertices_mask(vertices: Iterable[int]) -> int:
+    mask = 0
+    for v in vertices:
+        mask |= 1 << v
+    return mask
 
 
 def complete_r(k: int, r: int) -> Hypergraph:
@@ -749,13 +754,6 @@ def has_red_complete_r(h: Hypergraph, red_edges: Iterable[Iterable[int] | int], 
         if all(_vertices_mask(sub) in red for sub in combinations(window, h.r)):
             return True
     return False
-
-
-def _vertices_mask(vertices: Iterable[int]) -> int:
-    mask = 0
-    for v in vertices:
-        mask |= 1 << v
-    return mask
 
 
 def hypergraph_to_text(h: Hypergraph) -> str:

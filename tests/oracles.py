@@ -3,7 +3,9 @@
 Nothing here shares algorithms with the package: minimizations enumerate
 partitions outright or run the O(total^2) composition DP, matchings
 enumerate edge subsets, colorings try every assignment, hypergraph cliques
-test every vertex window.  Slow on purpose; only run at oracle scale.
+test every vertex window, decoloring sets are scanned subset by subset.
+Slow on purpose; only run at oracle scale.  Graphs are vertex counts plus
+edge lists, so nothing here imports the package.
 """
 
 from __future__ import annotations
@@ -152,3 +154,30 @@ def brute_hyper_matching(edge_masks: Sequence[int]) -> int:
         else:
             break
     return best
+
+
+def exact_decolor_scan(
+    n_vertices: int,
+    edges: Sequence[tuple[int, int]],
+    n: int,
+    max_size: int,
+    matching_bound: int | None = None,
+) -> tuple[int, ...] | None:
+    """First vertex set, smallest first, whose removal leaves an (n-2)-colorable graph.
+
+    Sets are tried by size, then in lexicographic order, up to max_size
+    vertices; with a matching_bound, a set must also span at most that
+    many disjoint edges.  None when no such set exists.
+    """
+    for k in range(max_size + 1):
+        for subset in combinations(range(n_vertices), k):
+            inside = set(subset)
+            if matching_bound is not None:
+                spanned = [(u, v) for u, v in edges if u in inside and v in inside]
+                if brute_max_matching(n_vertices, spanned) > matching_bound:
+                    continue
+            index = {v: i for i, v in enumerate(v for v in range(n_vertices) if v not in inside)}
+            rest = [(index[u], index[v]) for u, v in edges if u in index and v in index]
+            if brute_chromatic(len(index), rest) <= n - 2:
+                return subset
+    return None

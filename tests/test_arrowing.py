@@ -14,6 +14,7 @@ import rsize
 from rsize.arrowing import (
     ArrowVerdict,
     BUDGET_ENV_VAR,
+    CertificationError,
     EdgeColoring,
     UndecidedError,
     _cliques_of_hypergraph,
@@ -79,7 +80,7 @@ def test_is_good_coloring():
 def test_verdict_reverifies_counterexample():
     host = complete(4)
     star = sum(1 << i for i, (u, v) in enumerate(host.edges()) if u == 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(CertificationError):
         ArrowVerdict(
             arrows=False,
             counterexample=EdgeColoring(host, star),

@@ -10,10 +10,10 @@ from importlib.resources import files
 import jsonschema
 import pytest
 
-from rsize import cli
+from rsize import cli, decolor
 from rsize.arrowing import CertificationError
 from rsize.cli import _jsonify, main
-from rsize.graphs import complete, complete_r, disjoint_union, hypergraph_to_text, to_graph6
+from rsize.graphs import Graph, complete, complete_r, disjoint_union, hypergraph_to_text, to_graph6
 from rsize.values import g_r
 
 SCHEMA = json.loads(
@@ -374,7 +374,7 @@ def test_decolor_clique_example(capsys, tmp_path):
     out = payload["outputs"]
     assert out["removed_size"] == 2
     assert out["residual_colors"] <= 2
-    assert out["method"] in ("heuristic", "exact_fallback")
+    assert out["method"] == "heuristic"
     # classes partition the kept vertices
     kept = sorted(v for cls in out["residual_classes"] for v in cls)
     assert kept == [v for v in range(4) if v not in out["removed"]]
@@ -391,6 +391,29 @@ def test_decolor_matching_variant(capsys, tmp_path):
     assert out["matching_in_set"] <= 1
     removed = set(out["removed"])
     assert all(set(e) <= removed for e in out["witness_blue_edges"])
+
+
+def test_decolor_matching_runs_the_construction_once(capsys, monkeypatch, tmp_path):
+    calls = []
+    construct = decolor._decolor
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return construct(*args, **kwargs)
+
+    monkeypatch.setattr(decolor, "_decolor", counted)
+    path = write_graph6(tmp_path, "k4.g6", complete(4))
+    code, payload = run_json(capsys, "decolor", "--host", path, "--n", "4", "--t", "2", "--matching")
+    assert code == 0 and payload["outputs"]["witness_blue_edges"] == [[2, 3]]
+    assert len(calls) == 1
+
+
+def test_decolor_missed_bound_is_exit_4(capsys, monkeypatch, tmp_path):
+    monkeypatch.setattr(decolor, "min_vertex_cover", lambda graph: tuple(range(graph.n)))
+    path = write_graph6(tmp_path, "p3.g6", Graph(3, [(0, 1), (1, 2)]))
+    code, payload = run_json(capsys, "decolor", "--host", path, "--n", "3", "--t", "1", "--matching")
+    assert code == 4
+    assert payload["outputs"]["exception"] == "CertificationError"
 
 
 def test_decolor_hypothesis_violation_names_both_numbers(capsys, tmp_path):

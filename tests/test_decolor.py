@@ -3,11 +3,12 @@ from itertools import combinations
 
 import pytest
 
-from rsize.arrowing import UndecidedError, arrows_pair, is_good_coloring
+import rsize.decolor as D
+from oracles import brute_chromatic, brute_max_matching, exact_decolor_scan
+from rsize.arrowing import CertificationError, UndecidedError, arrows_pair, is_good_coloring
 from rsize.decolor import (
     DecolorResult,
     HypothesisError,
-    _exact_scan,
     check_tightness_remark,
     find_decolor_set,
     find_decolor_set_matching,
@@ -21,6 +22,7 @@ from rsize.graphs import (
     coloring_from_assignment,
     complete,
     disjoint_union,
+    enumerate_graphs,
     is_k_colorable,
     max_matching,
 )
@@ -75,12 +77,11 @@ def test_decolor_result_validation():
     G = complete(4)
     sub = G.without_vertices([2, 3])
     ok = coloring_from_assignment(sub, [0, 1])
-    with pytest.raises(ValueError):
-        DecolorResult(graph=G, n=4, t=2, removed=0b1100, residual_coloring=ok, method="guess")
-    with pytest.raises(ValueError):
-        DecolorResult(graph=G, n=3, t=2, removed=0b1100, residual_coloring=ok, method="heuristic")
-    good = DecolorResult(graph=G, n=4, t=2, removed=0b1100, residual_coloring=ok, method="heuristic")
+    with pytest.raises(CertificationError):
+        DecolorResult(graph=G, n=3, t=2, removed=0b1100, residual_coloring=ok)
+    good = DecolorResult(graph=G, n=4, t=2, removed=0b1100, residual_coloring=ok)
     assert good.removed_vertices() == (2, 3) and good.removed_size() == 2
+    assert good.method == "heuristic"
 
 
 # ----------------------------------------------------------- chromatic side
@@ -113,14 +114,64 @@ def test_argument_validation():
         find_decolor_set_matching(complete(3), 3, 0)
 
 
-def test_exact_scan_is_deterministic_smallest_first():
-    r = _exact_scan(complete(4), 4, 2, 3, None)
-    assert r.method == "exact_fallback"
-    assert r.removed_vertices() == (0, 1)  # first size-2 subset in order
-    r = _exact_scan(complete(4), 4, 2, 4, 1)
-    assert r.removed_vertices() == (0, 1)
-    with pytest.raises(AssertionError):
-        _exact_scan(complete(5), 4, 1, 0, None)  # nothing of size 0 works
+def test_exact_scan_oracle_is_deterministic_smallest_first():
+    k4 = complete(4).edges()
+    assert exact_decolor_scan(4, k4, 4, 3) == (0, 1)  # first size-2 subset in order
+    assert exact_decolor_scan(4, k4, 4, 4, 1) == (0, 1)
+    assert exact_decolor_scan(5, complete(5).edges(), 4, 0) is None  # nothing of size 0 works
+
+
+def test_a_missed_matching_bound_is_a_certification_error(monkeypatch):
+    path = Graph(3, [(0, 1), (1, 2)])
+    # the whole vertex set covers the path but spans an edge: beyond t-1 = 0
+    monkeypatch.setattr(D, "min_vertex_cover", lambda graph: tuple(range(graph.n)))
+    with pytest.raises(CertificationError):
+        find_decolor_set_matching(path, 3, 1)
+
+
+# ------------------------------------------- the lemma on every small graph
+
+def _construction_meets_the_lemma(m):
+    """Every graph with m edges under each hypothesis, n 3..6, t 1..3.
+
+    The exact scan confirms that a qualifying set exists, and the
+    construction must return one, checked with the brute-force oracles.
+    """
+    checked = 0
+    for G in enumerate_graphs(m):
+        edges = G.edges()
+        for n in range(3, 7):
+            for t in range(1, 4):
+                for matching, bound in ((False, g_hat(n, t).value), (True, g(n, t).value)):
+                    if m >= bound:
+                        continue
+                    cap = (2 * t if n >= 4 else G.n) if matching else 2 * t - 1
+                    nu = t - 1 if matching else None
+                    assert exact_decolor_scan(G.n, edges, n, cap, nu) is not None, (m, n, t, edges)
+                    find = find_decolor_set_matching if matching else find_decolor_set
+                    r = find(G, n, t)
+                    removed = set(r.removed_vertices())
+                    kept = [v for v in range(G.n) if v not in removed]
+                    index = {v: i for i, v in enumerate(kept)}
+                    rest = [(index[u], index[v]) for u, v in edges if u in index and v in index]
+                    assert r.removed_size() <= cap
+                    assert brute_chromatic(len(kept), rest) <= n - 2
+                    if matching:
+                        inside = [e for e in edges if set(e) <= removed]
+                        assert brute_max_matching(G.n, inside) <= t - 1
+                    checked += 1
+    return checked
+
+
+@pytest.mark.parametrize("m", range(7))
+def test_construction_meets_the_lemma_on_every_small_graph(m):
+    assert _construction_meets_the_lemma(m) > 0
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("m", (7, 8))
+def test_construction_meets_the_lemma_on_every_graph_slow(m):
+    assert _construction_meets_the_lemma(m) > 0
 
 
 # -------------------------------------------------------------- random suite

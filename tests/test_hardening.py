@@ -1,0 +1,112 @@
+"""Hardening checks: no `assert` in the package, and fuzzed host files through the CLI."""
+
+import ast
+import contextlib
+import io
+import json
+import string
+from itertools import combinations
+from pathlib import Path
+
+from hypothesis import example, given, settings, strategies as st
+
+import rsize
+from rsize.cli import main
+from rsize.graphs import Graph, Hypergraph, complete, hypergraph_to_text, to_graph6
+
+FUZZ = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
+def test_no_assert_in_the_package():
+    # python -O strips asserts, so no check in the package may rest on one
+    offenders = []
+    for path in sorted(Path(rsize.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        offenders += [f"{path.name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert offenders == []
+
+
+# ------------------------------------------------------------ fuzzed inputs
+
+# at most 9 graph6 bytes decode to at most 10 vertices; 40 bytes of
+# hypergraph text hold only a handful of edges
+printable_graph6 = st.text(alphabet=string.printable, max_size=9)
+printable_hyper = st.text(alphabet=string.printable, max_size=40)
+
+
+@st.composite
+def small_graphs(draw):
+    nv = draw(st.integers(0, 10))
+    pool = list(combinations(range(nv), 2))
+    m = draw(st.integers(0, len(pool)))  # dense hosts reach the search budget
+    return Graph(nv, draw(st.permutations(pool))[:m])
+
+
+@st.composite
+def small_hypergraphs(draw):
+    r = draw(st.integers(2, 3))
+    nv = draw(st.integers(0, 7))
+    pool = list(combinations(range(nv), r))
+    edges = draw(st.lists(st.sampled_from(pool), unique=True, max_size=12)) if pool else []
+    return Hypergraph(nv, r, edges)
+
+
+@st.composite
+def mutated(draw, text):
+    """The text as it is, or with a cut, an inserted, replaced or dropped character."""
+    if draw(st.booleans()):
+        return text
+    kind = draw(st.sampled_from(("cut", "insert", "replace", "drop")))
+    if not text and kind != "insert":
+        return text
+    i = draw(st.integers(0, len(text) - (kind != "insert")))
+    ch = draw(st.sampled_from(string.printable))
+    if kind == "cut":
+        return text[:i]
+    if kind == "insert":
+        return text[:i] + ch + text[i:]
+    if kind == "replace":
+        return text[:i] + ch + text[i + 1 :]
+    return text[:i] + text[i + 1 :]
+
+
+near_graph6 = small_graphs().flatmap(lambda host: mutated(to_graph6(host) + "\n"))
+near_hyper = small_hypergraphs().flatmap(lambda host: mutated(hypergraph_to_text(host)))
+targets = st.tuples(st.integers(2, 5), st.integers(1, 3))
+
+
+def _one_envelope(tmp_path_factory, text, argv):
+    path = tmp_path_factory.mktemp("fuzz") / "host"
+    path.write_text(text)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([arg.replace("{host}", str(path)) for arg in argv])
+    payload = json.loads(out.getvalue())  # exactly one JSON object, nothing else
+    assert code in (0, 2, 3), (text, argv, payload, err.getvalue())
+    assert payload["status"] == ("ok" if code == 0 else "undecided" if code == 3 else "error")
+    return payload
+
+
+def _argv(command, n, t, *extra):
+    return [command, *extra, "--n", str(n), "--t", str(t)]
+
+
+@FUZZ
+@given(text=st.one_of(printable_graph6, near_graph6), nt=targets)
+@example(text=to_graph6(complete(10)), nt=(3, 2))  # over the search budget: exit 3
+def test_fuzzed_graph6_check_arrow(tmp_path_factory, text, nt):
+    _one_envelope(tmp_path_factory, text, _argv("check-arrow", *nt, "--host", "{host}"))
+
+
+@FUZZ
+@given(text=st.one_of(printable_hyper, near_hyper), nt=targets)
+def test_fuzzed_hypergraph_check_arrow(tmp_path_factory, text, nt):
+    _one_envelope(tmp_path_factory, text, _argv("check-arrow", *nt, "--hyper", "{host}"))
+
+
+@FUZZ
+@given(text=st.one_of(printable_graph6, near_graph6), nt=targets, matching=st.booleans())
+def test_fuzzed_graph6_decolor(tmp_path_factory, text, nt, matching):
+    extra = ("--matching",) if matching else ()
+    _one_envelope(tmp_path_factory, text, _argv("decolor", *nt, "--host", "{host}", *extra))
+
