@@ -9,9 +9,9 @@ set of every n-clique of F; the searches below look for such a B.
 
 Three searches are provided and cross-checked in the test suite:
 
-* structural (what auto runs on graph hosts) -- by Mader's form of the
-  Gallai-Edmonds theorem every maximal graph with matching number at
-  most t-1 is K_s joined to disjoint cliques K_{c_1}, ..., K_{c_p} with
+* structural (what auto runs on every 2-uniform host) -- by Mader's form
+  of the Gallai-Edmonds theorem every maximal graph with matching number
+  at most t-1 is K_s joined to disjoint cliques K_{c_1}, ..., K_{c_p} with
   s + sum(floor(c_i/2)) <= t-1.  So a graph host fails to arrow iff some
   vertex set S and partition of the other vertices into parts of that
   total cost leave no n-clique that avoids S and meets every part at most
@@ -30,21 +30,24 @@ Three searches are provided and cross-checked in the test suite:
   reported as a counterexample as soon as every clique has a blue edge
   (the all-red completion of the current prefix is then a good coloring).
 
-`search` is "auto", "naive" or "reduced".  Auto runs structural on graph
-hosts and reduced on hypergraph hosts, which have no such structure
-theorem.  The reduced DFS always splits at a fixed depth into prefix
-subtrees that are processed in discovery order, so the
-verdict, the counterexample, and the explored-node count are identical
-whatever `jobs` is; the structural search ignores `jobs`.  Node counts
-mean: structural, one per (S, parts) structure entered (zero when the
-packing bound alone decides); reduced, one per blue/red branch entered;
-naive, subsets scanned.
+`search` is "auto", "naive" or "reduced".  Routing looks at uniformity
+alone: a 2-uniform host, whether a Graph or a Hypergraph with r = 2, is a
+graph, and auto runs structural on it; auto runs reduced only when r >= 3,
+where no such structure theorem holds.  The reduced DFS always splits at
+a fixed depth into prefix subtrees that are processed in discovery order,
+so the verdict, the counterexample, and the explored-node count are
+identical whatever `jobs` is.  `jobs` matters only there (r >= 3 under
+auto, or an explicit reduced search); the structural search ignores it.
+Node counts mean: structural, one per (S, parts) structure entered (zero
+when the packing bound alone decides); reduced, one per blue/red branch
+entered; naive, subsets scanned.
 
 Hosts larger than the search budget raise UndecidedError rather than
-guessing; the default budget (the same edge count for structural and
-reduced) can be lifted through the RSIZE_BUDGET_EDGES environment
-variable.  A certificate that fails its own re-check raises
-CertificationError, which survives `python -O`.
+guessing; the default budget is keyed by the host's container (28 edges
+for a Graph, 36 for a Hypergraph, whichever search runs) and can be
+lifted through the RSIZE_BUDGET_EDGES environment variable.  A
+certificate that fails its own re-check raises CertificationError, which
+survives `python -O`.
 """
 
 from __future__ import annotations
@@ -80,6 +83,11 @@ class UndecidedError(RuntimeError):
     """The host exceeds the search budget: no verdict is offered."""
 
 
+def _edge_tuples(host: Graph | Hypergraph) -> list[tuple[int, ...]]:
+    """The host's edges in mask-bit order, each as ascending vertices."""
+    return host.edges() if isinstance(host, Graph) else host.edge_tuples()
+
+
 @dataclass(frozen=True)
 class EdgeColoring:
     """A red/blue coloring of a host's edges.
@@ -96,16 +104,11 @@ class EdgeColoring:
         if not 0 <= self.blue < 1 << m:
             raise ValueError(f"blue mask {self.blue:#x} out of range for {m} edges")
 
-    def _edges(self) -> list[tuple[int, ...]]:
-        if isinstance(self.host, Graph):
-            return self.host.edges()
-        return self.host.edge_tuples()
-
     def blue_edges(self) -> list[tuple[int, ...]]:
-        return [e for i, e in enumerate(self._edges()) if self.blue >> i & 1]
+        return [e for i, e in enumerate(_edge_tuples(self.host)) if self.blue >> i & 1]
 
     def red_edges(self) -> list[tuple[int, ...]]:
-        return [e for i, e in enumerate(self._edges()) if not self.blue >> i & 1]
+        return [e for i, e in enumerate(_edge_tuples(self.host)) if not self.blue >> i & 1]
 
 
 def is_good_coloring(coloring: EdgeColoring, n: int, t: int) -> bool:
@@ -214,6 +217,7 @@ class _ReducedSearch:
     def __init__(self, edge_masks: Sequence[int], cliques: Sequence[int], t: int):
         self.edge_masks = tuple(edge_masks)
         self.m = len(edge_masks)
+        self.order = _search_order(edge_masks)
         self.t = t
         self.cliques = tuple(cliques)
         self.clique_size = [c.bit_count() for c in cliques]
@@ -278,6 +282,7 @@ class _ReducedSearch:
                 self.red_count[ci] -= 1
 
     def dfs(self, idx: int) -> int | None:
+        """Decide edge order[idx] and every later position."""
         if idx == self.split_at:
             self.snapshots.append(list(self.trail))
             return None
@@ -285,7 +290,7 @@ class _ReducedSearch:
             return None
         for blue in (True, False):
             self.nodes += 1
-            if not self.decide(idx, blue):
+            if not self.decide(self.order[idx], blue):
                 continue
             if blue and self.killed == len(self.cliques):
                 found = self.blue_bits
@@ -489,9 +494,9 @@ def _cliques_of_graph(g: Graph, n: int) -> list[int]:
     return out
 
 
-def _clique_edge_masks(g: Graph, cliques: Sequence[int]) -> list[int]:
-    """Edge-index bitmask of each vertex-mask clique of g."""
-    index = {e: i for i, e in enumerate(g.edges())}
+def _clique_edge_masks(edges: Sequence[tuple[int, int]], cliques: Sequence[int]) -> list[int]:
+    """Edge-index bitmask of each vertex-mask clique, over an indexed edge list."""
+    index = {e: i for i, e in enumerate(edges)}
     out = []
     for members in cliques:
         bits = 0
@@ -537,7 +542,7 @@ def _reduced_budget(kind: str) -> int:
     return int(raw)
 
 
-def _pick_mode(search: str, m: int, kind: str) -> str:
+def _pick_mode(search: str, m: int, kind: str, r: int) -> str:
     if search not in ("auto", "naive", "reduced"):
         raise ValueError(f"search must be auto, naive, or reduced, got {search!r}")
     if search == "naive":
@@ -554,38 +559,42 @@ def _pick_mode(search: str, m: int, kind: str) -> str:
             f"set {BUDGET_ENV_VAR} to lift)"
         )
     if search == "auto":
-        return "structural" if kind == "graph" else "reduced"
+        return "structural" if r == 2 else "reduced"
     return search
 
 
-def _run_search(
-    edge_masks: list[int], cliques: list[int], t: int, mode: str, jobs: int
-) -> tuple[int | None, int]:
-    """Naive or reduced search over edge-index clique masks."""
-    if mode == "naive":
-        return _run_naive(edge_masks, cliques, t)
-    order = _search_order(edge_masks)
-    position = {orig: i for i, orig in enumerate(order)}
-    ordered = [edge_masks[orig] for orig in order]
-    remapped = []
-    for cmask in cliques:
-        bits = 0
-        for e in _mask_vertices(cmask):
-            bits |= 1 << position[e]
-        remapped.append(bits)
-    found, nodes = _run_reduced(ordered, remapped, t, jobs)
-    if found is not None:
-        found = sum(1 << order[i] for i in _mask_vertices(found))
-    return found, nodes
-
-
-def _verdict(
-    host: Graph | Hypergraph, found: int | None, n: int, t: int, mode: str, nodes: int
-) -> ArrowVerdict:
-    counterexample = None if found is None else EdgeColoring(host, found)
+def _decide(host: Graph | Hypergraph, n: int, t: int, search: str, jobs: int) -> ArrowVerdict:
+    """The one decision path: a 2-uniform host is searched as a graph."""
+    kind = "graph" if isinstance(host, Graph) else "hyper"
+    r = 2 if kind == "graph" else host.r
+    if n < r:
+        raise ValueError(f"need n >= {r}, got n={n}")
+    if t < 1:
+        raise ValueError(f"need t >= 1, got {t}")
+    if jobs < 1:
+        raise ValueError(f"need jobs >= 1, got {jobs}")
+    mode = _pick_mode(search, host.edge_count(), kind, r)
+    if r == 2:
+        # Graph.edges() and Hypergraph.edge_masks share one order, so a blue
+        # mask found on the graph view is the host's own
+        graph = host if kind == "graph" else Graph(host.n, host.edge_tuples())
+        edges = graph.edges()
+        cliques = _cliques_of_graph(graph, n)
+        if mode != "structural":
+            edge_masks = [1 << u | 1 << v for u, v in edges]
+            cliques = _clique_edge_masks(edges, cliques)
+    else:
+        edge_masks = list(host.edge_masks)
+        cliques = _cliques_of_hypergraph(host, n)
+    if mode == "structural":
+        found, nodes = _run_structural(edges, cliques, t)
+    elif mode == "naive":
+        found, nodes = _run_naive(edge_masks, cliques, t)
+    else:
+        found, nodes = _run_reduced(edge_masks, cliques, t, jobs)
     return ArrowVerdict(
         arrows=found is None,
-        counterexample=counterexample,
+        counterexample=None if found is None else EdgeColoring(host, found),
         n=n,
         t=t,
         mode=mode,
@@ -607,39 +616,22 @@ def arrows_pair(
     """
     if not isinstance(F, Graph):
         raise TypeError("arrows_pair expects a Graph host")
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
-    if t < 1:
-        raise ValueError(f"need t >= 1, got {t}")
-    if jobs < 1:
-        raise ValueError(f"need jobs >= 1, got {jobs}")
-    mode = _pick_mode(search, F.edge_count(), "graph")
-    edges = F.edges()
-    cliques = _cliques_of_graph(F, n)
-    if mode == "structural":
-        found, nodes = _run_structural(edges, cliques, t)
-    else:
-        edge_masks = [(1 << u) | (1 << v) for u, v in edges]
-        found, nodes = _run_search(edge_masks, _clique_edge_masks(F, cliques), t, mode, jobs)
-    return _verdict(F, found, n, t, mode, nodes)
+    return _decide(F, n, t, search, jobs)
 
 
 def arrows_hyper(
     F: Hypergraph, n: int, t: int, *, search: str = "auto", jobs: int = 1
 ) -> ArrowVerdict:
-    """Hypergraph analogue of arrows_pair: red K_n^r versus blue t disjoint edges."""
+    """Hypergraph analogue of arrows_pair: red K_n^r versus blue t disjoint edges.
+
+    A 2-uniform host is a graph: auto runs the structural search on it,
+    exactly as arrows_pair does on the same edges, and ignores `jobs`.
+    Auto runs the reduced DFS only when r >= 3; there, or under an
+    explicit `search="reduced"`, `jobs` splits it over a process pool.
+    """
     if not isinstance(F, Hypergraph):
         raise TypeError("arrows_hyper expects a Hypergraph host")
-    if n < F.r:
-        raise ValueError(f"need n >= r = {F.r}, got n={n}")
-    if t < 1:
-        raise ValueError(f"need t >= 1, got {t}")
-    if jobs < 1:
-        raise ValueError(f"need jobs >= 1, got {jobs}")
-    mode = _pick_mode(search, F.edge_count(), "hyper")
-    cliques = _cliques_of_hypergraph(F, n)
-    found, nodes = _run_search(list(F.edge_masks), cliques, t, mode, jobs)
-    return _verdict(F, found, n, t, mode, nodes)
+    return _decide(F, n, t, search, jobs)
 
 
 # ------------------------------------------------- certificates and wrappers
@@ -658,16 +650,16 @@ def lower_bound_coloring(n: int, t: int) -> EdgeColoring:
         raise ValueError(f"need n >= 2, got {n}")
     if t < 1:
         raise ValueError(f"need t >= 1, got {t}")
-    host = complete(n + 2 * t - 3)
-    cut = n - 2
+    return _lower_bound(complete(n + 2 * t - 3), n - 2, n, t)
+
+
+def _lower_bound(host: Graph | Hypergraph, cut: int, n: int, t: int) -> EdgeColoring:
+    """Blue on every host edge whose lowest vertex is at or past `cut`, re-checked."""
     blue = 0
-    for i, (u, v) in enumerate(host.edges()):
-        if u >= cut and v >= cut:
+    for i, edge in enumerate(_edge_tuples(host)):
+        if edge[0] >= cut:
             blue |= 1 << i
-    return _certified(EdgeColoring(host, blue), n, t)
-
-
-def _certified(coloring: EdgeColoring, n: int, t: int) -> EdgeColoring:
+    coloring = EdgeColoring(host, blue)
     if not is_good_coloring(coloring, n, t):
         raise CertificationError(f"lower-bound coloring for (n={n}, t={t}) failed re-verification")
     return coloring
@@ -681,13 +673,7 @@ def lower_bound_coloring_hyper(n: int, r: int, t: int) -> EdgeColoring:
         raise ValueError(f"need n >= r, got n={n}")
     if t < 1:
         raise ValueError(f"need t >= 1, got {t}")
-    host = complete_r(n + (t - 1) * r - 1, r)
-    cut = n - r
-    blue = 0
-    for i, edge in enumerate(host.edge_tuples()):
-        if edge[0] >= cut:
-            blue |= 1 << i
-    return _certified(EdgeColoring(host, blue), n, t)
+    return _lower_bound(complete_r(n + (t - 1) * r - 1, r), n - r, n, t)
 
 
 def verify_graph_ramsey(

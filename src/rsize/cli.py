@@ -54,7 +54,6 @@ from .graphs import (
     HypergraphFormatError,
     from_graph6,
     hypergraph_from_text,
-    max_matching,
 )
 from .values import Flavor, bounds, equality_condition, g, g_hat, g_r, g_values
 
@@ -64,8 +63,9 @@ _MODES = ("auto", "naive", "reduced")
 _INT_JSON_LIMIT = 1 << 53  # doubles hold integers exactly up to here
 _TABLE_CELL_LIMIT = 200
 _JOBS_HELP = (
-    "process-pool workers for the reduced search (hypergraph hosts under auto, or"
-    " --mode reduced); graph hosts under auto run the structural search, which ignores it"
+    "process-pool workers for the reduced search, which auto runs only on r >= 3"
+    " hypergraphs (or any host with --mode reduced); every 2-uniform host, graph6 or"
+    " hypergraph text, runs the structural search under auto, which ignores it"
 )
 
 _TABLE_COLUMNS = (
@@ -313,7 +313,7 @@ def _cmd_decolor(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
     }
     if args.matching:
         witness = _witness_coloring(result)
-        outputs["matching_in_set"] = max_matching(host.induced(result.removed_vertices()))
+        outputs["matching_in_set"] = result.matching_in_set
         outputs["witness_blue_edges"] = [list(edge) for edge in witness.blue_edges()]
     return outputs, 0
 
@@ -398,7 +398,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         outputs, code = {"message": str(exc), "offset": exc.offset}, 2
     except HypergraphFormatError as exc:
         outputs, code = {"message": str(exc), "line": exc.line}, 2
-    except (ValueError, TypeError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         outputs, code = {"message": str(exc)}, 2
     except Exception as exc:  # a defect: still one envelope on stdout
         import traceback  # only a fault needs it; keeps the import light

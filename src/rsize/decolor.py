@@ -50,7 +50,8 @@ class DecolorResult:
 
     `removed` is a bitmask over G's vertices; `residual_coloring` colors
     G.without_vertices(removed), whose vertices are the kept vertices of
-    G in ascending order.
+    G in ascending order.  `matching_in_set` is the matching number of
+    G[S] for the matching variant, which checks it, and None otherwise.
     """
 
     graph: Graph
@@ -58,6 +59,7 @@ class DecolorResult:
     t: int
     removed: int
     residual_coloring: VertexColoring
+    matching_in_set: int | None = None
     method: str = field(default="heuristic", init=False)  # the paper's construction
 
     def __post_init__(self) -> None:
@@ -186,6 +188,7 @@ def _decolor(graph: Graph, n: int, t: int, matching: bool) -> DecolorResult:
             removed |= mask
         color_of = coloring.color_of
     vertices = _mask_vertices(removed)
+    inside = None
     if matching:
         inside = max_matching(graph.induced(vertices))
         if inside > t - 1:
@@ -197,7 +200,9 @@ def _decolor(graph: Graph, n: int, t: int, matching: bool) -> DecolorResult:
         raise CertificationError(f"decoloring set of {len(vertices)} vertices exceeds {cap}")
     kept = [color_of[v] for v in range(graph.n) if not removed >> v & 1]
     residual = coloring_from_assignment(graph.without_vertices(vertices), kept)
-    return DecolorResult(graph=graph, n=n, t=t, removed=removed, residual_coloring=residual)
+    return DecolorResult(
+        graph=graph, n=n, t=t, removed=removed, residual_coloring=residual, matching_in_set=inside
+    )
 
 
 def find_decolor_set(graph: Graph, n: int, t: int) -> DecolorResult:

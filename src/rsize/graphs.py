@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, count
 from math import comb
 from typing import Iterable, Iterator, Sequence
 
@@ -302,18 +302,6 @@ def coloring_from_assignment(g: Graph, assignment: Sequence[int]) -> VertexColor
     return VertexColoring(color_of=tuple(color_of), classes=tuple(ordered))
 
 
-def _greedy_coloring(g: Graph) -> list[int]:
-    order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
-    colors = [-1] * g.n
-    for v in order:
-        used = {colors[u] for u in range(g.n) if g.adj[v] >> u & 1 and colors[u] >= 0}
-        c = 0
-        while c in used:
-            c += 1
-        colors[v] = c
-    return colors
-
-
 def is_k_colorable(g: Graph, k: int) -> VertexColoring | None:
     """A proper coloring with at most k colors, or None.
 
@@ -351,14 +339,8 @@ def is_k_colorable(g: Graph, k: int) -> VertexColoring | None:
 
 
 def chromatic_number(g: Graph) -> int:
-    """Exact chromatic number: deepen k below a greedy upper bound."""
-    if g.n == 0:
-        return 0
-    upper = max(_greedy_coloring(g)) + 1
-    for k in range(1, upper):
-        if is_k_colorable(g, k) is not None:
-            return k
-    return upper
+    """Exact chromatic number: the least k that is_k_colorable accepts."""
+    return next(k for k in count() if is_k_colorable(g, k) is not None)
 
 
 # --------------------------------------------------- canonical form, counting

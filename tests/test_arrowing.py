@@ -153,6 +153,13 @@ def test_hyper_pinned_cases():
     v = arrows_hyper(complete_r(5, 3), 3, 2)
     assert not v.arrows
     assert arrows_hyper(complete_r(4, 3), 4, 1).arrows
+    # a 2-uniform host is a graph: K_8 as a hypergraph takes the structural
+    # search, where the reduced DFS needs 192,128 nodes
+    v = arrows_hyper(complete_r(8, 2), 4, 3)
+    assert (v.arrows, v.mode, v.nodes) == (True, "structural", 99)
+    # 36 edges: past the graph budget of 28, inside the hypergraph one
+    v = arrows_hyper(complete_r(9, 2), 3, 1)
+    assert v.arrows and v.mode == "structural"
 
 
 def test_hostless_targets_fail_immediately():
@@ -205,7 +212,17 @@ def small_graphs(draw) -> Graph:
 def test_structural_agrees_with_naive_and_reduced(host, n, t):
     verdicts = [arrows_pair(host, n, t, search=mode) for mode in ("auto", "naive", "reduced")]
     assert verdicts[0].mode == "structural"
+    # the same edges as a 2-uniform hypergraph take the same path under auto
+    as_hyper = Hypergraph(host.n, 2, host.edges())
+    same = arrows_hyper(as_hyper, n, t)
+    verdicts += [same, arrows_hyper(as_hyper, n, t, search="reduced")]
+    assert _outcome(same) == _outcome(verdicts[0]), (host, n, t)
     assert len({v.arrows for v in verdicts}) == 1, (host, n, t)
+
+
+def _outcome(v: ArrowVerdict) -> tuple:
+    blue = None if v.counterexample is None else v.counterexample.blue
+    return v.arrows, v.mode, v.nodes, blue
 
 
 def test_structural_equals_reduced_on_denser_hosts():

@@ -427,7 +427,15 @@ def test_decolor_hypothesis_violation_names_both_numbers(capsys, tmp_path):
 # -- internal faults -------------------------------------------------------------
 
 
-@pytest.mark.parametrize("fault", [CertificationError("witness failed re-verification"), ZeroDivisionError("boom")])
+@pytest.mark.parametrize(
+    "fault",
+    [
+        CertificationError("witness failed re-verification"),
+        ZeroDivisionError("boom"),
+        # argparse types every flag, so no request reaches a TypeError
+        TypeError("wrong call"),
+    ],
+)
 def test_internal_fault_is_an_envelope_with_exit_4(capsys, monkeypatch, fault):
     def broken(args):
         raise fault
