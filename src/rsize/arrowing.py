@@ -7,7 +7,8 @@ pairwise disjoint blue edges.  Equivalently F fails to arrow exactly when
 some blue set B has matching number at most t-1 while meeting the edge
 set of every n-clique of F; the searches below look for such a B.
 
-Three searches are provided and cross-checked in the test suite:
+Three searches and one refutation phase are provided and cross-checked
+in the test suite:
 
 * structural (what auto runs on every 2-uniform host) -- by Mader's form
   of the Gallai-Edmonds theorem every maximal graph with matching number
@@ -29,18 +30,29 @@ Three searches are provided and cross-checked in the test suite:
   decision completing an all-red clique is abandoned; and the branch is
   reported as a counterexample as soon as every clique has a blue edge
   (the all-red completion of the current prefix is then a good coloring).
+* frankl (a phase auto runs ahead of reduced when r >= 3) -- for i = 1..r
+  and a vertex set X with |X| <= i*t - 1, the blue set {e : |e & X| >= i}
+  has matching number at most t-1; these are Frankl's extremal families
+  for the Erdos matching conjecture.  Such a set meets a complete window W
+  exactly when |W & X| >= i, so the phase is a hitting-set search over
+  window vertex masks.  It only refutes; when no family fits, reduced
+  runs and proves every "arrows" verdict.
 
 `search` is "auto", "naive" or "reduced".  Routing looks at uniformity
 alone: a 2-uniform host, whether a Graph or a Hypergraph with r = 2, is a
-graph, and auto runs structural on it; auto runs reduced only when r >= 3,
-where no such structure theorem holds.  The reduced DFS always splits at
-a fixed depth into prefix subtrees that are processed in discovery order,
-so the verdict, the counterexample, and the explored-node count are
-identical whatever `jobs` is.  `jobs` matters only there (r >= 3 under
-auto, or an explicit reduced search); the structural search ignores it.
+graph, and auto runs structural on it; when r >= 3, where no such
+structure theorem holds, auto tries the Frankl families first and then
+runs reduced.  The verdict's mode names the search that answered:
+"structural", "frankl", "reduced" or "naive".  The reduced DFS always
+splits at a fixed depth into prefix subtrees that are processed in
+discovery order, so the verdict, the counterexample, and the
+explored-node count are identical whatever `jobs` is.  `jobs` matters
+only there (r >= 3 under auto, or an explicit reduced search); the
+structural search and the Frankl phase ignore it.
 Node counts mean: structural, one per (S, parts) structure entered (zero
-when the packing bound alone decides); reduced, one per blue/red branch
-entered; naive, subsets scanned.
+when the packing bound alone decides); frankl, one per set X entered;
+reduced, one per blue/red branch entered; naive, subsets scanned.  Under
+auto on r >= 3 the phase's sets stay in the count when reduced decides.
 
 Hosts larger than the search budget raise UndecidedError rather than
 guessing; the default budget is keyed by the host's container (28 edges
@@ -58,6 +70,7 @@ from itertools import combinations
 from math import comb
 from typing import Sequence
 
+from .errors import RequestError
 from .graphs import (
     CertificationError,
     Graph,
@@ -86,6 +99,13 @@ class UndecidedError(RuntimeError):
 def _edge_tuples(host: Graph | Hypergraph) -> list[tuple[int, ...]]:
     """The host's edges in mask-bit order, each as ascending vertices."""
     return host.edges() if isinstance(host, Graph) else host.edge_tuples()
+
+
+def _edge_masks(host: Graph | Hypergraph) -> list[int]:
+    """The host's edges in mask-bit order, each as a vertex bitmask."""
+    if isinstance(host, Graph):
+        return [1 << u | 1 << v for u, v in host.edges()]
+    return list(host.edge_masks)
 
 
 @dataclass(frozen=True)
@@ -351,6 +371,69 @@ def _run_reduced(
             pool.shutdown(cancel_futures=True)
 
 
+def _frankl_blue(edge_masks: Sequence[int], X: int, i: int) -> int:
+    """Blue mask of the Frankl family {e : |e & X| >= i} over an indexed edge list."""
+    blue = 0
+    for j, em in enumerate(edge_masks):
+        if (em & X).bit_count() >= i:
+            blue |= 1 << j
+    return blue
+
+
+def _run_frankl(
+    edge_masks: Sequence[int], cliques: Sequence[int], t: int, r: int
+) -> tuple[int | None, int]:
+    """Look for a good coloring among the Frankl families; `cliques` are edge-index masks.
+
+    For i = 1..r and |X| <= i*t - 1, the blue set {e : |e & X| >= i} has
+    matching number at most t-1, since each blue edge takes i vertices of
+    X.  It has an edge in a complete window W exactly when |W & X| >= i.
+    So each i is a hitting-set search: X grows by a vertex of the first
+    window it under-hits; under-hit windows that share no vertex outside
+    X each need their own new vertices, which bounds the growth still to
+    come; failed sets are memoised.  Returns the blue mask of the first
+    family that fits (None if none does) and the number of sets entered.
+    """
+    windows = []
+    for c in cliques:
+        w = 0
+        for j in _mask_vertices(c):
+            w |= edge_masks[j]
+        windows.append(w)
+    nodes = 0
+
+    def grow(X: int, size: int, i: int, cap: int, failed: set[int]) -> int | None:
+        nonlocal nodes
+        nodes += 1
+        first = 0
+        need, claimed = size, 0
+        for w in windows:
+            short = i - (w & X).bit_count()
+            if short > 0:
+                out = w & ~X
+                first = first or out
+                if not out & claimed:
+                    claimed |= out
+                    need += short
+        if not first:
+            return X
+        if need <= cap:
+            for v in _mask_vertices(first):
+                Y = X | 1 << v
+                if Y not in failed:
+                    found = grow(Y, size + 1, i, cap, failed)
+                    if found is not None:
+                        return found
+        failed.add(X)
+        return None
+
+    for i in range(1, r + 1):
+        X = grow(0, 0, i, i * t - 1, set())
+        if X is not None:
+            return _frankl_blue(edge_masks, X, i), nodes
+    return None, nodes
+
+
 def _odd_packing(live: Sequence[int], parts: Sequence[int]) -> tuple[int, int]:
     """Size and vertex mask of a greedy packing of live cliques that each need a costly merge.
 
@@ -538,13 +621,13 @@ def _reduced_budget(kind: str) -> int:
     if raw is None:
         return REDUCED_MAX_EDGES[kind]
     if not raw.strip().isdecimal() or int(raw) < 1:
-        raise ValueError(f"{BUDGET_ENV_VAR} must be a positive integer, got {raw!r}")
+        raise RequestError(f"{BUDGET_ENV_VAR} must be a positive integer, got {raw!r}")
     return int(raw)
 
 
 def _pick_mode(search: str, m: int, kind: str, r: int) -> str:
     if search not in ("auto", "naive", "reduced"):
-        raise ValueError(f"search must be auto, naive, or reduced, got {search!r}")
+        raise RequestError(f"search must be auto, naive, or reduced, got {search!r}")
     if search == "naive":
         if m > NAIVE_MAX_EDGES[kind]:
             raise UndecidedError(
@@ -568,11 +651,11 @@ def _decide(host: Graph | Hypergraph, n: int, t: int, search: str, jobs: int) ->
     kind = "graph" if isinstance(host, Graph) else "hyper"
     r = 2 if kind == "graph" else host.r
     if n < r:
-        raise ValueError(f"need n >= {r}, got n={n}")
+        raise RequestError(f"need n >= {r}, got n={n}")
     if t < 1:
-        raise ValueError(f"need t >= 1, got {t}")
+        raise RequestError(f"need t >= 1, got {t}")
     if jobs < 1:
-        raise ValueError(f"need jobs >= 1, got {jobs}")
+        raise RequestError(f"need jobs >= 1, got {jobs}")
     mode = _pick_mode(search, host.edge_count(), kind, r)
     if r == 2:
         # Graph.edges() and Hypergraph.edge_masks share one order, so a blue
@@ -581,17 +664,24 @@ def _decide(host: Graph | Hypergraph, n: int, t: int, search: str, jobs: int) ->
         edges = graph.edges()
         cliques = _cliques_of_graph(graph, n)
         if mode != "structural":
-            edge_masks = [1 << u | 1 << v for u, v in edges]
+            edge_masks = _edge_masks(graph)
             cliques = _clique_edge_masks(edges, cliques)
     else:
-        edge_masks = list(host.edge_masks)
+        edge_masks = _edge_masks(host)
         cliques = _cliques_of_hypergraph(host, n)
     if mode == "structural":
         found, nodes = _run_structural(edges, cliques, t)
     elif mode == "naive":
         found, nodes = _run_naive(edge_masks, cliques, t)
     else:
-        found, nodes = _run_reduced(edge_masks, cliques, t, jobs)
+        # auto tries the Frankl families first; an explicit reduced search
+        # stays a pure cross-check
+        found, nodes = _run_frankl(edge_masks, cliques, t, r) if search == "auto" else (None, 0)
+        if found is not None:
+            mode = "frankl"
+        else:
+            found, more = _run_reduced(edge_masks, cliques, t, jobs)
+            nodes += more
     return ArrowVerdict(
         arrows=found is None,
         counterexample=None if found is None else EdgeColoring(host, found),
@@ -626,8 +716,12 @@ def arrows_hyper(
 
     A 2-uniform host is a graph: auto runs the structural search on it,
     exactly as arrows_pair does on the same edges, and ignores `jobs`.
-    Auto runs the reduced DFS only when r >= 3; there, or under an
-    explicit `search="reduced"`, `jobs` splits it over a process pool.
+    When r >= 3, auto first tries the Frankl families {e : |e & X| >= i}
+    with |X| <= i*t - 1 (mode "frankl", nodes = sets X entered); if none
+    fits, the reduced DFS decides (mode "reduced", nodes = the phase's
+    sets plus the DFS branches).  There, or under an explicit
+    `search="reduced"`, which skips the phase, `jobs` splits the DFS over
+    a process pool.
     """
     if not isinstance(F, Hypergraph):
         raise TypeError("arrows_hyper expects a Hypergraph host")
@@ -647,19 +741,19 @@ def lower_bound_coloring(n: int, t: int) -> EdgeColoring:
     are re-checked on construction.
     """
     if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
+        raise RequestError(f"need n >= 2, got {n}")
     if t < 1:
-        raise ValueError(f"need t >= 1, got {t}")
-    return _lower_bound(complete(n + 2 * t - 3), n - 2, n, t)
+        raise RequestError(f"need t >= 1, got {t}")
+    return _lower_bound(complete(n + 2 * t - 3), 2, n, t)
 
 
-def _lower_bound(host: Graph | Hypergraph, cut: int, n: int, t: int) -> EdgeColoring:
-    """Blue on every host edge whose lowest vertex is at or past `cut`, re-checked."""
-    blue = 0
-    for i, edge in enumerate(_edge_tuples(host)):
-        if edge[0] >= cut:
-            blue |= 1 << i
-    coloring = EdgeColoring(host, blue)
+def _lower_bound(host: Graph | Hypergraph, r: int, n: int, t: int) -> EdgeColoring:
+    """Blue on every host edge inside B, the last tr-1 vertices, re-checked.
+
+    This is the Frankl family i = r with X = B; A is the first n-r vertices.
+    """
+    B = (1 << host.n) - (1 << n - r)
+    coloring = EdgeColoring(host, _frankl_blue(_edge_masks(host), B, r))
     if not is_good_coloring(coloring, n, t):
         raise CertificationError(f"lower-bound coloring for (n={n}, t={t}) failed re-verification")
     return coloring
@@ -668,12 +762,12 @@ def _lower_bound(host: Graph | Hypergraph, cut: int, n: int, t: int) -> EdgeColo
 def lower_bound_coloring_hyper(n: int, r: int, t: int) -> EdgeColoring:
     """Hypergraph analogue on n+(t-1)r-1 vertices: |A| = n-r, |B| = tr-1."""
     if r < 2:
-        raise ValueError(f"need r >= 2, got {r}")
+        raise RequestError(f"need r >= 2, got {r}")
     if n < r:
-        raise ValueError(f"need n >= r, got n={n}")
+        raise RequestError(f"need n >= r, got n={n}")
     if t < 1:
-        raise ValueError(f"need t >= 1, got {t}")
-    return _lower_bound(complete_r(n + (t - 1) * r - 1, r), n - r, n, t)
+        raise RequestError(f"need t >= 1, got {t}")
+    return _lower_bound(complete_r(n + (t - 1) * r - 1, r), r, n, t)
 
 
 def verify_graph_ramsey(
@@ -711,7 +805,7 @@ def min_size_ramsey_bruteforce(
     answer is > m_max.
     """
     if m_max < 1 or m_max > 8:
-        raise ValueError(f"need 1 <= m_max <= 8, got {m_max}")
+        raise RequestError(f"need 1 <= m_max <= 8, got {m_max}")
     for m, level in enumerate(_graph_levels(m_max, max_vertices), start=1):
         if any(arrows_pair(g, n, t).arrows for g in level):
             return m

@@ -9,11 +9,13 @@ run can end:
   0  the command succeeded (for verifications: ran and passed)
   1  a verification ran to completion and the property failed
   2  the request was unusable (bad flags, unreadable or malformed
-     input, hypothesis violation)
+     input, hypothesis violation): argparse refused it, a file could
+     not be read (OSError), or parsing or validation raised RequestError
   3  a search hit its budget and the question is genuinely undecided
   4  an internal fault: a certificate failed its own re-check
-     (CertificationError) or some other exception escaped; the envelope
-     names the exception and the traceback goes to stderr
+     (CertificationError) or some other exception escaped, a ValueError
+     that is not a RequestError included; the envelope names the
+     exception and the traceback goes to stderr
 
 Exact integers that cannot survive a round trip through an IEEE double
 are serialized as decimal strings, and rationals as "p/q", so consumers
@@ -47,6 +49,7 @@ from .decolor import (
     find_decolor_set,
     find_decolor_set_matching,
 )
+from .errors import RequestError
 from .exactmath import binomial, limit_constant
 from .graphs import (
     Graph,
@@ -64,8 +67,9 @@ _INT_JSON_LIMIT = 1 << 53  # doubles hold integers exactly up to here
 _TABLE_CELL_LIMIT = 200
 _JOBS_HELP = (
     "process-pool workers for the reduced search, which auto runs only on r >= 3"
-    " hypergraphs (or any host with --mode reduced); every 2-uniform host, graph6 or"
-    " hypergraph text, runs the structural search under auto, which ignores it"
+    " hypergraphs that no Frankl family refutes (mode frankl, nodes = sets entered),"
+    " or on any host with --mode reduced; every 2-uniform host, graph6 or hypergraph"
+    " text, runs the structural search under auto, which ignores it"
 )
 
 _TABLE_COLUMNS = (
@@ -140,21 +144,28 @@ def _parse_range(text: str) -> tuple[int, int]:
         a = int(lo)
         b = int(hi) if sep else a
     except ValueError:
-        raise ValueError(f"range {text!r} is not of the form N or LO:HI") from None
+        raise RequestError(f"range {text!r} is not of the form N or LO:HI") from None
     if a < 1 or b < a:
-        raise ValueError(f"range {text!r} must satisfy 1 <= LO <= HI")
+        raise RequestError(f"range {text!r} must satisfy 1 <= LO <= HI")
     return a, b
 
 
+def _read_text(path: str) -> str:
+    try:
+        return Path(path).read_text()
+    except UnicodeDecodeError as exc:  # a ValueError, but the file is at fault
+        raise RequestError(f"{path} is not text: {exc.reason} at byte {exc.start}") from None
+
+
 def _read_graph6_file(path: str) -> Graph:
-    lines = Path(path).read_text().splitlines()
+    lines = _read_text(path).splitlines()
     return from_graph6(lines[0].strip() if lines else "")
 
 
 def _require(args: argparse.Namespace, *names: str) -> None:
     missing = [f"--{name}" for name in names if getattr(args, name) is None]
     if missing:
-        raise ValueError(f"suite {args.suite!r} needs {', '.join(missing)}")
+        raise RequestError(f"suite {args.suite!r} needs {', '.join(missing)}")
 
 
 # ---------------------------------------------------------------------------
@@ -182,10 +193,10 @@ def _cmd_table(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
     n_lo, n_hi = _parse_range(args.n_range)
     t_lo, t_hi = _parse_range(args.t_range)
     if n_lo < 2:
-        raise ValueError(f"n range starts at {n_lo}; need n >= 2")
+        raise RequestError(f"n range starts at {n_lo}; need n >= 2")
     cells = (n_hi - n_lo + 1) * (t_hi - t_lo + 1)
     if cells > _TABLE_CELL_LIMIT:
-        raise ValueError(f"table would have {cells} cells; the limit is {_TABLE_CELL_LIMIT}")
+        raise RequestError(f"table would have {cells} cells; the limit is {_TABLE_CELL_LIMIT}")
     rows = []
     for n in range(n_lo, n_hi + 1):
         by_t = g_values(n, t_hi)
@@ -212,7 +223,7 @@ def _cmd_check_arrow(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
             _read_graph6_file(args.host), args.n, args.t, search=args.mode, jobs=args.jobs
         )
     else:
-        host = hypergraph_from_text(Path(args.hyper).read_text())
+        host = hypergraph_from_text(_read_text(args.hyper))
         verdict = arrows_hyper(host, args.n, args.t, search=args.mode, jobs=args.jobs)
     blue = None
     if verdict.counterexample is not None:
@@ -269,7 +280,7 @@ def _verify_limit(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
     _require(args, "n")
     n, t_cap = args.n, args.T
     if t_cap < 1:
-        raise ValueError(f"need --T >= 1, got {t_cap}")
+        raise RequestError(f"need --T >= 1, got {t_cap}")
     m_n, _ = limit_constant(n, max(n, t_cap))
     base = binomial(n, 2)
     by_t = g_values(n, t_cap)
@@ -398,7 +409,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         outputs, code = {"message": str(exc), "offset": exc.offset}, 2
     except HypergraphFormatError as exc:
         outputs, code = {"message": str(exc), "line": exc.line}, 2
-    except (ValueError, OSError) as exc:
+    except (RequestError, OSError) as exc:
         outputs, code = {"message": str(exc)}, 2
     except Exception as exc:  # a defect: still one envelope on stdout
         import traceback  # only a fault needs it; keeps the import light

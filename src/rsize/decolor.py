@@ -24,6 +24,7 @@ from itertools import combinations, count
 from typing import Sequence
 
 from .arrowing import EdgeColoring, UndecidedError, is_good_coloring
+from .errors import RequestError
 from .graphs import (
     CertificationError,
     Graph,
@@ -40,7 +41,7 @@ from .graphs import (
 from .values import Flavor, g, g_hat, iter_partitions, part_cost
 
 
-class HypothesisError(ValueError):
+class HypothesisError(RequestError):
     """The input graph has too many edges for the requested guarantee."""
 
 
@@ -144,9 +145,9 @@ def _check_shape(graph: Graph, n: int, t: int) -> None:
     if not isinstance(graph, Graph):
         raise TypeError("expected a Graph")
     if n < 3:
-        raise ValueError(f"need n >= 3, got {n}")
+        raise RequestError(f"need n >= 3, got {n}")
     if t < 1:
-        raise ValueError(f"need t >= 1, got {t}")
+        raise RequestError(f"need t >= 1, got {t}")
 
 
 def _decolor(graph: Graph, n: int, t: int, matching: bool) -> DecolorResult:
@@ -259,11 +260,11 @@ def check_tightness_remark(n: int, t: int, flavor: Flavor) -> bool:
     span t disjoint edges.
     """
     if flavor not in (Flavor.G, Flavor.GHAT):
-        raise ValueError(f"flavor must be G or GHAT, got {flavor}")
+        raise RequestError(f"flavor must be G or GHAT, got {flavor}")
     if n < 3:
-        raise ValueError(f"need n >= 3, got {n}")
+        raise RequestError(f"need n >= 3, got {n}")
     if t < 1:
-        raise ValueError(f"need t >= 1, got {t}")
+        raise RequestError(f"need t >= 1, got {t}")
     if n > 5 or t > 2:
         raise UndecidedError(f"undecided: tightness scan capped at n <= 5, t <= 2")
     if flavor is Flavor.GHAT:

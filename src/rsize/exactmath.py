@@ -12,6 +12,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb
 
+from .errors import RequestError
+
 __all__ = [
     "binomial",
     "cost_per_stripe",
@@ -27,7 +29,7 @@ def binomial(a: int, k: int) -> int:
     the cost formulas below uniform at their boundary cases.
     """
     if a < 0 or k < 0:
-        raise ValueError(f"binomial needs nonnegative arguments, got ({a}, {k})")
+        raise RequestError(f"binomial needs nonnegative arguments, got ({a}, {k})")
     return comb(a, k)
 
 
@@ -41,9 +43,9 @@ def cost_per_stripe(n: int, x: int) -> Fraction:
     integral), where it equals 4n - 10.
     """
     if n < 3:
-        raise ValueError(f"cost_per_stripe needs n >= 3, got n={n}")
+        raise RequestError(f"cost_per_stripe needs n >= 3, got n={n}")
     if x < 1:
-        raise ValueError(f"cost_per_stripe needs x >= 1, got x={x}")
+        raise RequestError(f"cost_per_stripe needs x >= 1, got x={x}")
     return Fraction(binomial(n + 2 * x - 2, 2), x)
 
 
@@ -60,9 +62,9 @@ def limit_constant(n: int, t_max: int) -> tuple[Fraction, int]:
     scanned range.
     """
     if n <= 1:
-        raise ValueError(f"limit_constant needs n >= 2, got n={n}")
+        raise RequestError(f"limit_constant needs n >= 2, got n={n}")
     if t_max < n:
-        raise ValueError(f"limit_constant needs t_max >= n, got t_max={t_max}")
+        raise RequestError(f"limit_constant needs t_max >= n, got t_max={t_max}")
     base = binomial(n, 2)
 
     def quotient(t: int) -> Fraction:
@@ -89,9 +91,9 @@ def merge_profitable(n: int, a: int, b: int) -> bool:
     compared; a mismatch raises instead of silently trusting either.
     """
     if n < 2:
-        raise ValueError(f"merge_profitable needs n >= 2, got n={n}")
+        raise RequestError(f"merge_profitable needs n >= 2, got n={n}")
     if a < 1 or b < 1:
-        raise ValueError(f"merge_profitable needs a, b >= 1, got ({a}, {b})")
+        raise RequestError(f"merge_profitable needs a, b >= 1, got ({a}, {b})")
     by_cost = binomial(n + a - 2, 2) + binomial(n + b - 2, 2) >= binomial(n + a + b - 2, 2)
     by_product = a * b <= binomial(n - 2, 2)
     if by_cost != by_product:

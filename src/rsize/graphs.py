@@ -16,6 +16,8 @@ from itertools import combinations, count
 from math import comb
 from typing import Iterable, Iterator, Sequence
 
+from .errors import RequestError
+
 MAX_GRAPH_VERTICES = 64
 MAX_HYPER_VERTICES = 32
 ENUMERATION_MAX_EDGES = 12
@@ -55,11 +57,11 @@ class CertificationError(RuntimeError):
     """A certificate built here failed its independent re-check: a defect, not an input error."""
 
 
-class CapacityError(ValueError):
+class CapacityError(RequestError):
     """Instance exceeds the fixed small-scale caps."""
 
 
-class Graph6Error(ValueError):
+class Graph6Error(RequestError):
     """Malformed graph6 input; carries the byte offset of the problem."""
 
     def __init__(self, message: str, offset: int):
@@ -67,7 +69,7 @@ class Graph6Error(ValueError):
         self.offset = offset
 
 
-class HypergraphFormatError(ValueError):
+class HypergraphFormatError(RequestError):
     """Malformed hypergraph text; carries the 1-based line number."""
 
     def __init__(self, message: str, line: int):
@@ -86,9 +88,9 @@ class Graph:
         adj = [0] * n
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u}, {v}) out of range for {n} vertices")
+                raise RequestError(f"edge ({u}, {v}) out of range for {n} vertices")
             if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
+                raise RequestError(f"self-loop at vertex {u}")
             adj[u] |= 1 << v
             adj[v] |= 1 << u
         self.n = n
@@ -543,7 +545,7 @@ def enumerate_graphs(m: int, max_vertices: int | None = None) -> Iterator[Graph]
     this per level.
     """
     if m < 0:
-        raise ValueError(f"need m >= 0, got {m}")
+        raise RequestError(f"need m >= 0, got {m}")
     if m > ENUMERATION_MAX_EDGES:
         raise CapacityError(f"enumeration capped at {ENUMERATION_MAX_EDGES} edges, got {m}")
     if m == 0:
@@ -638,17 +640,17 @@ class Hypergraph:
                 f"hypergraphs must have 0..{MAX_HYPER_VERTICES} vertices, got {n}"
             )
         if r < 2:
-            raise ValueError(f"uniformity must be at least 2, got r={r}")
+            raise RequestError(f"uniformity must be at least 2, got r={r}")
         masks = []
         for edge in edges:
             vs = sorted(edge)
             if len(vs) != r or len(set(vs)) != r:
-                raise ValueError(f"edge {tuple(edge)} is not a set of {r} vertices")
+                raise RequestError(f"edge {tuple(edge)} is not a set of {r} vertices")
             if vs[0] < 0 or vs[-1] >= n:
-                raise ValueError(f"edge {tuple(vs)} out of range for {n} vertices")
+                raise RequestError(f"edge {tuple(vs)} out of range for {n} vertices")
             masks.append(_vertices_mask(vs))
         if len(set(masks)) != len(masks):
-            raise ValueError("duplicate hyperedges")
+            raise RequestError("duplicate hyperedges")
         self.n = n
         self.r = r
         self.edge_masks = tuple(sorted(masks, key=_mask_vertices))
@@ -691,9 +693,9 @@ def _vertices_mask(vertices: Iterable[int]) -> int:
 def complete_r(k: int, r: int) -> Hypergraph:
     """The complete r-uniform hypergraph on k vertices."""
     if r < 2:
-        raise ValueError(f"uniformity must be at least 2, got r={r}")
+        raise RequestError(f"uniformity must be at least 2, got r={r}")
     if k < 0:
-        raise ValueError(f"need k >= 0, got {k}")
+        raise RequestError(f"need k >= 0, got {k}")
     return Hypergraph(k, r, combinations(range(k), r))
 
 
@@ -721,13 +723,13 @@ def hyper_matching(h: Hypergraph) -> int:
 def has_red_complete_r(h: Hypergraph, red_edges: Iterable[Iterable[int] | int], n: int) -> bool:
     """Whether the red edge subset contains a complete r-graph on n vertices."""
     if n < h.r:
-        raise ValueError(f"need n >= r = {h.r}, got n={n}")
+        raise RequestError(f"need n >= r = {h.r}, got n={n}")
     host = set(h.edge_masks)
     red = set()
     for e in red_edges:
         mask = e if isinstance(e, int) else _vertices_mask(e)
         if mask not in host:
-            raise ValueError(f"red edge {e!r} is not a host edge")
+            raise RequestError(f"red edge {e!r} is not a host edge")
         red.add(mask)
     # a red K_n^r needs red degree C(n-1, r-1); the red v-bits sum to degree(v) << v
     need = comb(n - 1, h.r - 1)

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterator
 
+from .errors import RequestError
 from .exactmath import binomial
 
 __all__ = [
@@ -61,7 +62,7 @@ def part_cost(flavor: Flavor, n: int, s: int, r: int | None = None) -> int:
     if flavor is Flavor.GHAT:
         return binomial(n + s - 2, 2)
     if r is None:
-        raise ValueError("flavor GR needs r")
+        raise RequestError("flavor GR needs r")
     return binomial(n + r * (s - 1), r)
 
 
@@ -163,9 +164,9 @@ def _row(cost_of: Callable[[int], int], total: int) -> list[int]:
 
 def _check_nt(n: int, t: int, n_min: int = 2) -> None:
     if n < n_min:
-        raise ValueError(f"need n >= {n_min}, got n={n}")
+        raise RequestError(f"need n >= {n_min}, got n={n}")
     if t < 1:
-        raise ValueError(f"need t >= 1, got t={t}")
+        raise RequestError(f"need t >= 1, got t={t}")
 
 
 def g(n: int, t: int) -> ValueResult:
@@ -183,7 +184,7 @@ def g_hat(n: int, t: int) -> ValueResult:
 def g_r(n: int, r: int, t: int) -> ValueResult:
     """r-uniform analogue: part cost C(n + r(s-1), r), target t."""
     if r < 2:
-        raise ValueError(f"need r >= 2, got r={r}")
+        raise RequestError(f"need r >= 2, got r={r}")
     _check_nt(n, t, n_min=r)
     return _solve(Flavor.GR, n, t, t, r)
 
@@ -247,7 +248,7 @@ def structural_witness(n: int, t: int) -> PartitionWitness:
 def iter_partitions(total: int, max_part: int | None = None) -> Iterator[tuple[int, ...]]:
     """All partitions of total into positive parts, nonincreasing order."""
     if total < 0:
-        raise ValueError(f"need total >= 0, got {total}")
+        raise RequestError(f"need total >= 0, got {total}")
     if total == 0:
         yield ()
         return

@@ -162,6 +162,19 @@ def test_hyper_pinned_cases():
     assert v.arrows and v.mode == "structural"
 
 
+def test_frankl_phase_refutes_below_the_hyper_threshold():
+    # K_7^3 with (5,2), one vertex below R(K_5^3, 2K_3^3) = 8: the reduced
+    # DFS needs 376,413 nodes; the phase fails at i = 1 and i = 2, and at
+    # i = 3 takes X = {0..4}, a five-vertex B as in the lower-bound coloring
+    v = arrows_hyper(complete_r(7, 3), 5, 2)
+    assert (v.arrows, v.mode, v.nodes) == (False, "frankl", 48)
+    assert v.counterexample.blue_edges() == list(combinations(range(5), 3))
+    # an arrowing host goes through the reduced DFS; the count holds the
+    # three sets the phase entered and the four DFS branches
+    v = arrows_hyper(complete_r(6, 3), 3, 2)
+    assert (v.arrows, v.mode, v.nodes) == (True, "reduced", 7)
+
+
 def test_hostless_targets_fail_immediately():
     # no n-clique at all: the all-red coloring is already good
     v = arrows_pair(Graph(3, [(0, 1)]), 3, 1)
@@ -198,6 +211,28 @@ def test_reduced_equals_naive_on_random_hypergraphs():
                 a = arrows_hyper(host, n, t, search="naive")
                 b = arrows_hyper(host, n, t, search="reduced")
                 assert a.arrows == b.arrows, (host, n, t)
+
+
+def test_frankl_phase_agrees_with_naive_and_reduced():
+    rng = random.Random(61)
+    frankl = 0
+    for _ in range(40):
+        r = rng.choice((3, 4))
+        nv = rng.randint(r + 1, 8)
+        pool = list(combinations(range(nv), r))
+        host = Hypergraph(nv, r, rng.sample(pool, rng.randint(1, min(16, len(pool)))))
+        for n in (r, r + 1, r + 2):
+            for t in (1, 2, 3):
+                auto = arrows_hyper(host, n, t)
+                naive = arrows_hyper(host, n, t, search="naive")
+                reduced = arrows_hyper(host, n, t, search="reduced")
+                assert auto.arrows == naive.arrows == reduced.arrows, (host, n, t)
+                # an explicit search is a pure cross-check: no phase runs
+                assert (naive.mode, reduced.mode) == ("naive", "reduced")
+                assert auto.mode in ("frankl", "reduced")
+                frankl += auto.mode == "frankl"
+    # the phase answers over a hundred of the 360 cases, so the check has teeth
+    assert frankl > 100
 
 
 @st.composite
@@ -311,7 +346,7 @@ def test_certification_survives_optimized_mode():
     # asserts vanish under -O; a forced-bad certificate must still raise
     script = (
         "import rsize.arrowing as A, rsize.decolor as D\n"
-        "from rsize.graphs import Graph, complete\n"
+        "from rsize.graphs import Graph, complete, complete_r\n"
         "def outcome(call):\n"
         "    try:\n"
         "        call()\n"
@@ -323,6 +358,8 @@ def test_certification_survives_optimized_mode():
         "print(outcome(lambda: A.lower_bound_coloring(3, 2)))\n"
         "print(outcome(lambda: D.witness_good_coloring(complete(3), 4, 1)))\n"
         "A.is_good_coloring = D.is_good_coloring = good\n"
+        "A._frankl_blue = lambda *args: 0\n"
+        "print(outcome(lambda: A.arrows_hyper(complete_r(7, 3), 5, 2)))\n"
         "D.satisfies_claim_one = lambda *args: False\n"
         "print(outcome(lambda: D.max_potential_coloring(complete(3))))\n"
         "D.min_vertex_cover = lambda g: tuple(range(g.n))\n"
@@ -331,7 +368,7 @@ def test_certification_survives_optimized_mode():
     )
     proc = run_python("-O", "-c", script)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["raised"] * 4
+    assert proc.stdout.split() == ["raised"] * 5
 
 
 def test_import_leaves_the_process_pool_unloaded():

@@ -13,7 +13,18 @@ import pytest
 from rsize import cli, decolor
 from rsize.arrowing import CertificationError
 from rsize.cli import _jsonify, main
-from rsize.graphs import Graph, complete, complete_r, disjoint_union, hypergraph_to_text, to_graph6
+from rsize.errors import RequestError
+from rsize.graphs import (
+    CapacityError,
+    Graph,
+    Graph6Error,
+    HypergraphFormatError,
+    complete,
+    complete_r,
+    disjoint_union,
+    hypergraph_to_text,
+    to_graph6,
+)
 from rsize.values import g_r
 
 SCHEMA = json.loads(
@@ -258,6 +269,16 @@ def test_check_arrow_missing_file(capsys, tmp_path):
     assert payload["status"] == "error"
 
 
+def test_check_arrow_binary_file_is_a_bad_request(capsys, tmp_path):
+    # a UnicodeDecodeError is a ValueError, but here the file is at fault
+    path = tmp_path / "bin.txt"
+    path.write_bytes(b"\xff\xfe\x00")
+    for flag in ("--host", "--hyper"):
+        code, payload = run_json(capsys, "check-arrow", flag, str(path), "--n", "3", "--t", "2")
+        assert code == 2
+        assert "is not text" in payload["outputs"]["message"]
+
+
 def test_check_arrow_budget_and_override(capsys, tmp_path, monkeypatch):
     path = write_graph6(tmp_path, "k9.g6", complete(9))  # 36 edges, over the default budget
     code, payload = run_json(capsys, "check-arrow", "--host", path, "--n", "3", "--t", "2")
@@ -434,6 +455,8 @@ def test_decolor_hypothesis_violation_names_both_numbers(capsys, tmp_path):
         ZeroDivisionError("boom"),
         # argparse types every flag, so no request reaches a TypeError
         TypeError("wrong call"),
+        # only a RequestError is a bad request; any other ValueError is a defect
+        ValueError("bad value"),
     ],
 )
 def test_internal_fault_is_an_envelope_with_exit_4(capsys, monkeypatch, fault):
@@ -449,6 +472,24 @@ def test_internal_fault_is_an_envelope_with_exit_4(capsys, monkeypatch, fault):
     assert payload["status"] == "error"
     assert payload["outputs"] == {"message": str(fault), "exception": type(fault).__name__}
     assert "Traceback" in captured.err
+
+
+def test_input_errors_are_request_errors():
+    for cls in (Graph6Error, HypergraphFormatError, CapacityError, decolor.HypothesisError):
+        assert issubclass(cls, RequestError)
+    # validation in the library raises it too, so the CLI maps it to exit 2
+    with pytest.raises(RequestError):
+        g_r(3, 1, 2)
+
+
+def test_request_error_from_a_handler_is_exit_2(capsys, monkeypatch):
+    def refuse(args):
+        raise RequestError("no such request")
+
+    monkeypatch.setattr(cli, "_cmd_verify", refuse)
+    code, payload = run_json(capsys, "verify", "--suite", "ramsey", "--n", "3", "--t", "2")
+    assert code == 2
+    assert payload["outputs"] == {"message": "no such request"}
 
 
 # -- process-level entry ---------------------------------------------------------

@@ -1,9 +1,11 @@
-"""Hardening checks: no `assert` in the package, and fuzzed host files through the CLI."""
+"""Hardening checks: no `assert` in the package, fuzzed host files through the CLI,
+and a bounded Frankl phase on hosts at the hypergraph budget."""
 
 import ast
 import contextlib
 import io
 import json
+import random
 import string
 from itertools import combinations
 from pathlib import Path
@@ -11,6 +13,7 @@ from pathlib import Path
 from hypothesis import example, given, settings, strategies as st
 
 import rsize
+from rsize.arrowing import _cliques_of_hypergraph, _run_frankl
 from rsize.cli import main
 from rsize.graphs import Graph, Hypergraph, complete, hypergraph_to_text, to_graph6
 
@@ -110,3 +113,28 @@ def test_fuzzed_graph6_decolor(tmp_path_factory, text, nt, matching):
     extra = ("--matching",) if matching else ()
     _one_envelope(tmp_path_factory, text, _argv("decolor", *nt, "--host", "{host}", *extra))
 
+
+
+# ------------------------------------------------- bounded Frankl phase
+
+
+def test_frankl_phase_stays_bounded_on_36_edge_hosts(tmp_path):
+    # hosts at the hypergraph budget, dense to sparse, with every t up to 12:
+    # each run ends in an envelope, and the phase's set count stays small
+    rng = random.Random(1)
+    path = tmp_path / "host"
+    worst = 0
+    for r in (3, 4):
+        for nv in (8, 12, 24):
+            host = Hypergraph(nv, r, rng.sample(list(combinations(range(nv), r)), 36))
+            path.write_text(hypergraph_to_text(host))
+            for n in (r, r + 1):
+                cliques = _cliques_of_hypergraph(host, n)
+                for t in range(1, 13):
+                    worst = max(worst, _run_frankl(host.edge_masks, cliques, t, r)[1])
+                    out = io.StringIO()
+                    with contextlib.redirect_stdout(out):
+                        code = main(_argv("check-arrow", n, t, "--hyper", str(path)))
+                    assert code in (0, 3), (host, n, t, out.getvalue())
+    # deterministic: r = 4 on 24 vertices with n = 4 and t = 6
+    assert worst == 8075
