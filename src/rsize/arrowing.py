@@ -88,6 +88,8 @@ from .graphs import (
 NAIVE_MAX_EDGES = {"graph": 20, "hyper": 24}
 REDUCED_MAX_EDGES = {"graph": 28, "hyper": 36}
 BUDGET_ENV_VAR = "RSIZE_BUDGET_EDGES"
+# the largest m_max that min_size_ramsey_bruteforce walks every graph to
+BRUTEFORCE_MAX_EDGES = 8
 
 _SPLIT_DEPTH = 6
 
@@ -804,8 +806,8 @@ def min_size_ramsey_bruteforce(
     None means every graph with at most m_max edges fails, i.e. the
     answer is > m_max.
     """
-    if m_max < 1 or m_max > 8:
-        raise RequestError(f"need 1 <= m_max <= 8, got {m_max}")
+    if m_max < 1 or m_max > BRUTEFORCE_MAX_EDGES:
+        raise RequestError(f"need 1 <= m_max <= {BRUTEFORCE_MAX_EDGES}, got {m_max}")
     for m, level in enumerate(_graph_levels(m_max, max_vertices), start=1):
         if any(arrows_pair(g, n, t).arrows for g in level):
             return m

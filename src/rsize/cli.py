@@ -36,6 +36,7 @@ from pathlib import Path
 from typing import Any, Sequence, TextIO
 
 from .arrowing import (
+    BRUTEFORCE_MAX_EDGES,
     UndecidedError,
     arrows_hyper,
     arrows_pair,
@@ -255,7 +256,7 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
     if suite == "minimality":
         _require(args, "n", "t")
         expected = g(args.n, args.t).value
-        m_max = args.m_max if args.m_max is not None else min(8, expected)
+        m_max = args.m_max if args.m_max is not None else min(BRUTEFORCE_MAX_EDGES, expected)
         found = min_size_ramsey_bruteforce(args.n, args.t, m_max)
         # not finding anything is consistent exactly when the true value
         # lies beyond the searched range

@@ -14,7 +14,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from itertools import combinations, count
 from math import comb
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import RequestError
 
@@ -368,10 +368,19 @@ def _refine(n: int, adj: Sequence[int], colors: tuple[int, ...]) -> tuple[int, .
         colors = new
 
 
+# A cap on the generators kept per component.  A capped set spans a subgroup
+# of the automorphism group: the orbit prunes below then merge fewer
+# candidates, which costs time and never soundness, since every kept
+# generator is a verified automorphism.
 _MAX_STORED_AUTOMORPHISMS = 64
 
+# a permutation of 0..n-1, as the tuple of images
+_Perm = tuple[int, ...]
+# a canonical form (n, edge tuple), as canonical_form returns it
+_Form = tuple[int, tuple[tuple[int, int], ...]]
 
-def _canon_connected(g: Graph) -> tuple[tuple[int, int], ...]:
+
+def _canon_connected(g: Graph) -> tuple[tuple[tuple[int, int], ...], list[_Perm]]:
     """Canonical edge list of a connected graph via individualization.
 
     Branches on the first non-singleton cell after refinement and takes
@@ -379,12 +388,14 @@ def _canon_connected(g: Graph) -> tuple[tuple[int, int], ...]:
     reveal an automorphism; candidates related by an automorphism that
     fixes every vertex individualized so far generate identical subtrees,
     so only one per orbit is explored.  Without that prune the search is
-    factorial on vertex-transitive graphs.
+    factorial on vertex-transitive graphs.  Returns the edge list and the
+    automorphisms found, relabeled into the canonical labeling, where
+    they are automorphisms of the canonical graph.
     """
     n, adj = g.n, g.adj
     best: tuple[tuple[int, int], ...] = ()
     best_colors: tuple[int, ...] = ()  # empty until the first leaf
-    gens: list[tuple[int, ...]] = []
+    gens: list[_Perm] = []
 
     def leaf(colors: tuple[int, ...]) -> None:
         # discrete coloring: colors form a bijection onto 0..n-1
@@ -446,7 +457,11 @@ def _canon_connected(g: Graph) -> tuple[tuple[int, int], ...]:
             search(_refine(n, adj, split), fixed + (v,))
 
     search(_refine(n, adj, (0,) * n), ())
-    return best
+    # vertex v has canonical label best_colors[v]
+    inverse = [0] * n
+    for v in range(n):
+        inverse[best_colors[v]] = v
+    return best, [tuple(best_colors[auto[inverse[i]]] for i in range(n)) for auto in gens]
 
 
 def _components(g: Graph) -> list[int]:
@@ -467,40 +482,117 @@ def _components(g: Graph) -> list[int]:
     return comps
 
 
-# labeled component (n, adj) -> its canonical edge list
-_ComponentMemo = dict[tuple[int, tuple[int, ...]], tuple[tuple[int, int], ...]]
+# One cache per walk.  It maps each labeled component (n, adj) to its
+# canonical edge list and automorphism generators in canonical labels, and
+# each whole canonical form (n, edges) to generators of its automorphism
+# group.  The two key kinds never meet: a component has n >= 1 entries in
+# adj, while a form's edge tuple holds pairs.
+_CanonMemo = dict
 
 
-def canonical_form(
-    g: Graph, memo: _ComponentMemo | None = None
-) -> tuple[int, tuple[tuple[int, int], ...]]:
+def canonical_form(g: Graph, memo: _CanonMemo | None = None) -> _Form:
     """A complete isomorphism invariant: canonical (n, edge tuple).
 
     Each connected component is canonicalized on its own (components stay
     small even when the whole graph does not), then components are sorted
     and concatenated.  Two graphs get equal forms iff they are isomorphic.
     A caller that canonicalizes many related graphs may pass one memo dict
-    to every call; it maps each labeled component (n, adj) to its canonical
-    edge list, so a component seen before costs no second search.  The
-    form is the same with or without it.
+    to every call; it keeps each labeled component's canonical edge list,
+    so a component seen before costs no second search.  The form is the
+    same with or without it.  The memo also receives generators of the
+    form's automorphism group, in canonical labels: each component's own,
+    fixing every other vertex, and a swap of each two consecutive equal
+    components.  The enumeration walk reads them to prune its children.
     """
     if memo is None:
         memo = {}
-    keys = []
+    parts = []
     for comp in _components(g):
         sub = g if comp.bit_count() == g.n else g.induced(_mask_vertices(comp))
         key = (sub.n, sub.adj)
-        form = memo.get(key)
-        if form is None:
-            form = memo[key] = _canon_connected(sub)
-        keys.append((sub.n, form))
-    keys.sort()
+        entry = memo.get(key)
+        if entry is None:
+            entry = memo[key] = _canon_connected(sub)
+        parts.append((sub.n, *entry))
+    parts.sort(key=lambda part: part[:2])
+    n = g.n
     edges = []
+    gens: list[_Perm] = []
     offset = 0
-    for size, comp_edges in keys:
+    for i, (size, comp_edges, comp_gens) in enumerate(parts):
         edges.extend((u + offset, v + offset) for u, v in comp_edges)
+        head, tail = tuple(range(offset)), tuple(range(offset + size, n))
+        gens.extend(head + tuple(a + offset for a in auto) + tail for auto in comp_gens)
+        if i and parts[i - 1][:2] == (size, comp_edges):
+            back = offset - size
+            gens.append(
+                tuple(range(back))
+                + tuple(range(offset, offset + size))
+                + tuple(range(back, offset))
+                + tail
+            )
         offset += size
-    return offset, tuple(sorted(edges))
+    form = n, tuple(sorted(edges))
+    memo[form] = gens
+    return form
+
+
+def _check_automorphisms(form: _Form, gens: Sequence[_Perm]) -> None:
+    """Raise CertificationError unless every generator is an automorphism of the form."""
+    n, edges = form
+    present = set(edges)
+    vertices = list(range(n))
+    for auto in gens:
+        if sorted(auto) != vertices or not all(
+            ((auto[u], auto[v]) if auto[u] < auto[v] else (auto[v], auto[u])) in present
+            for u, v in edges
+        ):
+            raise CertificationError(f"{auto} is not an automorphism of {form}")
+
+
+def _orbit_heads(points: Iterable, images: Callable[[object], list]) -> list:
+    """The first point of each orbit, in the given order; images(p) lists p's generator images."""
+    seen = set()
+    heads = []
+    for p in points:
+        if p in seen:
+            continue
+        heads.append(p)
+        seen.add(p)
+        stack = [p]
+        while stack:
+            for q in images(stack.pop()):
+                if q not in seen:
+                    seen.add(q)
+                    stack.append(q)
+    return heads
+
+
+def _children(form: _Form, cap: int, memo: _CanonMemo) -> Iterator[_Form]:
+    """Canonical forms of the one-edge children of a canonical graph, one per orbit.
+
+    The children are: an edge between two present vertices, a pendant edge
+    to one new vertex, and a new K_2.  An automorphism of the parent maps
+    a child to an isomorphic one, so one child per orbit of non-edges and
+    one per orbit of vertices give every child's form.  The generators
+    come from the memo that canonicalized the parent, and are re-verified
+    before use.
+    """
+    n, edges = form
+    gens = memo[form]
+    _check_automorphisms(form, gens)
+    present = set(edges)
+    non_edges = [p for p in combinations(range(n), 2) if p not in present]
+    for u, v in _orbit_heads(
+        non_edges,
+        lambda p: [(a[p[0]], a[p[1]]) if a[p[0]] < a[p[1]] else (a[p[1]], a[p[0]]) for a in gens],
+    ):
+        yield canonical_form(Graph(n, edges + ((u, v),)), memo)
+    if n + 1 <= cap:
+        for u in _orbit_heads(range(n), lambda u: [a[u] for a in gens]):
+            yield canonical_form(Graph(n + 1, edges + ((u, n),)), memo)
+    if n + 2 <= cap:
+        yield canonical_form(Graph(n + 2, edges + ((n, n + 1),)), memo)
 
 
 def _graph_levels(m: int, max_vertices: int | None) -> Iterator[list[Graph]]:
@@ -510,27 +602,24 @@ def _graph_levels(m: int, max_vertices: int | None) -> Iterator[list[Graph]]:
     two present vertices, to one new vertex, or on two new vertices.  Every
     (k+1)-edge graph arises so from a k-edge one by edge removal plus
     isolated-vertex cleanup, and removal never adds vertices, so each level
-    is complete, also under the vertex cap.  One component memo serves the
-    whole walk, so each distinct labeled component is canonicalized once.
+    is complete, also under the vertex cap.  Children that an automorphism
+    of their parent maps onto each other are isomorphic, so only one per
+    orbit is canonicalized (the first half of McKay's isomorph-free
+    generation); the levels are the same as without the prune.  One memo
+    serves the whole walk, so each distinct labeled component is
+    canonicalized once, and it carries each parent's automorphism
+    generators from one level to the next.
     """
-    memo: _ComponentMemo = {}
+    memo: _CanonMemo = {}
     cap = 2 * m if max_vertices is None else max_vertices
-    level = [canonical_form(complete(2))] if cap >= 2 else []
+    level = [canonical_form(complete(2), memo)] if cap >= 2 else []
     for k in range(1, m + 1):
         yield [Graph(n, edges) for n, edges in level]
         if k == m:
             return
-        nxt: set[tuple[int, tuple[tuple[int, int], ...]]] = set()
-        for n, edges in level:
-            present = set(edges)
-            for u, v in combinations(range(n), 2):
-                if (u, v) not in present:
-                    nxt.add(canonical_form(Graph(n, edges + ((u, v),)), memo))
-            if n + 1 <= cap:
-                for u in range(n):
-                    nxt.add(canonical_form(Graph(n + 1, edges + ((u, n),)), memo))
-            if n + 2 <= cap:
-                nxt.add(canonical_form(Graph(n + 2, edges + ((n, n + 1),)), memo))
+        nxt: set[_Form] = set()
+        for form in level:
+            nxt.update(_children(form, cap, memo))
         level = sorted(nxt)
 
 
@@ -539,7 +628,8 @@ def enumerate_graphs(m: int, max_vertices: int | None = None) -> Iterator[Graph]
 
     Yields level m of the one-edge-at-a-time walk from K_2, in sorted
     canonical-form order, each graph labeled by its canonical form.  The
-    walk deduplicates by canonical form at every level and shares one
+    walk canonicalizes one child per orbit of its parent's automorphisms,
+    deduplicates by canonical form at every level and shares one
     component memo across its levels; a caller that needs every level up
     to m walks them once through the same generator rather than calling
     this per level.

@@ -5,7 +5,8 @@ partitions outright or run the O(total^2) composition DP, matchings
 enumerate edge subsets, colorings try every assignment, hypergraph cliques
 test every vertex window, decoloring sets are scanned subset by subset.
 Slow on purpose; only run at oracle scale.  Graphs are vertex counts plus
-edge lists, so nothing here imports the package.
+edge lists, so nothing here imports the package; the unpruned enumeration
+walk takes its canonical form as an argument.
 """
 
 from __future__ import annotations
@@ -181,3 +182,33 @@ def exact_decolor_scan(
             if brute_chromatic(len(index), rest) <= n - 2:
                 return subset
     return None
+
+
+Form = tuple[int, tuple[tuple[int, int], ...]]
+
+
+def unpruned_graph_levels(
+    m: int, max_vertices: int | None, canon: Callable[[int, tuple[tuple[int, int], ...]], Form]
+) -> list[list[Form]]:
+    """Levels 1..m of the one-edge walk from K_2, with no symmetry prune.
+
+    Every one-edge child of every graph on a level is canonicalized by the
+    given canon(n, edges) and the forms are deduplicated and sorted: an
+    edge between two present vertices, a pendant edge to one new vertex,
+    and a new K_2, each within the vertex cap (2m when None).
+    """
+    cap = 2 * m if max_vertices is None else max_vertices
+    level = [canon(2, ((0, 1),))] if cap >= 2 else []
+    levels = []
+    for k in range(1, m + 1):
+        levels.append(level)
+        nxt = set()
+        for n, edges in level:
+            present = set(edges)
+            nxt.update(canon(n, edges + (p,)) for p in combinations(range(n), 2) if p not in present)
+            if n + 1 <= cap:
+                nxt.update(canon(n + 1, edges + ((u, n),)) for u in range(n))
+            if n + 2 <= cap:
+                nxt.add(canon(n + 2, edges + ((n, n + 1),)))
+        level = sorted(nxt)
+    return levels

@@ -5,6 +5,7 @@ import pytest
 
 from rsize.graphs import (
     CapacityError,
+    CertificationError,
     Graph,
     Graph6Error,
     HypergraphFormatError,
@@ -28,8 +29,9 @@ from rsize.graphs import (
     min_vertex_cover,
     to_graph6,
 )
+from rsize.graphs import _children, _graph_levels
 
-from oracles import brute_chromatic, brute_hyper_matching, brute_max_matching
+from oracles import brute_chromatic, brute_hyper_matching, brute_max_matching, unpruned_graph_levels
 
 
 def random_graph(rng: random.Random, n: int, m: int) -> Graph:
@@ -270,7 +272,6 @@ def test_enumerate_graphs_counts():
     assert counts == [1, 2, 5, 11, 26, 68, 177]
 
 
-@pytest.mark.slow
 def test_enumerate_graphs_count_at_eight_edges():
     assert sum(1 for _ in enumerate_graphs(8)) == 497  # OEIS A000664
 
@@ -316,6 +317,32 @@ def test_enumerate_graphs_vertex_cap():
         for cap in range(2, 9):
             assert list(enumerate_graphs(m, max_vertices=cap)) == [g for g in full if g.n <= cap], (m, cap)
     assert list(enumerate_graphs(3, max_vertices=1)) == []
+
+
+def test_orbit_pruned_walk_equals_unpruned_walk():
+    # the walk canonicalizes one child per orbit of its parent's
+    # automorphisms; the oracle canonicalizes every child
+    memo: dict = {}
+    for cap in (None, *range(2, 9)):
+        want = unpruned_graph_levels(7, cap, lambda n, edges: canonical_form(Graph(n, edges), memo))
+        got = [[(g.n, tuple(g.edges())) for g in level] for level in _graph_levels(7, cap)]
+        assert got == want, cap
+
+
+def test_walk_rejects_a_bogus_generator():
+    # P_3 with its ends swapped is an automorphism; a middle-end swap is not
+    path = canonical_form(Graph(3, [(0, 1), (1, 2)]))
+    (middle,) = set(path[1][0]) & set(path[1][1])
+    end = (middle + 1) % 3
+    good = tuple(v if v == middle else 3 - middle - v for v in range(3))
+    bogus = tuple(end if v == middle else middle if v == end else v for v in range(3))
+    unpruned = list(_children(path, 5, {path: []}))
+    pruned = list(_children(path, 5, {path: [good]}))
+    assert len(pruned) == len(unpruned) - 1 and set(pruned) == set(unpruned)  # the two ends share an orbit
+    with pytest.raises(CertificationError):
+        list(_children(path, 5, {path: [good, bogus]}))
+    with pytest.raises(CertificationError):  # not a permutation
+        list(_children(path, 5, {path: [(0, 0, 1)]}))
 
 
 def test_enumerate_graphs_capacity():
