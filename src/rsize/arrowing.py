@@ -43,12 +43,16 @@ alone: a 2-uniform host, whether a Graph or a Hypergraph with r = 2, is a
 graph, and auto runs structural on it; when r >= 3, where no such
 structure theorem holds, auto tries the Frankl families first and then
 runs reduced.  The verdict's mode names the search that answered:
-"structural", "frankl", "reduced" or "naive".  The reduced DFS always
-splits at a fixed depth into prefix subtrees that are processed in
-discovery order, so the verdict, the counterexample, and the
-explored-node count are identical whatever `jobs` is.  `jobs` matters
-only there (r >= 3 under auto, or an explicit reduced search); the
-structural search and the Frankl phase ignore it.
+"structural", "frankl", "reduced" or "naive".  Each host's complete
+n-windows are listed once, as vertex masks; naive and reduced see each
+window as the mask of the edges inside it.  The reduced DFS passes its
+state down as arguments and always splits at a fixed depth: the states
+reached there (decisions so far, windows still without a blue edge, the
+blue matching number) are resumed as subtrees in discovery order, so the
+verdict, the counterexample, and the explored-node count are identical
+whatever `jobs` is.  `jobs` matters only there (r >= 3 under auto, or an
+explicit reduced search); the structural search and the Frankl phase
+ignore it.
 Node counts mean: structural, one per (S, parts) structure entered (zero
 when the packing bound alone decides); frankl, one per set X entered;
 reduced, one per blue/red branch entered; naive, subsets scanned.  Under
@@ -66,7 +70,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, starmap
 from math import comb
 from typing import Sequence
 
@@ -233,108 +237,59 @@ def _matching_at_least(masks: Sequence[int], forbidden: int, need: int) -> bool:
     return go(0, forbidden, need)
 
 
-class _ReducedSearch:
-    """DFS state for the pruned search; see the module docstring."""
+def _reduced_dfs(
+    edge_masks: Sequence[int],
+    cliques: Sequence[int],
+    t: int,
+    state: tuple[int, int, int, int, int, tuple[int, ...]],
+    split_at: int | None = None,
+    states: list | None = None,
+) -> tuple[int | None, int]:
+    """The pruned DFS from `state`; see the module docstring.
 
-    def __init__(self, edge_masks: Sequence[int], cliques: Sequence[int], t: int):
-        self.edge_masks = tuple(edge_masks)
-        self.m = len(edge_masks)
-        self.order = _search_order(edge_masks)
-        self.t = t
-        self.cliques = tuple(cliques)
-        self.clique_size = [c.bit_count() for c in cliques]
-        self.edge_cliques: list[list[int]] = [[] for _ in range(self.m)]
-        for ci, cmask in enumerate(cliques):
-            for e in _mask_vertices(cmask):
-                self.edge_cliques[e].append(ci)
-        self.blue_count = [0] * len(cliques)
-        self.red_count = [0] * len(cliques)
-        self.killed = 0
-        self.nu = 0
-        self.nu_stack: list[int] = []
-        self.blue_masks: list[int] = []
-        self.blue_bits = 0
-        self.trail: list[tuple[int, bool]] = []
-        self.nodes = 0
-        self.split_at: int | None = None
-        self.snapshots: list[list[tuple[int, bool]]] = []
+    A state is (idx, blue, red, alive, nu, masks): the search position,
+    the blue and red edge-index masks decided so far, the clique-index
+    mask of cliques with no blue edge yet, the blue matching number, and
+    the blue edges' vertex masks.  At depth `split_at` the state is filed
+    in `states` instead of being searched.  Returns the blue mask of the
+    first counterexample (None if there is none) and the branches entered.
+    """
+    m = len(edge_masks)
+    order = _search_order(edge_masks)
+    through = [0] * m  # clique-index mask of the cliques through each edge
+    for ci, c in enumerate(cliques):
+        for e in _mask_vertices(c):
+            through[e] |= 1 << ci
+    inside = [[cliques[ci] for ci in _mask_vertices(through[e])] for e in range(m)]
+    nodes = 0
 
-    def decide(self, e: int, blue: bool) -> bool:
-        """Apply one decision; False (and no state change) if it dooms the branch."""
-        if blue:
-            em = self.edge_masks[e]
-            new_nu = self.nu
-            if _matching_at_least(self.blue_masks, em, self.nu):
-                new_nu += 1
-            if new_nu >= self.t:
-                return False
-            self.nu_stack.append(self.nu)
-            self.nu = new_nu
-            self.blue_masks.append(em)
-            self.blue_bits |= 1 << e
-            for ci in self.edge_cliques[e]:
-                self.blue_count[ci] += 1
-                if self.blue_count[ci] == 1:
-                    self.killed += 1
-        else:
-            doomed = False
-            for ci in self.edge_cliques[e]:
-                self.red_count[ci] += 1
-                if self.red_count[ci] == self.clique_size[ci]:
-                    doomed = True
-            if doomed:
-                for ci in self.edge_cliques[e]:
-                    self.red_count[ci] -= 1
-                return False
-        self.trail.append((e, blue))
-        return True
-
-    def undo(self) -> None:
-        e, blue = self.trail.pop()
-        if blue:
-            self.blue_masks.pop()
-            self.nu = self.nu_stack.pop()
-            self.blue_bits ^= 1 << e
-            for ci in self.edge_cliques[e]:
-                self.blue_count[ci] -= 1
-                if self.blue_count[ci] == 0:
-                    self.killed -= 1
-        else:
-            for ci in self.edge_cliques[e]:
-                self.red_count[ci] -= 1
-
-    def dfs(self, idx: int) -> int | None:
-        """Decide edge order[idx] and every later position."""
-        if idx == self.split_at:
-            self.snapshots.append(list(self.trail))
+    def dfs(idx: int, blue: int, red: int, alive: int, nu: int, masks: tuple[int, ...]) -> int | None:
+        nonlocal nodes
+        if idx == split_at:
+            states.append((idx, blue, red, alive, nu, masks))
             return None
-        if idx == self.m:
+        if idx == m:
             return None
-        for blue in (True, False):
-            self.nodes += 1
-            if not self.decide(self.order[idx], blue):
-                continue
-            if blue and self.killed == len(self.cliques):
-                found = self.blue_bits
-                self.undo()
-                return found
-            found = self.dfs(idx + 1)
-            self.undo()
+        e = order[idx]
+        bit = 1 << e
+        nodes += 1
+        em = edge_masks[e]
+        grown = nu + 1 if _matching_at_least(masks, em, nu) else nu
+        if grown < t:
+            if not alive & ~through[e]:
+                # every clique has a blue edge: the all-red rest is good
+                return blue | bit
+            found = dfs(idx + 1, blue | bit, red, alive & ~through[e], grown, masks + (em,))
             if found is not None:
                 return found
-        return None
+        nodes += 1
+        red |= bit
+        for c in inside[e]:
+            if not c & ~red:
+                return None
+        return dfs(idx + 1, blue, red, alive, nu, masks)
 
-
-def _subtree_worker(
-    args: tuple[Sequence[int], Sequence[int], int, list[tuple[int, bool]]],
-) -> tuple[int | None, int]:
-    edge_masks, cliques, t, trail = args
-    search = _ReducedSearch(edge_masks, cliques, t)
-    for e, blue in trail:
-        if not search.decide(e, blue):
-            raise CertificationError(f"snapshot replay rejected edge {e} (blue={blue})")
-    found = search.dfs(len(trail))
-    return found, search.nodes
+    return dfs(*state), nodes
 
 
 def _run_reduced(
@@ -343,14 +298,14 @@ def _run_reduced(
     if not cliques:
         # the all-red coloring already avoids every clique (there are none)
         return 0, 1
-    search = _ReducedSearch(edge_masks, cliques, t)
-    if search.m > _SPLIT_DEPTH:
-        search.split_at = _SPLIT_DEPTH
-    found = search.dfs(0)
-    nodes = search.nodes
-    if found is not None or search.split_at is None:
+    root = (0, 0, 0, (1 << len(cliques)) - 1, 0, ())
+    if len(edge_masks) <= _SPLIT_DEPTH:
+        return _reduced_dfs(edge_masks, cliques, t, root)
+    states: list = []
+    found, nodes = _reduced_dfs(edge_masks, cliques, t, root, _SPLIT_DEPTH, states)
+    if found is not None:
         return found, nodes
-    tasks = [(search.edge_masks, search.cliques, t, snap) for snap in search.snapshots]
+    tasks = [(edge_masks, cliques, t, state) for state in states]
     pool = None
     if jobs > 1:
         # imported here: the pool's modules cost every command a noticeable start-up
@@ -359,9 +314,9 @@ def _run_reduced(
         pool = ProcessPoolExecutor(max_workers=jobs)
     try:
         if pool is None:
-            outcomes = map(_subtree_worker, tasks)
+            outcomes = starmap(_reduced_dfs, tasks)
         else:
-            outcomes = (f.result() for f in [pool.submit(_subtree_worker, task) for task in tasks])
+            outcomes = (f.result() for f in [pool.submit(_reduced_dfs, *task) for task in tasks])
         # discovery order; the first counterexample cancels the unstarted subtrees
         for found, sub_nodes in outcomes:
             nodes += sub_nodes
@@ -383,9 +338,9 @@ def _frankl_blue(edge_masks: Sequence[int], X: int, i: int) -> int:
 
 
 def _run_frankl(
-    edge_masks: Sequence[int], cliques: Sequence[int], t: int, r: int
+    edge_masks: Sequence[int], windows: Sequence[int], t: int, r: int
 ) -> tuple[int | None, int]:
-    """Look for a good coloring among the Frankl families; `cliques` are edge-index masks.
+    """Look for a good coloring among the Frankl families; `windows` are vertex masks.
 
     For i = 1..r and |X| <= i*t - 1, the blue set {e : |e & X| >= i} has
     matching number at most t-1, since each blue edge takes i vertices of
@@ -396,12 +351,6 @@ def _run_frankl(
     come; failed sets are memoised.  Returns the blue mask of the first
     family that fits (None if none does) and the number of sets entered.
     """
-    windows = []
-    for c in cliques:
-        w = 0
-        for j in _mask_vertices(c):
-            w |= edge_masks[j]
-        windows.append(w)
     nodes = 0
 
     def grow(X: int, size: int, i: int, cap: int, failed: set[int]) -> int | None:
@@ -464,7 +413,7 @@ def _odd_packing(live: Sequence[int], parts: Sequence[int]) -> tuple[int, int]:
 
 
 def _run_structural(
-    edges: Sequence[tuple[int, int]], cliques: Sequence[int], t: int
+    edge_masks: Sequence[int], cliques: Sequence[int], t: int
 ) -> tuple[int | None, int]:
     """Search (S, parts) structures; `cliques` are vertex masks.
 
@@ -540,8 +489,7 @@ def _run_structural(
         return None, nodes
     S, parts = found
     blue = 0
-    for i, (u, v) in enumerate(edges):
-        em = 1 << u | 1 << v
+    for i, em in enumerate(edge_masks):
         if em & S or any(em & p == em for p in parts):
             blue |= 1 << i
     return blue, nodes
@@ -579,42 +527,33 @@ def _cliques_of_graph(g: Graph, n: int) -> list[int]:
     return out
 
 
-def _clique_edge_masks(edges: Sequence[tuple[int, int]], cliques: Sequence[int]) -> list[int]:
-    """Edge-index bitmask of each vertex-mask clique, over an indexed edge list."""
-    index = {e: i for i, e in enumerate(edges)}
-    out = []
-    for members in cliques:
-        bits = 0
-        for e in combinations(_mask_vertices(members), 2):
-            bits |= 1 << index[e]
-        out.append(bits)
-    return out
-
-
 def _cliques_of_hypergraph(h: Hypergraph, n: int) -> list[int]:
-    """Edge-index bitmask of every complete n-window of h.
+    """Vertex bitmask of every complete n-window of h.
 
     A window needs C(n, r) edges and vertices of degree C(n-1, r-1) or more.
     """
     if comb(n, h.r) > len(h.edge_masks):
         return []
-    index = {em: i for i, em in enumerate(h.edge_masks)}
+    edges = set(h.edge_masks)
     need = comb(n - 1, h.r - 1)
     # the v-bits of the edges sum to degree(v) << v
-    able = [v for v in range(h.n) if sum(map((1 << v).__and__, h.edge_masks)) >> v >= need]
+    able = [1 << v for v in range(h.n) if sum(map((1 << v).__and__, h.edge_masks)) >> v >= need]
+    return [
+        sum(window)
+        for window in combinations(able, n)
+        if all(sum(sub) in edges for sub in combinations(window, h.r))
+    ]
+
+
+def _window_edges(edge_masks: Sequence[int], windows: Sequence[int]) -> list[int]:
+    """Edge-index bitmask of the edges inside each window."""
     out = []
-    for window in combinations(able, n):
+    for w in windows:
         bits = 0
-        for sub in combinations(window, h.r):
-            mask = 0
-            for v in sub:
-                mask |= 1 << v
-            pos = index.get(mask)
-            if pos is None:
-                break
-            bits |= 1 << pos
-        else:
-            out.append(bits)
+        for j, em in enumerate(edge_masks):
+            if not em & ~w:
+                bits |= 1 << j
+        out.append(bits)
     return out
 
 
@@ -659,30 +598,24 @@ def _decide(host: Graph | Hypergraph, n: int, t: int, search: str, jobs: int) ->
     if jobs < 1:
         raise RequestError(f"need jobs >= 1, got {jobs}")
     mode = _pick_mode(search, host.edge_count(), kind, r)
+    edge_masks = _edge_masks(host)
     if r == 2:
-        # Graph.edges() and Hypergraph.edge_masks share one order, so a blue
-        # mask found on the graph view is the host's own
         graph = host if kind == "graph" else Graph(host.n, host.edge_tuples())
-        edges = graph.edges()
-        cliques = _cliques_of_graph(graph, n)
-        if mode != "structural":
-            edge_masks = _edge_masks(graph)
-            cliques = _clique_edge_masks(edges, cliques)
+        windows = _cliques_of_graph(graph, n)
     else:
-        edge_masks = _edge_masks(host)
-        cliques = _cliques_of_hypergraph(host, n)
+        windows = _cliques_of_hypergraph(host, n)
     if mode == "structural":
-        found, nodes = _run_structural(edges, cliques, t)
+        found, nodes = _run_structural(edge_masks, windows, t)
     elif mode == "naive":
-        found, nodes = _run_naive(edge_masks, cliques, t)
+        found, nodes = _run_naive(edge_masks, _window_edges(edge_masks, windows), t)
     else:
         # auto tries the Frankl families first; an explicit reduced search
         # stays a pure cross-check
-        found, nodes = _run_frankl(edge_masks, cliques, t, r) if search == "auto" else (None, 0)
+        found, nodes = _run_frankl(edge_masks, windows, t, r) if search == "auto" else (None, 0)
         if found is not None:
             mode = "frankl"
         else:
-            found, more = _run_reduced(edge_masks, cliques, t, jobs)
+            found, more = _run_reduced(edge_masks, _window_edges(edge_masks, windows), t, jobs)
             nodes += more
     return ArrowVerdict(
         arrows=found is None,

@@ -9,8 +9,10 @@ run can end:
   0  the command succeeded (for verifications: ran and passed)
   1  a verification ran to completion and the property failed
   2  the request was unusable (bad flags, unreadable or malformed
-     input, hypothesis violation): argparse refused it, a file could
-     not be read (OSError), or parsing or validation raised RequestError
+     input, hypothesis violation, an n or t over the scan limit of
+     value, table and the limit suite): argparse refused it, a file
+     could not be read (OSError), or parsing or validation raised
+     RequestError
   3  a search hit its budget and the question is genuinely undecided
   4  an internal fault: a certificate failed its own re-check
      (CertificationError) or some other exception escaped, a ValueError
@@ -66,6 +68,9 @@ __all__ = ["CommandResult", "main", "run"]
 _MODES = ("auto", "naive", "reduced")
 _INT_JSON_LIMIT = 1 << 53  # doubles hold integers exactly up to here
 _TABLE_CELL_LIMIT = 200
+# value's witness, a table row's g_values and limit_constant, and the limit
+# suite's quotients all grow linearly in n or t; above this they take seconds
+_SCAN_LIMIT = 100_000
 _JOBS_HELP = (
     "process-pool workers for the reduced search, which auto runs only on r >= 3"
     " hypergraphs that no Frankl family refutes (mode frankl, nodes = sets entered),"
@@ -163,6 +168,11 @@ def _read_graph6_file(path: str) -> Graph:
     return from_graph6(lines[0].strip() if lines else "")
 
 
+def _within_scan_limit(name: str, value: int) -> None:
+    if value > _SCAN_LIMIT:
+        raise RequestError(f"{name}={value} is over the limit of {_SCAN_LIMIT}")
+
+
 def _require(args: argparse.Namespace, *names: str) -> None:
     missing = [f"--{name}" for name in names if getattr(args, name) is None]
     if missing:
@@ -174,6 +184,7 @@ def _require(args: argparse.Namespace, *names: str) -> None:
 
 
 def _cmd_value(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
+    _within_scan_limit("t", args.t)
     if args.hat:
         result = g_hat(args.n, args.t)
     elif args.r is not None:
@@ -193,6 +204,8 @@ def _cmd_value(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
 def _cmd_table(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
     n_lo, n_hi = _parse_range(args.n_range)
     t_lo, t_hi = _parse_range(args.t_range)
+    _within_scan_limit("n", n_hi)
+    _within_scan_limit("t", t_hi)
     if n_lo < 2:
         raise RequestError(f"n range starts at {n_lo}; need n >= 2")
     cells = (n_hi - n_lo + 1) * (t_hi - t_lo + 1)
@@ -280,6 +293,7 @@ def _verify_limit(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
     """
     _require(args, "n")
     n, t_cap = args.n, args.T
+    _within_scan_limit("max(n, T)", max(n, t_cap))
     if t_cap < 1:
         raise RequestError(f"need --T >= 1, got {t_cap}")
     m_n, _ = limit_constant(n, max(n, t_cap))

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from itertools import combinations, count
 from typing import Sequence
 
-from .arrowing import EdgeColoring, UndecidedError, is_good_coloring
+from .arrowing import EdgeColoring, UndecidedError, _edge_masks, _frankl_blue, is_good_coloring
 from .errors import RequestError
 from .graphs import (
     CertificationError,
@@ -225,13 +225,9 @@ def find_decolor_set_matching(graph: Graph, n: int, t: int) -> DecolorResult:
 
 
 def _witness_coloring(result: DecolorResult) -> EdgeColoring:
-    """Blue inside the matching variant's set, red elsewhere; re-checked."""
-    host, removed = result.graph, result.removed
-    blue = 0
-    for i, (u, v) in enumerate(host.edges()):
-        if removed >> u & 1 and removed >> v & 1:
-            blue |= 1 << i
-    coloring = EdgeColoring(host, blue)
+    """Blue inside the matching variant's set (Frankl's i = r = 2 on it), red elsewhere; re-checked."""
+    host = result.graph
+    coloring = EdgeColoring(host, _frankl_blue(_edge_masks(host), result.removed, 2))
     if not is_good_coloring(coloring, result.n, result.t):
         raise CertificationError(
             f"witness coloring for (n={result.n}, t={result.t}) failed re-verification"

@@ -67,18 +67,12 @@ def min_cost_rows(
 
 
 def window_cliques(vertices: int, r: int, edge_masks: Sequence[int], n: int) -> list[int]:
-    """Edge-index bitmask of every n-set of vertices all of whose r-subsets are edges."""
-    index = {em: i for i, em in enumerate(edge_masks)}
+    """Vertex bitmask of every n-set of vertices all of whose r-subsets are edges."""
+    edges = set(edge_masks)
     out = []
     for window in combinations(range(vertices), n):
-        bits = 0
-        for sub in combinations(window, r):
-            pos = index.get(sum(1 << v for v in sub))
-            if pos is None:
-                break
-            bits |= 1 << pos
-        else:
-            out.append(bits)
+        if all(sum(1 << v for v in sub) in edges for sub in combinations(window, r)):
+            out.append(sum(1 << v for v in window))
     return out
 
 

@@ -331,6 +331,27 @@ def test_jobs_do_not_change_the_result():
         assert (base.counterexample.blue, base.nodes) == (par.counterexample.blue, par.nodes)
 
 
+@pytest.mark.parametrize(
+    "host, n, t, arrows, nodes, blue, jobs",
+    [
+        (complete(8), 5, 3, False, 5220, 0x4638F, 1),
+        (complete(8), 5, 3, False, 5220, 0x4638F, 2),
+        (complete(7), 3, 3, True, 6030, None, 1),
+        (complete_r(6, 3), 4, 2, False, 3790, 0x12CB7, 1),
+        (complete_r(5, 3), 3, 2, False, 16, 0x3FF, 1),
+    ],
+    ids=["K8-5-3", "K8-5-3-jobs2", "K7-3-3", "K6r3-4-2", "K5r3-3-2"],
+)
+def test_reduced_search_is_pinned(host, n, t, arrows, nodes, blue, jobs):
+    # every host has more edges than the split depth, so each count spans
+    # the prefix walk and the resumed subtrees; branch order, the node
+    # units and the prunes all show up in these figures
+    decide = arrows_pair if isinstance(host, Graph) else arrows_hyper
+    v = decide(host, n, t, search="reduced", jobs=jobs)
+    assert (v.arrows, v.mode, v.nodes) == (arrows, "reduced", nodes)
+    assert (None if v.counterexample is None else v.counterexample.blue) == blue
+
+
 def test_hypergraph_cliques_match_window_enumeration():
     rng = random.Random(53)
     for _ in range(60):

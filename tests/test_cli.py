@@ -125,6 +125,26 @@ def test_value_usage_errors(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # the witness has about t parts: t = 10^7 would print about 90 MB
+        ("value", "--n", "5", "--t", "10000000"),
+        # one cell, but g_values and limit_constant are linear in n
+        ("table", "--n-range", "1000000", "--t-range", "1"),
+        ("verify", "--suite", "limit", "--n", "5", "--T", "200000"),
+    ],
+    ids=["value", "table", "verify-limit"],
+)
+def test_over_scan_limit_is_refused_before_any_work(capsys, argv):
+    start = time.perf_counter()
+    code, payload = run_json(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert payload["status"] == "error"
+    assert str(cli._SCAN_LIMIT) in payload["outputs"]["message"]
+
+
 def test_help_exits_zero(capsys):
     assert run_cli(capsys, "--help")[0] == 0
     assert run_cli(capsys, "value", "--help")[0] == 0
