@@ -25,11 +25,15 @@ in the test suite:
   (a bytearray DP), then scan all subsets.  Independent of the pruned
   searches; memory-bound, so capped at modest edge counts, and run only
   when asked for.
-* reduced -- DFS over edges deciding blue/red with three prunes: a blue
+* reduced -- DFS over edges deciding blue/red with four prunes: a blue
   decision that pushes the matching number to t is abandoned; a red
-  decision completing an all-red clique is abandoned; and the branch is
-  reported as a counterexample as soon as every clique has a blue edge
-  (the all-red completion of the current prefix is then a good coloring).
+  decision completing an all-red clique is abandoned; once the matching
+  number is t-1, a node where some clique without a blue edge has no
+  undecided edge that could turn blue without pushing it to t is
+  abandoned (forward checking: blue only grows, so such an edge never
+  fits again on that branch); and the branch is reported as a
+  counterexample as soon as every clique has a blue edge (the all-red
+  completion of the current prefix is then a good coloring).
 * frankl (a phase auto runs ahead of reduced when r >= 3) -- for i = 1..r
   and a vertex set X with |X| <= i*t - 1, the blue set {e : |e & X| >= i}
   has matching number at most t-1; these are Frankl's extremal families
@@ -45,14 +49,9 @@ structure theorem holds, auto tries the Frankl families first and then
 runs reduced.  The verdict's mode names the search that answered:
 "structural", "frankl", "reduced" or "naive".  Each host's complete
 n-windows are listed once, as vertex masks; naive and reduced see each
-window as the mask of the edges inside it.  The reduced DFS passes its
-state down as arguments and always splits at a fixed depth: the states
-reached there (decisions so far, windows still without a blue edge, the
-blue matching number) are resumed as subtrees in discovery order, so the
-verdict, the counterexample, and the explored-node count are identical
-whatever `jobs` is.  `jobs` matters only there (r >= 3 under auto, or an
-explicit reduced search); the structural search and the Frankl phase
-ignore it.
+window as the mask of the edges inside it.  The reduced DFS is one plain
+recursion from the root that passes its state down as arguments.  Every
+search is sequential.
 Node counts mean: structural, one per (S, parts) structure entered (zero
 when the packing bound alone decides); frankl, one per set X entered;
 reduced, one per blue/red branch entered; naive, subsets scanned.  Under
@@ -70,7 +69,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from itertools import combinations, starmap
+from itertools import combinations
 from math import comb
 from typing import Sequence
 
@@ -94,8 +93,6 @@ REDUCED_MAX_EDGES = {"graph": 28, "hyper": 36}
 BUDGET_ENV_VAR = "RSIZE_BUDGET_EDGES"
 # the largest m_max that min_size_ramsey_bruteforce walks every graph to
 BRUTEFORCE_MAX_EDGES = 8
-
-_SPLIT_DEPTH = 6
 
 
 class UndecidedError(RuntimeError):
@@ -237,23 +234,21 @@ def _matching_at_least(masks: Sequence[int], forbidden: int, need: int) -> bool:
     return go(0, forbidden, need)
 
 
-def _reduced_dfs(
-    edge_masks: Sequence[int],
-    cliques: Sequence[int],
-    t: int,
-    state: tuple[int, int, int, int, int, tuple[int, ...]],
-    split_at: int | None = None,
-    states: list | None = None,
+def _run_reduced(
+    edge_masks: Sequence[int], cliques: Sequence[int], t: int
 ) -> tuple[int | None, int]:
-    """The pruned DFS from `state`; see the module docstring.
+    """The pruned DFS; see the module docstring.
 
-    A state is (idx, blue, red, alive, nu, masks): the search position,
-    the blue and red edge-index masks decided so far, the clique-index
-    mask of cliques with no blue edge yet, the blue matching number, and
-    the blue edges' vertex masks.  At depth `split_at` the state is filed
-    in `states` instead of being searched.  Returns the blue mask of the
-    first counterexample (None if there is none) and the branches entered.
+    `cliques` are the windows' edge-index masks.  The state passed down is
+    the search position, the blue and red edge-index masks decided so far,
+    the clique-index mask of cliques with no blue edge yet, the blue
+    matching number, and the blue edges' vertex masks.  Returns the blue
+    mask of the first counterexample (None if there is none) and the
+    branches entered.
     """
+    if not cliques:
+        # the all-red coloring already avoids every clique (there are none)
+        return 0, 1
     m = len(edge_masks)
     order = _search_order(edge_masks)
     through = [0] * m  # clique-index mask of the cliques through each edge
@@ -265,11 +260,21 @@ def _reduced_dfs(
 
     def dfs(idx: int, blue: int, red: int, alive: int, nu: int, masks: tuple[int, ...]) -> int | None:
         nonlocal nodes
-        if idx == split_at:
-            states.append((idx, blue, red, alive, nu, masks))
-            return None
         if idx == m:
             return None
+        if nu == t - 1:
+            # forward check: blue only grows, so an edge that would raise nu
+            # now always will; a live window (no blue edge, so every edge
+            # not red is undecided) whose edges all would can never get one
+            fits: dict[int, bool] = {}
+            for ci in _mask_vertices(alive):
+                for j in _mask_vertices(cliques[ci] & ~red):
+                    if j not in fits:
+                        fits[j] = not _matching_at_least(masks, edge_masks[j], nu)
+                    if fits[j]:
+                        break
+                else:
+                    return None
         e = order[idx]
         bit = 1 << e
         nodes += 1
@@ -289,43 +294,7 @@ def _reduced_dfs(
                 return None
         return dfs(idx + 1, blue, red, alive, nu, masks)
 
-    return dfs(*state), nodes
-
-
-def _run_reduced(
-    edge_masks: Sequence[int], cliques: Sequence[int], t: int, jobs: int
-) -> tuple[int | None, int]:
-    if not cliques:
-        # the all-red coloring already avoids every clique (there are none)
-        return 0, 1
-    root = (0, 0, 0, (1 << len(cliques)) - 1, 0, ())
-    if len(edge_masks) <= _SPLIT_DEPTH:
-        return _reduced_dfs(edge_masks, cliques, t, root)
-    states: list = []
-    found, nodes = _reduced_dfs(edge_masks, cliques, t, root, _SPLIT_DEPTH, states)
-    if found is not None:
-        return found, nodes
-    tasks = [(edge_masks, cliques, t, state) for state in states]
-    pool = None
-    if jobs > 1:
-        # imported here: the pool's modules cost every command a noticeable start-up
-        from concurrent.futures import ProcessPoolExecutor
-
-        pool = ProcessPoolExecutor(max_workers=jobs)
-    try:
-        if pool is None:
-            outcomes = starmap(_reduced_dfs, tasks)
-        else:
-            outcomes = (f.result() for f in [pool.submit(_reduced_dfs, *task) for task in tasks])
-        # discovery order; the first counterexample cancels the unstarted subtrees
-        for found, sub_nodes in outcomes:
-            nodes += sub_nodes
-            if found is not None:
-                return found, nodes
-        return None, nodes
-    finally:
-        if pool is not None:
-            pool.shutdown(cancel_futures=True)
+    return dfs(0, 0, 0, (1 << len(cliques)) - 1, 0, ()), nodes
 
 
 def _frankl_blue(edge_masks: Sequence[int], X: int, i: int) -> int:
@@ -587,7 +556,7 @@ def _pick_mode(search: str, m: int, kind: str, r: int) -> str:
     return search
 
 
-def _decide(host: Graph | Hypergraph, n: int, t: int, search: str, jobs: int) -> ArrowVerdict:
+def _decide(host: Graph | Hypergraph, n: int, t: int, search: str) -> ArrowVerdict:
     """The one decision path: a 2-uniform host is searched as a graph."""
     kind = "graph" if isinstance(host, Graph) else "hyper"
     r = 2 if kind == "graph" else host.r
@@ -595,8 +564,6 @@ def _decide(host: Graph | Hypergraph, n: int, t: int, search: str, jobs: int) ->
         raise RequestError(f"need n >= {r}, got n={n}")
     if t < 1:
         raise RequestError(f"need t >= 1, got {t}")
-    if jobs < 1:
-        raise RequestError(f"need jobs >= 1, got {jobs}")
     mode = _pick_mode(search, host.edge_count(), kind, r)
     edge_masks = _edge_masks(host)
     if r == 2:
@@ -615,7 +582,7 @@ def _decide(host: Graph | Hypergraph, n: int, t: int, search: str, jobs: int) ->
         if found is not None:
             mode = "frankl"
         else:
-            found, more = _run_reduced(edge_masks, _window_edges(edge_masks, windows), t, jobs)
+            found, more = _run_reduced(edge_masks, _window_edges(edge_masks, windows), t)
             nodes += more
     return ArrowVerdict(
         arrows=found is None,
@@ -635,32 +602,31 @@ def arrows_pair(
 ) -> ArrowVerdict:
     """Does every red/blue coloring of F have a red K_n or t disjoint blue edges?
 
-    Auto runs the structural search, which is sequential and ignores
-    `jobs`; `jobs` only splits an explicit `search="reduced"` over a
-    process pool.
+    Auto runs the structural search; `search="reduced"` or `"naive"` runs
+    that search instead, as a cross-check.  `jobs` must be at least 1 and
+    is otherwise ignored: every search is sequential.  It stays only
+    because perfbench's `pool_speedup` still passes `jobs=2`.
     """
     if not isinstance(F, Graph):
         raise TypeError("arrows_pair expects a Graph host")
-    return _decide(F, n, t, search, jobs)
+    if jobs < 1:
+        raise RequestError(f"need jobs >= 1, got {jobs}")
+    return _decide(F, n, t, search)
 
 
-def arrows_hyper(
-    F: Hypergraph, n: int, t: int, *, search: str = "auto", jobs: int = 1
-) -> ArrowVerdict:
+def arrows_hyper(F: Hypergraph, n: int, t: int, *, search: str = "auto") -> ArrowVerdict:
     """Hypergraph analogue of arrows_pair: red K_n^r versus blue t disjoint edges.
 
     A 2-uniform host is a graph: auto runs the structural search on it,
-    exactly as arrows_pair does on the same edges, and ignores `jobs`.
-    When r >= 3, auto first tries the Frankl families {e : |e & X| >= i}
-    with |X| <= i*t - 1 (mode "frankl", nodes = sets X entered); if none
-    fits, the reduced DFS decides (mode "reduced", nodes = the phase's
-    sets plus the DFS branches).  There, or under an explicit
-    `search="reduced"`, which skips the phase, `jobs` splits the DFS over
-    a process pool.
+    exactly as arrows_pair does on the same edges.  When r >= 3, auto
+    first tries the Frankl families {e : |e & X| >= i} with
+    |X| <= i*t - 1 (mode "frankl", nodes = sets X entered); if none fits,
+    the reduced DFS decides (mode "reduced", nodes = the phase's sets plus
+    the DFS branches).  An explicit `search="reduced"` skips the phase.
     """
     if not isinstance(F, Hypergraph):
         raise TypeError("arrows_hyper expects a Hypergraph host")
-    return _decide(F, n, t, search, jobs)
+    return _decide(F, n, t, search)
 
 
 # ------------------------------------------------- certificates and wrappers
@@ -705,25 +671,21 @@ def lower_bound_coloring_hyper(n: int, r: int, t: int) -> EdgeColoring:
     return _lower_bound(complete_r(n + (t - 1) * r - 1, r), r, n, t)
 
 
-def verify_graph_ramsey(
-    n: int, t: int, *, search: str = "auto", jobs: int = 1
-) -> bool:
+def verify_graph_ramsey(n: int, t: int, *, search: str = "auto") -> bool:
     """Check R(K_n, tK_2) = n+2t-2 from both sides.
 
     Upper: the complete graph on n+2t-2 vertices arrows (searched).
     Lower: the explicit coloring of the complete graph on n+2t-3 vertices
     is re-verified as good (checked, never searched).
     """
-    upper = arrows_pair(complete(n + 2 * t - 2), n, t, search=search, jobs=jobs)
+    upper = arrows_pair(complete(n + 2 * t - 2), n, t, search=search)
     lower = is_good_coloring(lower_bound_coloring(n, t), n, t)
     return upper.arrows and lower
 
 
-def verify_hyper_ramsey(
-    n: int, r: int, t: int, *, search: str = "auto", jobs: int = 1
-) -> bool:
+def verify_hyper_ramsey(n: int, r: int, t: int, *, search: str = "auto") -> bool:
     """Check R(K_n^r, tK_r^r) = n+(t-1)r from both sides."""
-    upper = arrows_hyper(complete_r(n + (t - 1) * r, r), n, t, search=search, jobs=jobs)
+    upper = arrows_hyper(complete_r(n + (t - 1) * r, r), n, t, search=search)
     lower = is_good_coloring(lower_bound_coloring_hyper(n, r, t), n, t)
     return upper.arrows and lower
 

@@ -20,8 +20,10 @@ run can end:
      exception and the traceback goes to stderr
 
 Exact integers that cannot survive a round trip through an IEEE double
-are serialized as decimal strings, and rationals as "p/q", so consumers
-that care can parse everything back losslessly.  Search budgets honor
+are serialized as decimal strings, however many digits they have, and
+rationals as "p/q", so consumers that care can parse everything back
+losslessly.  The envelope is serialized inside the same guard as the
+command, so a fault there is an exit-4 envelope too.  Search budgets honor
 the same RSIZE_BUDGET_EDGES override the library uses.
 """
 
@@ -29,13 +31,14 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Any, Sequence, TextIO
+from typing import Any, Sequence
 
 from .arrowing import (
     BRUTEFORCE_MAX_EDGES,
@@ -71,12 +74,6 @@ _TABLE_CELL_LIMIT = 200
 # value's witness, a table row's g_values and limit_constant, and the limit
 # suite's quotients all grow linearly in n or t; above this they take seconds
 _SCAN_LIMIT = 100_000
-_JOBS_HELP = (
-    "process-pool workers for the reduced search, which auto runs only on r >= 3"
-    " hypergraphs that no Frankl family refutes (mode frankl, nodes = sets entered),"
-    " or on any host with --mode reduced; every 2-uniform host, graph6 or hypergraph"
-    " text, runs the structural search under auto, which ignores it"
-)
 
 _TABLE_COLUMNS = (
     "n",
@@ -110,12 +107,27 @@ class CommandResult:
         }
 
 
+def _digits(value: int) -> str:
+    """Decimal digits of any integer.
+
+    str() refuses integers longer than sys.get_int_max_str_digits() (4,300
+    digits by default), and g_r reaches that well inside the scan limit;
+    Decimal converts exactly and leaves the process-wide limit alone.
+    """
+    try:
+        return str(value)
+    except ValueError:
+        from decimal import Decimal  # only huge integers need it
+
+        return str(Decimal(value))
+
+
 def _jsonify(value: Any) -> Any:
     # bool is an int subclass; test it first
     if isinstance(value, bool) or value is None or isinstance(value, (str, float)):
         return value
     if isinstance(value, int):
-        return value if -_INT_JSON_LIMIT <= value <= _INT_JSON_LIMIT else str(value)
+        return value if -_INT_JSON_LIMIT <= value <= _INT_JSON_LIMIT else _digits(value)
     if isinstance(value, Fraction):
         return f"{value.numerator}/{value.denominator}"
     if isinstance(value, dict):
@@ -135,12 +147,14 @@ def _csv_cell(value: Any) -> str:
     return str(value)
 
 
-def _write_csv(outputs: dict[str, Any], stream: TextIO) -> None:
+def _csv_text(outputs: dict[str, Any]) -> str:
+    stream = io.StringIO()
     writer = csv.writer(stream, lineterminator="\n")  # default dialect quotes per RFC
     columns = outputs["columns"]
     writer.writerow(columns)
     for row in outputs["rows"]:
         writer.writerow([_csv_cell(row[name]) for name in columns])
+    return stream.getvalue()
 
 
 def _parse_range(text: str) -> tuple[int, int]:
@@ -233,12 +247,10 @@ def _cmd_table(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
 
 def _cmd_check_arrow(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
     if args.host is not None:
-        verdict = arrows_pair(
-            _read_graph6_file(args.host), args.n, args.t, search=args.mode, jobs=args.jobs
-        )
+        verdict = arrows_pair(_read_graph6_file(args.host), args.n, args.t, search=args.mode)
     else:
         host = hypergraph_from_text(_read_text(args.hyper))
-        verdict = arrows_hyper(host, args.n, args.t, search=args.mode, jobs=args.jobs)
+        verdict = arrows_hyper(host, args.n, args.t, search=args.mode)
     blue = None
     if verdict.counterexample is not None:
         blue = [list(edge) for edge in verdict.counterexample.blue_edges()]
@@ -255,11 +267,11 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
     suite = args.suite
     if suite == "ramsey":
         _require(args, "n", "t")
-        ok = verify_graph_ramsey(args.n, args.t, search=args.mode, jobs=args.jobs)
+        ok = verify_graph_ramsey(args.n, args.t, search=args.mode)
         return {"pass": ok}, 0 if ok else 1
     if suite == "hyper-ramsey":
         _require(args, "n", "r", "t")
-        ok = verify_hyper_ramsey(args.n, args.r, args.t, search=args.mode, jobs=args.jobs)
+        ok = verify_hyper_ramsey(args.n, args.r, args.t, search=args.mode)
         return {"pass": ok}, 0 if ok else 1
     if suite == "tightness":
         _require(args, "n", "t", "flavor")
@@ -376,7 +388,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--mode", choices=_MODES, default="auto")
-    p.add_argument("--jobs", type=int, default=1, help=_JOBS_HELP)
     p.set_defaults(handler=_cmd_check_arrow)
 
     p = sub.add_parser("verify", help="run one verification suite")
@@ -392,7 +403,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--flavor", choices=("g", "ghat"), help="threshold flavor (tightness)")
     p.add_argument("--m-max", type=int, dest="m_max", help="search ceiling (minimality)")
     p.add_argument("--mode", choices=_MODES, default="auto")
-    p.add_argument("--jobs", type=int, default=1, help=_JOBS_HELP)
     p.set_defaults(handler=_cmd_verify)
 
     p = sub.add_parser("decolor", help="vertex set whose removal leaves an (n-2)-colorable graph")
@@ -418,6 +428,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     start = time.perf_counter()
     try:
         outputs, code = args.handler(args)
+        # serialized here, so a fault in serializing is an envelope too
+        text = _render(args, inputs, outputs, code, start)
     except UndecidedError as exc:
         outputs, code = {"message": str(exc)}, 3
     except Graph6Error as exc:
@@ -431,15 +443,23 @@ def main(argv: Sequence[str] | None = None) -> int:
 
         traceback.print_exc(file=sys.stderr)
         outputs, code = {"message": str(exc), "exception": type(exc).__name__}, 4
+    else:
+        sys.stdout.write(text)
+        return code
+    sys.stdout.write(_render(args, inputs, outputs, code, start))
+    return code
+
+
+def _render(
+    args: argparse.Namespace, inputs: dict[str, Any], outputs: dict[str, Any], code: int, start: float
+) -> str:
+    """The text main prints: CSV for a successful CSV table, else the JSON envelope."""
+    if args.command == "table" and args.format == "csv" and code == 0:
+        return _csv_text(outputs)
     elapsed_ms = round((time.perf_counter() - start) * 1000)
     status = "ok" if code == 0 else "undecided" if code == 3 else "error"
     result = CommandResult(args.command, inputs, outputs, status, elapsed_ms)
-    if args.command == "table" and args.format == "csv" and code == 0:
-        _write_csv(outputs, sys.stdout)
-    else:
-        json.dump(result.to_payload(), sys.stdout, indent=2)
-        sys.stdout.write("\n")
-    return code
+    return json.dumps(result.to_payload(), indent=2) + "\n"
 
 
 def run() -> None:

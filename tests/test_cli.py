@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 import time
+from decimal import Decimal
 from fractions import Fraction
 from importlib.resources import files
 
@@ -259,19 +260,6 @@ def test_check_arrow_sparse_wide_hypergraph_is_fast(capsys, tmp_path):
     assert payload["outputs"]["arrows"] is False
 
 
-def test_check_arrow_jobs_do_not_change_output(capsys, tmp_path):
-    path = write_graph6(tmp_path, "k6.g6", complete(6))
-    results = []
-    for jobs in ("1", "2"):
-        code, payload = run_json(
-            capsys, "check-arrow", "--host", path, "--n", "3", "--t", "3",
-            "--mode", "reduced", "--jobs", jobs,
-        )
-        assert code == 0
-        results.append(payload["outputs"])
-    assert results[0] == results[1]
-
-
 def test_check_arrow_malformed_graph6(capsys, tmp_path):
     path = tmp_path / "bad.g6"
     path.write_text("Bww\n")
@@ -510,6 +498,28 @@ def test_request_error_from_a_handler_is_exit_2(capsys, monkeypatch):
     code, payload = run_json(capsys, "verify", "--suite", "ramsey", "--n", "3", "--t", "2")
     assert code == 2
     assert payload["outputs"] == {"message": "no such request"}
+
+
+def test_integers_past_the_str_digit_limit_are_decimal_strings(capsys):
+    # C(15000, 7500) has about 4,500 digits, past str()'s default limit of
+    # 4,300; the value comes out exact and the process-wide limit stays
+    limit = sys.get_int_max_str_digits()
+    code, payload = run_json(capsys, "value", "--n", "15000", "--r", "7500", "--t", "1")
+    assert code == 0
+    text = payload["outputs"]["value"]
+    assert len(text) > limit and Decimal(text) == g_r(15000, 7500, 1).value
+    assert sys.get_int_max_str_digits() == limit
+
+
+def test_a_fault_in_serializing_is_one_envelope(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_cmd_verify", lambda args: ({"pass": object()}, 0))
+    code = main(["verify", "--suite", "ramsey", "--n", "3", "--t", "2"])
+    captured = capsys.readouterr()
+    payload = json.loads(captured.out)  # one JSON object and nothing else
+    VALIDATOR.validate(payload)
+    assert code == 4
+    assert payload["outputs"]["exception"] == "TypeError"
+    assert "Traceback" in captured.err
 
 
 # -- process-level entry ---------------------------------------------------------
