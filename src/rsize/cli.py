@@ -69,6 +69,18 @@ from .values import Flavor, bounds, equality_condition, g, g_hat, g_r, g_values
 __all__ = ["CommandResult", "main", "run"]
 
 _MODES = ("auto", "naive", "reduced")
+# verify's optional flags with their defaults, and the ones each suite
+# reads: a flag set to anything else on a suite that ignores it is refused
+_VERIFY_DEFAULTS = {
+    "n": None, "t": None, "r": None, "T": 50, "flavor": None, "m_max": None, "mode": "auto"
+}
+_SUITE_FLAGS = {
+    "ramsey": ("n", "t", "mode"),
+    "hyper-ramsey": ("n", "r", "t", "mode"),
+    "tightness": ("n", "t", "flavor"),
+    "minimality": ("n", "t", "m_max"),
+    "limit": ("n", "T"),
+}
 _INT_JSON_LIMIT = 1 << 53  # doubles hold integers exactly up to here
 _TABLE_CELL_LIMIT = 200
 # value's witness, a table row's g_values and limit_constant, and the limit
@@ -265,6 +277,13 @@ def _cmd_check_arrow(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
 
 def _cmd_verify(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
     suite = args.suite
+    ignored = [
+        "--" + name.replace("_", "-")
+        for name, default in _VERIFY_DEFAULTS.items()
+        if name not in _SUITE_FLAGS[suite] and getattr(args, name) != default
+    ]
+    if ignored:
+        raise RequestError(f"suite {suite!r} does not read {', '.join(ignored)}")
     if suite == "ramsey":
         _require(args, "n", "t")
         ok = verify_graph_ramsey(args.n, args.t, search=args.mode)
@@ -394,16 +413,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--suite",
         required=True,
-        choices=("ramsey", "hyper-ramsey", "tightness", "minimality", "limit"),
+        choices=tuple(_SUITE_FLAGS),
     )
     p.add_argument("--n", type=int)
     p.add_argument("--t", type=int)
     p.add_argument("--r", type=int, help="uniformity (hyper-ramsey)")
-    p.add_argument("--T", type=int, default=50, help="largest stripe count (limit)")
+    p.add_argument("--T", type=int, help="largest stripe count (limit)")
     p.add_argument("--flavor", choices=("g", "ghat"), help="threshold flavor (tightness)")
     p.add_argument("--m-max", type=int, dest="m_max", help="search ceiling (minimality)")
-    p.add_argument("--mode", choices=_MODES, default="auto")
-    p.set_defaults(handler=_cmd_verify)
+    p.add_argument("--mode", choices=_MODES, help="search (ramsey, hyper-ramsey)")
+    p.set_defaults(handler=_cmd_verify, **_VERIFY_DEFAULTS)
 
     p = sub.add_parser("decolor", help="vertex set whose removal leaves an (n-2)-colorable graph")
     p.add_argument("--host", required=True, help="graph6 file")

@@ -5,7 +5,8 @@ hypergraphs on at most 32 vertices as per-edge vertex bitmasks.  All
 solvers here (matching, clique, coloring, cover) are exact branch-and-bound
 searches; no heuristic ever stands in for an answer.  Isomorphism-free
 enumeration uses a canonical labeling computed per connected component by
-individualization and refinement.
+individualization and refinement: partitions are ordered lists of vertex
+masks, refined to equitable ones by splitter masks off a queue.
 """
 
 from __future__ import annotations
@@ -119,12 +120,22 @@ class Graph:
 
     def induced(self, vertices: Sequence[int]) -> "Graph":
         """Subgraph induced on the given vertices, relabeled in given order."""
-        index = {v: i for i, v in enumerate(vertices)}
-        edges = []
-        for u, v in combinations(vertices, 2):
-            if self.has_edge(u, v):
-                edges.append((index[u], index[v]))
-        return Graph(len(vertices), edges)
+        bit = {v: 1 << i for i, v in enumerate(vertices)}
+        if len(bit) != len(vertices):
+            raise RequestError(f"repeated vertex in {tuple(vertices)}")
+        keep = _vertices_mask(vertices)
+        rows = []
+        for v in vertices:
+            nb = self.adj[v] & keep
+            row = 0
+            while nb:
+                low = nb & -nb
+                nb ^= low
+                row |= bit[low.bit_length() - 1]
+            rows.append(row)
+        sub = Graph(len(rows))
+        sub.adj = tuple(rows)
+        return sub
 
     def without_vertices(self, drop: Iterable[int]) -> "Graph":
         dropset = set(drop)
@@ -348,24 +359,37 @@ def chromatic_number(g: Graph) -> int:
 # --------------------------------------------------- canonical form, counting
 
 
-def _refine(n: int, adj: Sequence[int], colors: tuple[int, ...]) -> tuple[int, ...]:
-    """Stable color refinement: split classes by neighbor color multisets."""
-    while True:
-        signatures = []
-        for v in range(n):
-            nb = adj[v]
-            neigh = []
-            while nb:
-                u = (nb & -nb).bit_length() - 1
-                nb &= nb - 1
-                neigh.append(colors[u])
-            neigh.sort()
-            signatures.append((colors[v], tuple(neigh)))
-        ranks = {sig: i for i, sig in enumerate(sorted(set(signatures)))}
-        new = tuple(ranks[sig] for sig in signatures)
-        if new == colors:
-            return colors
-        colors = new
+def _refine(adj: Sequence[int], cells: list[int], queue: list[int]) -> list[int]:
+    """Equitable refinement of an ordered partition of vertex masks.
+
+    Pops a splitter mask w and splits every non-singleton cell by the
+    number of neighbours each of its vertices has in w.  The fragments
+    replace the cell in place, ordered by that count, and every fragment
+    joins the queue.  Stops when the queue is empty or every cell is a
+    singleton.  The result depends on cell positions and counts only, so
+    it commutes with relabeling.
+    """
+    n = len(adj)
+    while queue and len(cells) < n:
+        w = queue.pop()
+        out = []
+        for cell in cells:
+            if cell & (cell - 1):
+                groups: dict[int, int] = {}
+                rest = cell
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    k = (adj[low.bit_length() - 1] & w).bit_count()
+                    groups[k] = groups.get(k, 0) | low
+                if len(groups) > 1:
+                    fragments = [groups[k] for k in sorted(groups)]
+                    out += fragments
+                    queue += fragments
+                    continue
+            out.append(cell)
+        cells = out
+    return cells
 
 
 # A cap on the generators kept per component.  A capped set spans a subgroup
@@ -393,17 +417,21 @@ def _canon_connected(g: Graph) -> tuple[tuple[tuple[int, int], ...], list[_Perm]
     they are automorphisms of the canonical graph.
     """
     n, adj = g.n, g.adj
+    edges = g.edges()
     best: tuple[tuple[int, int], ...] = ()
-    best_colors: tuple[int, ...] = ()  # empty until the first leaf
+    best_colors: list[int] = []  # empty until the first leaf
     gens: list[_Perm] = []
 
-    def leaf(colors: tuple[int, ...]) -> None:
-        # discrete coloring: colors form a bijection onto 0..n-1
+    def leaf(cells: list[int]) -> None:
+        # discrete partition: each vertex is labeled by its cell's position
         nonlocal best, best_colors
+        colors = [0] * n
+        for i, cell in enumerate(cells):
+            colors[cell.bit_length() - 1] = i
         key = tuple(
             sorted(
-                (min(colors[u], colors[v]), max(colors[u], colors[v]))
-                for u, v in g.edges()
+                (colors[u], colors[v]) if colors[u] < colors[v] else (colors[v], colors[u])
+                for u, v in edges
             )
         )
         if not best_colors or key < best:
@@ -415,7 +443,7 @@ def _canon_connected(g: Graph) -> tuple[tuple[tuple[int, int], ...], list[_Perm]
             auto = tuple(inverse[colors[v]] for v in range(n))
             if any(auto[v] != v for v in range(n)):
                 # the orbit prune trusts every stored generator
-                if not all(adj[auto[u]] >> auto[v] & 1 for u, v in g.edges()):
+                if not all(adj[auto[u]] >> auto[v] & 1 for u, v in edges):
                     raise CertificationError(f"leaf relabeling {auto} is not an automorphism")
                 gens.append(auto)
 
@@ -435,28 +463,25 @@ def _canon_connected(g: Graph) -> tuple[tuple[tuple[int, int], ...], list[_Perm]
         root = find(v)
         return any(find(u) == root for u in explored)
 
-    def search(colors: tuple[int, ...], fixed: tuple[int, ...]) -> None:
-        cells: dict[int, list[int]] = defaultdict(list)
-        for v in range(n):
-            cells[colors[v]].append(v)
-        target = None
-        for c in sorted(cells):
-            if len(cells[c]) > 1:
-                target = cells[c]
-                break
-        if target is None:
-            leaf(colors)
+    def search(cells: list[int], fixed: tuple[int, ...]) -> None:
+        if len(cells) == n:
+            leaf(cells)
             return
+        i = next(i for i, cell in enumerate(cells) if cell & (cell - 1))
+        target = cells[i]
         explored: list[int] = []
-        for v in target:
+        for v in _mask_vertices(target):
             # gens grows during the loop, so re-derive orbits per candidate
             if explored and same_orbit(v, explored, fixed):
                 continue
             explored.append(v)
-            split = tuple(c * 2 + (0 if u == v else 1) for u, c in enumerate(colors))
-            search(_refine(n, adj, split), fixed + (v,))
+            # the parent partition is equitable, so {v} is the only splitter needed
+            bit = 1 << v
+            split = cells[:i] + [bit, target ^ bit] + cells[i + 1 :]
+            search(_refine(adj, split, [bit]), fixed + (v,))
 
-    search(_refine(n, adj, (0,) * n), ())
+    full = (1 << n) - 1
+    search(_refine(adj, [full], [full]), ())
     # vertex v has canonical label best_colors[v]
     inverse = [0] * n
     for v in range(n):

@@ -3,7 +3,9 @@
 Nothing here shares algorithms with the package: minimizations enumerate
 partitions outright or run the O(total^2) composition DP, matchings
 enumerate edge subsets, colorings try every assignment, hypergraph cliques
-test every vertex window, decoloring sets are scanned subset by subset.
+test every vertex window, decoloring sets are scanned subset by subset,
+partitions are checked for equitability vertex by vertex and automorphism
+groups are found by trying every permutation.
 Slow on purpose; only run at oracle scale.  Graphs are vertex counts plus
 edge lists, so nothing here imports the package; the unpruned enumeration
 walk takes its canonical form as an argument.
@@ -11,7 +13,7 @@ walk takes its canonical form as an argument.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, permutations
 from typing import Callable, Iterator, Sequence
 
 
@@ -206,3 +208,29 @@ def unpruned_graph_levels(
                 nxt.add(canon(n + 2, edges + ((n, n + 1),)))
         level = sorted(nxt)
     return levels
+
+
+def is_equitable(n_vertices: int, edges: Sequence[tuple[int, int]], cells: Sequence[int]) -> bool:
+    """Whether any two vertices in one cell have equal neighbour counts into every cell.
+
+    Cells are vertex bitmasks; counts are taken vertex by vertex from the
+    edge list.
+    """
+    neighbours: list[set[int]] = [set() for _ in range(n_vertices)]
+    for u, v in edges:
+        neighbours[u].add(v)
+        neighbours[v].add(u)
+    members = [{v for v in range(n_vertices) if cell >> v & 1} for cell in cells]
+    return all(
+        len({len(neighbours[v] & into) for v in cell}) <= 1 for cell in members for into in members
+    )
+
+
+def brute_automorphisms(n_vertices: int, edges: Sequence[tuple[int, int]]) -> list[tuple[int, ...]]:
+    """Every automorphism, as the tuple of images, by trying all n! permutations."""
+    present = {frozenset(e) for e in edges}
+    return [
+        perm
+        for perm in permutations(range(n_vertices))
+        if all(frozenset((perm[u], perm[v])) in present for u, v in edges)
+    ]

@@ -393,6 +393,40 @@ def test_verify_missing_scoped_flags(capsys):
     assert "--r" in payload["outputs"]["message"]
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (("--suite", "minimality", "--n", "3", "--t", "2", "--mode", "naive"), "--mode"),
+        (("--suite", "tightness", "--n", "4", "--t", "1", "--flavor", "g", "--mode", "naive"), "--mode"),
+        (("--suite", "limit", "--n", "6", "--T", "12", "--mode", "naive"), "--mode"),
+        (("--suite", "ramsey", "--n", "3", "--t", "2", "--m-max", "4"), "--m-max"),
+        (("--suite", "limit", "--n", "6", "--m-max", "4"), "--m-max"),
+        (("--suite", "ramsey", "--n", "3", "--t", "2", "--flavor", "g"), "--flavor"),
+        (("--suite", "minimality", "--n", "3", "--t", "2", "--flavor", "ghat"), "--flavor"),
+        (("--suite", "ramsey", "--n", "3", "--t", "2", "--r", "3"), "--r"),
+        (("--suite", "tightness", "--n", "4", "--t", "1", "--flavor", "g", "--r", "3"), "--r"),
+        (("--suite", "limit", "--n", "6", "--t", "2"), "--t"),
+        (("--suite", "ramsey", "--n", "3", "--t", "2", "--T", "12"), "--T"),
+    ],
+)
+def test_verify_refuses_flags_the_suite_ignores(capsys, argv, flag):
+    code, payload = run_json(capsys, "verify", *argv)
+    assert code == 2 and payload["status"] == "error"
+    assert payload["outputs"]["message"].endswith(f"does not read {flag}")
+
+
+def test_verify_accepts_default_flags_the_suite_ignores(capsys):
+    # an explicit default changes nothing the suite does, so it is not refused
+    code, payload = run_json(
+        capsys, "verify", "--suite", "minimality", "--n", "3", "--t", "2", "--mode", "auto"
+    )
+    assert code == 0 and payload["outputs"]["min_edges"] == 6
+    code, payload = run_json(
+        capsys, "verify", "--suite", "ramsey", "--n", "3", "--t", "2", "--mode", "naive", "--T", "50"
+    )
+    assert code == 0 and payload["outputs"]["pass"] is True
+
+
 # -- decolor -------------------------------------------------------------------
 
 

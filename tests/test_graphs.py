@@ -29,9 +29,17 @@ from rsize.graphs import (
     min_vertex_cover,
     to_graph6,
 )
-from rsize.graphs import _children, _graph_levels
+from rsize.errors import RequestError
+from rsize.graphs import _children, _graph_levels, _refine
 
-from oracles import brute_chromatic, brute_hyper_matching, brute_max_matching, unpruned_graph_levels
+from oracles import (
+    brute_automorphisms,
+    brute_chromatic,
+    brute_hyper_matching,
+    brute_max_matching,
+    is_equitable,
+    unpruned_graph_levels,
+)
 
 
 def random_graph(rng: random.Random, n: int, m: int) -> Graph:
@@ -72,6 +80,18 @@ def test_induced_and_without():
     assert sub.n == 3 and sub.edge_count() == 3
     rest = g.without_vertices([0, 1])
     assert rest.n == 3 and rest.edge_count() == 3
+    # relabeled in the given order, checked pair by pair against has_edge
+    rng = random.Random(5)
+    for _ in range(50):
+        n = rng.randint(1, 12)
+        g = random_graph(rng, n, rng.randint(0, n * (n - 1) // 2))
+        order = rng.sample(range(n), rng.randint(0, n))
+        sub = g.induced(order)
+        assert sub.n == len(order)
+        for i, j in combinations(range(len(order)), 2):
+            assert sub.has_edge(i, j) == sub.has_edge(j, i) == g.has_edge(order[i], order[j])
+    with pytest.raises(RequestError):
+        complete(3).induced([0, 1, 0])
 
 
 # ------------------------------------------------------------ exact solvers
@@ -228,6 +248,7 @@ def degree_blocked_key(g: Graph):
         starts.append(pos)
         pos += len(block)
     best = None
+    edges = g.edges()
     from itertools import product
 
     for arrangement in product(*(permutations(b) for b in blocks)):
@@ -235,7 +256,7 @@ def degree_blocked_key(g: Graph):
         for start, block in zip(starts, arrangement):
             for i, v in enumerate(block):
                 p[v] = start + i
-        key = tuple(sorted(tuple(sorted((p[u], p[v]))) for u, v in g.edges()))
+        key = tuple(sorted((p[u], p[v]) if p[u] < p[v] else (p[v], p[u]) for u, v in edges))
         if best is None or key < best:
             best = key
     return (g.n, best)
@@ -263,6 +284,99 @@ def test_canonical_form_separates_nonisomorphic_catalog():
             assert form_to_key.setdefault(form, key) == key
     assert len(key_to_form) == 11
     assert len(form_to_key) == 11
+
+
+def test_refine_gives_an_equitable_ordered_partition():
+    # at the root, and after individualizing each vertex of a non-singleton cell
+    rng = random.Random(29)
+    for _ in range(200):
+        n = rng.randint(1, 10)
+        g = random_graph(rng, n, rng.randint(0, n * (n - 1) // 2))
+        full = (1 << n) - 1
+        root = _refine(g.adj, [full], [full])
+        partitions = [root]
+        for i, cell in enumerate(root):
+            if cell & (cell - 1):
+                for v in range(n):
+                    if cell >> v & 1:
+                        bit = 1 << v
+                        split = root[:i] + [bit, cell ^ bit] + root[i + 1 :]
+                        partitions.append(_refine(g.adj, split, [bit]))
+        for cells in partitions:
+            members = sorted(v for cell in cells for v in range(n) if cell >> v & 1)
+            assert all(cells) and members == list(range(n)), (g, cells)
+            assert is_equitable(n, g.edges(), cells), (g, cells)
+
+
+def _check_regular_family(graphs: list[Graph], seed: int) -> None:
+    rng = random.Random(seed)
+    forms = [canonical_form(g) for g in graphs]
+    for g, form in zip(graphs, forms):
+        for _ in range(20):
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            assert canonical_form(relabel(g, perm)) == form, g
+    assert len(set(forms)) == len(forms)  # pairwise non-isomorphic
+    if all(g.n <= 8 for g in graphs):
+        assert len({degree_blocked_key(g) for g in graphs}) == len(graphs)
+
+
+def test_canonical_form_on_regular_hosts():
+    # the root refinement splits nothing here, so individualization does all the work
+    k33 = Graph(6, [(i, j) for i in range(3) for j in range(3, 6)])
+    prism = Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (0, 3), (1, 4), (2, 5)])
+    _check_regular_family([k33, prism], 31)
+    c8 = Graph(8, [(i, (i + 1) % 8) for i in range(8)])
+    two_c4 = Graph(8, [(i, i + 1) for i in (0, 1, 2, 4, 5, 6)] + [(0, 3), (4, 7)])
+    _check_regular_family([c8, two_c4], 37)
+    # the cube, the other four connected cubic graphs on 8 vertices (OEIS
+    # A002851; each is C_8 plus a chord matching) and 2K_4
+    cube = Graph(8, [(u, u ^ 1 << b) for u in range(8) for b in range(3) if not u >> b & 1])
+    cycle = c8.edges()
+    bipartite_chords = [(0, 3), (1, 6), (2, 5), (4, 7)]
+    assert canonical_form(cube) == canonical_form(Graph(8, cycle + bipartite_chords))
+    chords = (
+        [(0, 2), (1, 3), (4, 6), (5, 7)],
+        [(0, 2), (1, 4), (3, 6), (5, 7)],
+        [(0, 2), (1, 5), (3, 6), (4, 7)],
+        [(0, 4), (1, 5), (2, 6), (3, 7)],
+    )
+    cubic = [cube] + [Graph(8, cycle + c) for c in chords]
+    cubic.append(disjoint_union([complete(4), complete(4)]))
+    _check_regular_family(cubic, 41)
+    # outer 5-cycle, spokes, inner pentagram (Petersen) or inner 5-cycle (prism)
+    rim = [(i, (i + 1) % 5) for i in range(5)] + [(i, i + 5) for i in range(5)]
+    petersen = Graph(10, rim + [(5 + i, 5 + (i + 2) % 5) for i in range(5)])
+    pentagonal_prism = Graph(10, rim + [(5 + i, 5 + (i + 1) % 5) for i in range(5)])
+    _check_regular_family([petersen, pentagonal_prism], 43)
+
+
+def _orbits(n: int, perms) -> set[frozenset[int]]:
+    parent = list(range(n))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for perm in perms:
+        for v in range(n):
+            parent[find(v)] = find(perm[v])
+    groups: dict[int, set[int]] = {}
+    for v in range(n):
+        groups.setdefault(find(v), set()).add(v)
+    return {frozenset(group) for group in groups.values()}
+
+
+def test_canonical_generators_give_the_full_vertex_orbits():
+    # the walk prunes children by these generators' orbits; a generator set
+    # spanning a smaller group would prune less and canonicalize more children
+    for m in range(1, 7):
+        for g in enumerate_graphs(m, max_vertices=7):
+            memo: dict = {}
+            form = canonical_form(g, memo)
+            want = _orbits(g.n, brute_automorphisms(*form))
+            assert _orbits(g.n, memo[form]) == want, form
 
 
 def test_enumerate_graphs_counts():
