@@ -699,11 +699,20 @@ def min_size_ramsey_bruteforce(
     isomorphism and arrowing ignores isolated vertices.  The levels
     m = 1..m_max come from one walk, each built once from the one below.
     None means every graph with at most m_max edges fails, i.e. the
-    answer is > m_max.
+    answer is > m_max.  A graph with fewer than C(n,2) edges has no K_n,
+    so its all-red coloring is good: those levels are walked but not
+    searched, and no level is walked when C(n,2) > m_max.
     """
     if m_max < 1 or m_max > BRUTEFORCE_MAX_EDGES:
         raise RequestError(f"need 1 <= m_max <= {BRUTEFORCE_MAX_EDGES}, got {m_max}")
+    if n < 2:
+        raise RequestError(f"need n >= 2, got n={n}")
+    if t < 1:
+        raise RequestError(f"need t >= 1, got {t}")
+    first = comb(n, 2)
+    if first > m_max:
+        return None
     for m, level in enumerate(_graph_levels(m_max, max_vertices), start=1):
-        if any(arrows_pair(g, n, t).arrows for g in level):
+        if m >= first and any(arrows_pair(g, n, t).arrows for g in level):
             return m
     return None

@@ -392,6 +392,14 @@ def _refine(adj: Sequence[int], cells: list[int], queue: list[int]) -> list[int]
     return cells
 
 
+def _find(parent: list[int], x: int) -> int:
+    """The root of x in a union-find forest, halving the path on the way."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
 # A cap on the generators kept per component.  A capped set spans a subgroup
 # of the automorphism group: the orbit prunes below then merge fewer
 # candidates, which costs time and never soundness, since every kept
@@ -447,22 +455,6 @@ def _canon_connected(g: Graph) -> tuple[tuple[tuple[int, int], ...], list[_Perm]
                     raise CertificationError(f"leaf relabeling {auto} is not an automorphism")
                 gens.append(auto)
 
-    def same_orbit(v: int, explored: list[int], fixed: tuple[int, ...]) -> bool:
-        parent = list(range(n))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for auto in gens:
-            if all(auto[u] == u for u in fixed):
-                for u in range(n):
-                    parent[find(u)] = find(auto[u])
-        root = find(v)
-        return any(find(u) == root for u in explored)
-
     def search(cells: list[int], fixed: tuple[int, ...]) -> None:
         if len(cells) == n:
             leaf(cells)
@@ -470,10 +462,20 @@ def _canon_connected(g: Graph) -> tuple[tuple[tuple[int, int], ...], list[_Perm]
         i = next(i for i, cell in enumerate(cells) if cell & (cell - 1))
         target = cells[i]
         explored: list[int] = []
+        # union-find of the orbits of the stored generators that fix `fixed` pointwise
+        orbits = list(range(n))
+        merged = 0
         for v in _mask_vertices(target):
-            # gens grows during the loop, so re-derive orbits per candidate
-            if explored and same_orbit(v, explored, fixed):
-                continue
+            if explored:
+                # gens only grows, at leaves: merge the generators stored since the last candidate
+                for auto in gens[merged:]:
+                    if all(auto[u] == u for u in fixed):
+                        for u in range(n):
+                            orbits[_find(orbits, u)] = _find(orbits, auto[u])
+                merged = len(gens)
+                root = _find(orbits, v)
+                if any(_find(orbits, u) == root for u in explored):
+                    continue
             explored.append(v)
             # the parent partition is equitable, so {v} is the only splitter needed
             bit = 1 << v
@@ -593,31 +595,48 @@ def _orbit_heads(points: Iterable, images: Callable[[object], list]) -> list:
     return heads
 
 
+def _edge_key(adj: Sequence[int], u: int, v: int) -> tuple[int, int, int]:
+    """An isomorphism invariant of the edge uv: common neighbours, larger and smaller degree."""
+    du, dv = adj[u].bit_count(), adj[v].bit_count()
+    return (adj[u] & adj[v]).bit_count(), max(du, dv), min(du, dv)
+
+
 def _children(form: _Form, cap: int, memo: _CanonMemo) -> Iterator[_Form]:
-    """Canonical forms of the one-edge children of a canonical graph, one per orbit.
+    """Canonical forms of the one-edge children of a canonical graph that the walk needs.
 
     The children are: an edge between two present vertices, a pendant edge
     to one new vertex, and a new K_2.  An automorphism of the parent maps
     a child to an isomorphic one, so one child per orbit of non-edges and
     one per orbit of vertices give every child's form.  The generators
     come from the memo that canonicalized the parent, and are re-verified
-    before use.
+    before use.  A child is canonicalized only if its new edge has the
+    largest _edge_key among its edges; the rest are dropped unbuilt, from
+    the parent's adjacency plus the new edge (see _graph_levels).
     """
     n, edges = form
     gens = memo[form]
     _check_automorphisms(form, gens)
     present = set(edges)
     non_edges = [p for p in combinations(range(n), 2) if p not in present]
-    for u, v in _orbit_heads(
+    new = _orbit_heads(
         non_edges,
         lambda p: [(a[p[0]], a[p[1]]) if a[p[0]] < a[p[1]] else (a[p[1]], a[p[0]]) for a in gens],
-    ):
-        yield canonical_form(Graph(n, edges + ((u, v),)), memo)
+    )
     if n + 1 <= cap:
-        for u in _orbit_heads(range(n), lambda u: [a[u] for a in gens]):
-            yield canonical_form(Graph(n + 1, edges + ((u, n),)), memo)
+        new += [(u, n) for u in _orbit_heads(range(n), lambda u: [a[u] for a in gens])]
     if n + 2 <= cap:
-        yield canonical_form(Graph(n + 2, edges + ((n, n + 1),)), memo)
+        new.append((n, n + 1))
+    adj = [0] * (n + 2)
+    for u, v in edges:
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    for u, v in new:
+        child = adj.copy()
+        child[u] |= 1 << v
+        child[v] |= 1 << u
+        key = _edge_key(child, u, v)
+        if all(_edge_key(child, a, b) <= key for a, b in edges):
+            yield canonical_form(Graph(max(n, v + 1), edges + ((u, v),)), memo)
 
 
 def _graph_levels(m: int, max_vertices: int | None) -> Iterator[list[Graph]]:
@@ -630,8 +649,15 @@ def _graph_levels(m: int, max_vertices: int | None) -> Iterator[list[Graph]]:
     is complete, also under the vertex cap.  Children that an automorphism
     of their parent maps onto each other are isomorphic, so only one per
     orbit is canonicalized (the first half of McKay's isomorph-free
-    generation); the levels are the same as without the prune.  One memo
-    serves the whole walk, so each distinct labeled component is
+    generation).  Of those, only a child whose new edge has the largest
+    _edge_key among its edges is canonicalized (McKay's cheap-invariant
+    test).  That loses nothing: for a (k+1)-edge graph G, delete an edge e
+    with the largest key and any vertex it leaves isolated; the result P
+    lies on level k, and the orbit head for e's place in P's canonical
+    form gives a child isomorphic to G by a map that sends the new edge
+    to e, so the new edge's key is the largest.  Duplicates are still
+    removed by form, so the levels are the same as with neither prune.
+    One memo serves the whole walk, so each distinct labeled component is
     canonicalized once, and it carries each parent's automorphism
     generators from one level to the next.
     """
@@ -654,10 +680,11 @@ def enumerate_graphs(m: int, max_vertices: int | None = None) -> Iterator[Graph]
     Yields level m of the one-edge-at-a-time walk from K_2, in sorted
     canonical-form order, each graph labeled by its canonical form.  The
     walk canonicalizes one child per orbit of its parent's automorphisms,
-    deduplicates by canonical form at every level and shares one
-    component memo across its levels; a caller that needs every level up
-    to m walks them once through the same generator rather than calling
-    this per level.
+    and only if its new edge has the largest edge invariant; it
+    deduplicates by canonical form at every level and shares one component
+    memo across its levels.  A caller that needs every level up to m walks
+    them once through the same generator rather than calling this per
+    level.
     """
     if m < 0:
         raise RequestError(f"need m >= 0, got {m}")

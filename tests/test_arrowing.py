@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import rsize
+import rsize.arrowing
 
 from rsize.arrowing import (
     ArrowVerdict,
@@ -28,9 +29,11 @@ from rsize.arrowing import (
     verify_graph_ramsey,
     verify_hyper_ramsey,
 )
+from rsize.errors import RequestError
 from rsize.graphs import (
     Graph,
     Hypergraph,
+    _graph_levels,
     complete,
     complete_r,
     disjoint_union,
@@ -493,6 +496,47 @@ def test_min_size_bruteforce_grid(n, t, m_max, max_vertices, expected):
 def test_min_size_bruteforce_rejects_large_budget():
     with pytest.raises(ValueError):
         min_size_ramsey_bruteforce(3, 1, 9)
+
+
+def test_min_size_bruteforce_equals_searching_every_level():
+    # levels below C(n,2) edges hold no K_n and are not searched
+    for n in (2, 3, 4):
+        for t in (1, 2, 3):
+            for m_max in range(1, 8):
+                for cap in (None, 5):
+                    want = next(
+                        (
+                            m
+                            for m, level in enumerate(_graph_levels(m_max, cap), start=1)
+                            if any(arrows_pair(h, n, t).arrows for h in level)
+                        ),
+                        None,
+                    )
+                    got = min_size_ramsey_bruteforce(n, t, m_max, max_vertices=cap)
+                    assert got == want, (n, t, m_max, cap)
+
+
+def test_min_size_bruteforce_skips_levels_without_k_n(monkeypatch):
+    searched = []
+    real = rsize.arrowing.arrows_pair
+
+    def recording(host, n, t, **kw):
+        searched.append(host.edge_count())
+        return real(host, n, t, **kw)
+
+    monkeypatch.setattr(rsize.arrowing, "arrows_pair", recording)
+    assert min_size_ramsey_bruteforce(4, 1, 7) == 6
+    assert min(searched) == 6
+
+    def no_walk(*args):
+        raise AssertionError("walked although C(n,2) > m_max")
+
+    monkeypatch.setattr(rsize.arrowing, "_graph_levels", no_walk)
+    assert min_size_ramsey_bruteforce(100000, 100000, 8) is None
+    assert min_size_ramsey_bruteforce(5, 1, 8) is None  # C(5,2) = 10
+    for n, t in ((1, 1), (0, 1), (-3, 1), (3, 0), (100000, 0)):
+        with pytest.raises(RequestError):
+            min_size_ramsey_bruteforce(n, t, 8)
 
 
 # ------------------------------------------------------------------ budgets

@@ -29,8 +29,9 @@ from rsize.graphs import (
     min_vertex_cover,
     to_graph6,
 )
+from rsize import graphs
 from rsize.errors import RequestError
-from rsize.graphs import _children, _graph_levels, _refine
+from rsize.graphs import _children, _edge_key, _graph_levels, _refine
 
 from oracles import (
     brute_automorphisms,
@@ -435,24 +436,60 @@ def test_enumerate_graphs_vertex_cap():
 
 def test_orbit_pruned_walk_equals_unpruned_walk():
     # the walk canonicalizes one child per orbit of its parent's
-    # automorphisms; the oracle canonicalizes every child
+    # automorphisms, and only children whose new edge has the largest edge
+    # key; the oracle canonicalizes every child
     memo: dict = {}
-    for cap in (None, *range(2, 9)):
-        want = unpruned_graph_levels(7, cap, lambda n, edges: canonical_form(Graph(n, edges), memo))
-        got = [[(g.n, tuple(g.edges())) for g in level] for level in _graph_levels(7, cap)]
+    canon = lambda n, edges: canonical_form(Graph(n, edges), memo)
+    for m, cap in ((8, None), *((7, cap) for cap in range(2, 9))):
+        want = unpruned_graph_levels(m, cap, canon)
+        got = [[(g.n, tuple(g.edges())) for g in level] for level in _graph_levels(m, cap)]
         assert got == want, cap
 
 
+def test_edge_key_is_relabel_invariant():
+    rng = random.Random(29)
+    for _ in range(200):
+        n = rng.randint(2, 9)
+        g = random_graph(rng, n, rng.randint(1, n * (n - 1) // 2))
+        perm = list(range(n))
+        rng.shuffle(perm)
+        h = relabel(g, perm)
+        for u, v in g.edges():
+            key = _edge_key(g.adj, u, v)
+            assert key == _edge_key(h.adj, perm[u], perm[v]) == _edge_key(g.adj, v, u)
+
+
+def test_walk_canonicalization_count(monkeypatch):
+    # the edge-key filter leaves 317 children of levels 1..6 to canonicalize,
+    # plus the root K_2; without it the orbit-pruned walk made 1,006 calls
+    calls = []
+    real = graphs.canonical_form
+
+    def counting(g, memo=None):
+        calls.append(g)
+        return real(g, memo)
+
+    monkeypatch.setattr(graphs, "canonical_form", counting)
+    assert [len(level) for level in _graph_levels(7, None)] == [1, 2, 5, 11, 26, 68, 177]
+    assert len(calls) == 318
+
+
 def test_walk_rejects_a_bogus_generator():
+    # swapping one edge's ends is an automorphism of 2K_2; every child of
+    # 2K_2 passes the edge-key filter, so the prune alone removes two of the
+    # four cross non-edges and one of the four pendant sites
+    pair = canonical_form(Graph(4, [(0, 1), (2, 3)]))
+    assert pair == (4, ((0, 1), (2, 3)))
+    unpruned = list(_children(pair, 6, {pair: []}))
+    pruned = list(_children(pair, 6, {pair: [(1, 0, 2, 3)]}))
+    assert len(unpruned) == 4 + 4 + 1
+    assert len(pruned) == len(unpruned) - 3 and set(pruned) == set(unpruned)
     # P_3 with its ends swapped is an automorphism; a middle-end swap is not
     path = canonical_form(Graph(3, [(0, 1), (1, 2)]))
     (middle,) = set(path[1][0]) & set(path[1][1])
     end = (middle + 1) % 3
     good = tuple(v if v == middle else 3 - middle - v for v in range(3))
     bogus = tuple(end if v == middle else middle if v == end else v for v in range(3))
-    unpruned = list(_children(path, 5, {path: []}))
-    pruned = list(_children(path, 5, {path: [good]}))
-    assert len(pruned) == len(unpruned) - 1 and set(pruned) == set(unpruned)  # the two ends share an orbit
     with pytest.raises(CertificationError):
         list(_children(path, 5, {path: [good, bogus]}))
     with pytest.raises(CertificationError):  # not a permutation

@@ -1,5 +1,6 @@
-"""Hardening checks: no `assert` in the package, fuzzed host files through the CLI,
-and a bounded Frankl phase on hosts at the hypergraph budget."""
+"""Hardening checks: no `assert` in the package, well-formed benchmark records,
+fuzzed host files through the CLI, and a bounded Frankl phase on hosts at the
+hypergraph budget."""
 
 import ast
 import contextlib
@@ -27,6 +28,16 @@ def test_no_assert_in_the_package():
         tree = ast.parse(path.read_text(), filename=str(path))
         offenders += [f"{path.name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert offenders == []
+
+
+def test_bench_records_parse():
+    # each performance change commits one BENCH_<topic>.json at the repo root
+    records = sorted(Path(__file__).resolve().parent.parent.glob("BENCH_*.json"))
+    assert records
+    for path in records:
+        record = json.loads(path.read_text())
+        assert {"topic", "command", "parent", "claim"} <= record.keys(), path.name
+        assert {"workload", "metric", "rule"} <= record["claim"].keys(), path.name
 
 
 # ------------------------------------------------------------ fuzzed inputs
