@@ -73,7 +73,7 @@ from itertools import combinations
 from math import comb
 from typing import Sequence
 
-from .errors import RequestError
+from .errors import RequestError, _check_nt
 from .graphs import (
     CertificationError,
     Graph,
@@ -354,8 +354,8 @@ def _run_frankl(
     return None, nodes
 
 
-def _odd_packing(live: Sequence[int], parts: Sequence[int]) -> tuple[int, int]:
-    """Size and vertex mask of a greedy packing of live cliques that each need a costly merge.
+def _odd_packing(live: Sequence[int], parts: Sequence[int]) -> int:
+    """Size of a greedy packing of live cliques that each need a costly merge.
 
     A packed clique touches only odd parts, and no two packed cliques
     touch a common part.  Killing a packed clique joins two of its odd
@@ -378,7 +378,7 @@ def _odd_packing(live: Sequence[int], parts: Sequence[int]) -> tuple[int, int]:
         if not closure & used:
             used |= closure
             count += 1
-    return count, used
+    return count
 
 
 def _run_structural(
@@ -390,16 +390,6 @@ def _run_structural(
     clique (None if there is none) and the number of structures entered.
     """
     budget = t - 1
-    # a greedy packing comes out large when it takes the clique meeting the
-    # fewest remaining ones first; the cliques that rule picks lead the
-    # order, and every list of live cliques keeps it
-    picks, rest = [], list(cliques)
-    while rest:
-        best = min(rest, key=lambda c: sum(1 for d in rest if c & d))
-        picks.append(best)
-        rest = [d for d in rest if not d & best]
-    chosen = set(picks)
-    cliques = picks + [c for c in cliques if c not in chosen]
     nodes = 0
 
     def merge(
@@ -410,18 +400,14 @@ def _run_structural(
         nodes += 1
         if not live:
             return parts
-        if _odd_packing(live, parts)[0] <= spare:
+        if _odd_packing(live, parts) <= spare:
             owners = [next((p for p in parts if p >> v & 1), 1 << v) for v in _mask_vertices(live[0])]
-            children = []
             for a, b in combinations(owners, 2):
                 merged = a | b
                 cost = merged.bit_count() // 2 - a.bit_count() // 2 - b.bit_count() // 2
-                if cost <= spare:
-                    key = tuple(sorted([p for p in parts if p != a and p != b] + [merged]))
-                    children.append((cost, key, merged))
-            # free merges first: they reach a counterexample without spending budget
-            children.sort(key=lambda child: child[0])
-            for cost, key, merged in children:
+                if cost > spare:
+                    continue
+                key = tuple(sorted([p for p in parts if p != a and p != b] + [merged]))
                 if key in failed:
                     continue
                 alive = [c for c in live if (c & merged) & ((c & merged) - 1) == 0]
@@ -436,8 +422,7 @@ def _run_structural(
         live = [c for c in cliques if not c & S]
         # a vertex added to S costs 1 and kills at most one packed clique, so
         # the packing bounds every superset of S as well
-        packing, packed = _odd_packing(live, ())
-        if size + packing > budget:
+        if size + _odd_packing(live, ()) > budget:
             return None
         parts = merge(live, (), budget - size, set())
         if parts is not None:
@@ -447,10 +432,9 @@ def _run_structural(
         for c in live:
             reach |= c
         for v in _mask_vertices(reach >> low << low):
-            if size + 1 + packing - (packed >> v & 1) <= budget:
-                found = choose(v + 1, S | 1 << v, size + 1)
-                if found is not None:
-                    return found
+            found = choose(v + 1, S | 1 << v, size + 1)
+            if found is not None:
+                return found
         return None
 
     found = choose(0, 0, 0)
@@ -560,10 +544,7 @@ def _decide(host: Graph | Hypergraph, n: int, t: int, search: str) -> ArrowVerdi
     """The one decision path: a 2-uniform host is searched as a graph."""
     kind = "graph" if isinstance(host, Graph) else "hyper"
     r = 2 if kind == "graph" else host.r
-    if n < r:
-        raise RequestError(f"need n >= {r}, got n={n}")
-    if t < 1:
-        raise RequestError(f"need t >= 1, got {t}")
+    _check_nt(n, t, n_min=r)
     mode = _pick_mode(search, host.edge_count(), kind, r)
     edge_masks = _edge_masks(host)
     if r == 2:
@@ -641,22 +622,22 @@ def lower_bound_coloring(n: int, t: int) -> EdgeColoring:
     on 2t-1 vertices, so its matching number is at most t-1.  Both facts
     are re-checked on construction.
     """
-    if n < 2:
-        raise RequestError(f"need n >= 2, got {n}")
-    if t < 1:
-        raise RequestError(f"need t >= 1, got {t}")
-    return _lower_bound(complete(n + 2 * t - 3), 2, n, t)
+    _check_nt(n, t)
+    host = complete(n + 2 * t - 3)
+    return _lower_bound(host, (1 << host.n) - (1 << n - 2), 2, n, t)
 
 
-def _lower_bound(host: Graph | Hypergraph, r: int, n: int, t: int) -> EdgeColoring:
-    """Blue on every host edge inside B, the last tr-1 vertices, re-checked.
+def _lower_bound(host: Graph | Hypergraph, X: int, i: int, n: int, t: int) -> EdgeColoring:
+    """Blue on every host edge with at least i vertices in X, red elsewhere; re-checked.
 
-    This is the Frankl family i = r with X = B; A is the first n-r vertices.
+    This is the Frankl family for X and i.  The threshold colorings take
+    i = r and X = B; a decoloring witness takes i = 2 and X = its set.
     """
-    B = (1 << host.n) - (1 << n - r)
-    coloring = EdgeColoring(host, _frankl_blue(_edge_masks(host), B, r))
+    coloring = EdgeColoring(host, _frankl_blue(_edge_masks(host), X, i))
     if not is_good_coloring(coloring, n, t):
-        raise CertificationError(f"lower-bound coloring for (n={n}, t={t}) failed re-verification")
+        raise CertificationError(
+            f"coloring blue on X = {X:#x} (i = {i}) for (n={n}, t={t}) failed re-verification"
+        )
     return coloring
 
 
@@ -664,11 +645,9 @@ def lower_bound_coloring_hyper(n: int, r: int, t: int) -> EdgeColoring:
     """Hypergraph analogue on n+(t-1)r-1 vertices: |A| = n-r, |B| = tr-1."""
     if r < 2:
         raise RequestError(f"need r >= 2, got {r}")
-    if n < r:
-        raise RequestError(f"need n >= r, got n={n}")
-    if t < 1:
-        raise RequestError(f"need t >= 1, got {t}")
-    return _lower_bound(complete_r(n + (t - 1) * r - 1, r), r, n, t)
+    _check_nt(n, t, n_min=r)
+    host = complete_r(n + (t - 1) * r - 1, r)
+    return _lower_bound(host, (1 << host.n) - (1 << n - r), r, n, t)
 
 
 def verify_graph_ramsey(n: int, t: int, *, search: str = "auto") -> bool:
@@ -676,18 +655,19 @@ def verify_graph_ramsey(n: int, t: int, *, search: str = "auto") -> bool:
 
     Upper: the complete graph on n+2t-2 vertices arrows (searched).
     Lower: the explicit coloring of the complete graph on n+2t-3 vertices
-    is re-verified as good (checked, never searched).
+    is re-verified as good when it is built (checked, never searched), and
+    a failure raises CertificationError.
     """
     upper = arrows_pair(complete(n + 2 * t - 2), n, t, search=search)
-    lower = is_good_coloring(lower_bound_coloring(n, t), n, t)
-    return upper.arrows and lower
+    lower_bound_coloring(n, t)
+    return upper.arrows
 
 
 def verify_hyper_ramsey(n: int, r: int, t: int, *, search: str = "auto") -> bool:
-    """Check R(K_n^r, tK_r^r) = n+(t-1)r from both sides."""
+    """Check R(K_n^r, tK_r^r) = n+(t-1)r from both sides, as verify_graph_ramsey does."""
     upper = arrows_hyper(complete_r(n + (t - 1) * r, r), n, t, search=search)
-    lower = is_good_coloring(lower_bound_coloring_hyper(n, r, t), n, t)
-    return upper.arrows and lower
+    lower_bound_coloring_hyper(n, r, t)
+    return upper.arrows
 
 
 def min_size_ramsey_bruteforce(
@@ -705,10 +685,7 @@ def min_size_ramsey_bruteforce(
     """
     if m_max < 1 or m_max > BRUTEFORCE_MAX_EDGES:
         raise RequestError(f"need 1 <= m_max <= {BRUTEFORCE_MAX_EDGES}, got {m_max}")
-    if n < 2:
-        raise RequestError(f"need n >= 2, got n={n}")
-    if t < 1:
-        raise RequestError(f"need t >= 1, got {t}")
+    _check_nt(n, t)
     first = comb(n, 2)
     if first > m_max:
         return None

@@ -23,8 +23,8 @@ from dataclasses import dataclass, field
 from itertools import combinations, count
 from typing import Sequence
 
-from .arrowing import EdgeColoring, UndecidedError, _edge_masks, _frankl_blue, is_good_coloring
-from .errors import RequestError
+from .arrowing import EdgeColoring, UndecidedError, _lower_bound
+from .errors import RequestError, _check_nt
 from .graphs import (
     CertificationError,
     Graph,
@@ -144,10 +144,7 @@ def max_potential_coloring(graph: Graph) -> VertexColoring:
 def _check_shape(graph: Graph, n: int, t: int) -> None:
     if not isinstance(graph, Graph):
         raise TypeError("expected a Graph")
-    if n < 3:
-        raise RequestError(f"need n >= 3, got {n}")
-    if t < 1:
-        raise RequestError(f"need t >= 1, got {t}")
+    _check_nt(n, t, n_min=3)
 
 
 def _decolor(graph: Graph, n: int, t: int, matching: bool) -> DecolorResult:
@@ -225,14 +222,8 @@ def find_decolor_set_matching(graph: Graph, n: int, t: int) -> DecolorResult:
 
 
 def _witness_coloring(result: DecolorResult) -> EdgeColoring:
-    """Blue inside the matching variant's set (Frankl's i = r = 2 on it), red elsewhere; re-checked."""
-    host = result.graph
-    coloring = EdgeColoring(host, _frankl_blue(_edge_masks(host), result.removed, 2))
-    if not is_good_coloring(coloring, result.n, result.t):
-        raise CertificationError(
-            f"witness coloring for (n={result.n}, t={result.t}) failed re-verification"
-        )
-    return coloring
+    """Blue inside the matching variant's set (Frankl's i = 2 on it), red elsewhere; re-checked."""
+    return _lower_bound(result.graph, result.removed, 2, result.n, result.t)
 
 
 def witness_good_coloring(host: Graph, n: int, t: int) -> EdgeColoring:
@@ -257,10 +248,7 @@ def check_tightness_remark(n: int, t: int, flavor: Flavor) -> bool:
     """
     if flavor not in (Flavor.G, Flavor.GHAT):
         raise RequestError(f"flavor must be G or GHAT, got {flavor}")
-    if n < 3:
-        raise RequestError(f"need n >= 3, got {n}")
-    if t < 1:
-        raise RequestError(f"need t >= 1, got {t}")
+    _check_nt(n, t, n_min=3)
     if n > 5 or t > 2:
         raise UndecidedError(f"undecided: tightness scan capped at n <= 5, t <= 2")
     if flavor is Flavor.GHAT:

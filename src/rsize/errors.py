@@ -9,3 +9,11 @@ class RequestError(ValueError):
     objects the package builds (verdicts, colorings, witnesses) raise plain
     ValueError, so a broken one reads as a fault rather than as bad input.
     """
+
+
+def _check_nt(n: int, t: int, n_min: int = 2) -> None:
+    """Refuse a clique order below `n_min` or a stripe count below 1."""
+    if n < n_min:
+        raise RequestError(f"need n >= {n_min}, got n={n}")
+    if t < 1:
+        raise RequestError(f"need t >= 1, got t={t}")

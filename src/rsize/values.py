@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterator
 
-from .errors import RequestError
+from .errors import RequestError, _check_nt
 from .exactmath import binomial
 
 __all__ = [
@@ -160,13 +160,6 @@ def _row(cost_of: Callable[[int], int], total: int) -> list[int]:
             parts, best = parts + 1, more
         row.append(best)
     return row
-
-
-def _check_nt(n: int, t: int, n_min: int = 2) -> None:
-    if n < n_min:
-        raise RequestError(f"need n >= {n_min}, got n={n}")
-    if t < 1:
-        raise RequestError(f"need t >= 1, got t={t}")
 
 
 def g(n: int, t: int) -> ValueResult:

@@ -1,9 +1,12 @@
 """Hardening checks: no `assert` in the package, well-formed benchmark records,
-fuzzed host files through the CLI, and a bounded Frankl phase on hosts at the
-hypergraph budget."""
+the names the benchmark tracer wraps, fuzzed host files through the CLI, and
+a bounded Frankl phase on hosts at the hypergraph budget."""
 
 import ast
 import contextlib
+import importlib
+import importlib.util
+import inspect
 import io
 import json
 import random
@@ -14,7 +17,7 @@ from pathlib import Path
 from hypothesis import example, given, settings, strategies as st
 
 import rsize
-from rsize.arrowing import _cliques_of_hypergraph, _run_frankl
+from rsize.arrowing import _cliques_of_hypergraph, _run_frankl, arrows_pair
 from rsize.cli import main
 from rsize.graphs import Graph, Hypergraph, complete, hypergraph_to_text, to_graph6
 
@@ -38,6 +41,26 @@ def test_bench_records_parse():
         record = json.loads(path.read_text())
         assert {"topic", "command", "parent", "claim"} <= record.keys(), path.name
         assert {"workload", "metric", "rule"} <= record["claim"].keys(), path.name
+
+
+def test_benchmark_tracer_names_resolve():
+    # Tracer.install looks up every wrapped name with getattr, so a renamed or
+    # deleted function breaks the benchmark; read the tracer, never change it
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    wrapped = set()
+    for layer, (module_name, names) in tracer.LAYERS.items():
+        module = importlib.import_module(f"rsize.{module_name}")
+        for name in names:
+            assert callable(getattr(module, name, None)), (layer, module_name, name)
+        wrapped.update(names)
+    # an observer is picked by the wrapped function's name
+    assert set(tracer._OBSERVERS) <= wrapped
+    # perfbench's pool_speedup still calls arrows_pair with jobs
+    assert "jobs" in inspect.signature(arrows_pair).parameters
+    assert arrows_pair(complete(3), 3, 1, jobs=2).arrows
 
 
 # ------------------------------------------------------------ fuzzed inputs
