@@ -400,7 +400,8 @@ def _run_structural(
         nodes += 1
         if not live:
             return parts
-        if _odd_packing(live, parts) <= spare:
+        # choose has checked the root's packing against the same spare
+        if not parts or _odd_packing(live, parts) <= spare:
             owners = [next((p for p in parts if p >> v & 1), 1 << v) for v in _mask_vertices(live[0])]
             for a, b in combinations(owners, 2):
                 merged = a | b
@@ -677,7 +678,8 @@ def min_size_ramsey_bruteforce(
 
     Exact because the per-edge-count enumeration is complete up to
     isomorphism and arrowing ignores isolated vertices.  The levels
-    m = 1..m_max come from one walk, each built once from the one below.
+    m = 1..m_max come from one walk of the connected graphs, each level
+    assembled once from their components.
     None means every graph with at most m_max edges fails, i.e. the
     answer is > m_max.  A graph with fewer than C(n,2) edges has no K_n,
     so its all-red coloring is good: those levels are walked but not

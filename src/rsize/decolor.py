@@ -20,8 +20,8 @@ survives `python -O`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations, count
-from typing import Sequence
+from itertools import count, product
+from typing import Iterator, Sequence
 
 from .arrowing import EdgeColoring, UndecidedError, _lower_bound
 from .errors import RequestError, _check_nt
@@ -30,6 +30,7 @@ from .graphs import (
     Graph,
     VertexColoring,
     _mask_vertices,
+    _twin_classes,
     _vertices_mask,
     coloring_from_assignment,
     complete,
@@ -237,14 +238,30 @@ def witness_good_coloring(host: Graph, n: int, t: int) -> EdgeColoring:
     return _witness_coloring(find_decolor_set_matching(host, n, t))
 
 
+def _twin_prefixes(graph: Graph, size: int) -> Iterator[tuple[int, ...]]:
+    """One vertex set per profile of `size` vertices, as a sorted tuple.
+
+    A profile says how many vertices a set takes from each twin class;
+    the set takes the lowest-numbered ones.  Swapping two twins is an
+    automorphism, so every set of that size is the image of its profile's
+    set under an automorphism.
+    """
+    classes = [_mask_vertices(cls) for cls in _twin_classes(graph)]
+    for takes in product(*(range(len(cls) + 1) for cls in classes)):
+        if sum(takes) == size:
+            yield tuple(sorted(v for cls, k in zip(classes, takes) for v in cls[:k]))
+
+
 def check_tightness_remark(n: int, t: int, flavor: Flavor) -> bool:
     """Is the decoloring bound unimprovable at the exact edge threshold?
 
     Builds every disjoint-clique graph achieving the threshold edge count
-    and scans all candidate sets: for the one-per-stripe flavor, no set of
+    and scans the candidate sets: for the one-per-stripe flavor, no set of
     at most 2t-1 vertices may leave an (n-2)-colorable graph; for the
     two-per-stripe flavor, any set of at most 2t vertices that does must
-    span t disjoint edges.
+    span t disjoint edges.  Colorability of G - S and the matching number
+    of G[S] are isomorphism invariants, so one set per twin profile
+    (_twin_prefixes) stands for every set.
     """
     if flavor not in (Flavor.G, Flavor.GHAT):
         raise RequestError(f"flavor must be G or GHAT, got {flavor}")
@@ -254,10 +271,12 @@ def check_tightness_remark(n: int, t: int, flavor: Flavor) -> bool:
     if flavor is Flavor.GHAT:
         value = g_hat(n, t).value
         target = 2 * t
+        cap = 2 * t - 1
         clique_of = lambda s: n + s - 2
     else:
         value = g(n, t).value
         target = t
+        cap = 2 * t
         clique_of = lambda s: n + 2 * s - 2
     achievers = [
         parts
@@ -270,9 +289,8 @@ def check_tightness_remark(n: int, t: int, flavor: Flavor) -> bool:
         example = disjoint_union([complete(clique_of(s)) for s in parts])
         if example.edge_count() != value:
             raise CertificationError(f"parts {parts} give {example.edge_count()} edges, not {value}")
-        cap = 2 * t - 1 if flavor is Flavor.GHAT else 2 * t
         for k in range(cap + 1):
-            for subset in combinations(range(example.n), k):
+            for subset in _twin_prefixes(example, k):
                 residual = example.without_vertices(subset)
                 if is_k_colorable(residual, n - 2) is None:
                     continue

@@ -12,7 +12,11 @@ class RequestError(ValueError):
 
 
 def _check_nt(n: int, t: int, n_min: int = 2) -> None:
-    """Refuse a clique order below `n_min` or a stripe count below 1."""
+    """Refuse an `n` or `t` that is not a plain int, an `n` below `n_min`, or a `t` below 1."""
+    for name, value in (("n", n), ("t", t)):
+        # bool is an int subclass: True would pass as 1
+        if type(value) is not int:
+            raise RequestError(f"{name} must be an integer, got {name}={value!r}")
     if n < n_min:
         raise RequestError(f"need n >= {n_min}, got n={n}")
     if t < 1:

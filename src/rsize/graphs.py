@@ -4,9 +4,10 @@ Graphs live on at most 64 vertices as per-vertex adjacency bitmasks,
 hypergraphs on at most 32 vertices as per-edge vertex bitmasks.  All
 solvers here (matching, clique, coloring, cover) are exact branch-and-bound
 searches; no heuristic ever stands in for an answer.  Isomorphism-free
-enumeration uses a canonical labeling computed per connected component by
-individualization and refinement: partitions are ordered lists of vertex
-masks, refined to equitable ones by splitter masks off a queue.
+enumeration walks connected graphs only, canonically labeled by
+individualization and refinement (partitions are ordered lists of vertex
+masks, refined to equitable ones by splitter masks off a queue), and
+assembles every other graph from its components.
 """
 
 from __future__ import annotations
@@ -509,27 +510,54 @@ def _components(g: Graph) -> list[int]:
     return comps
 
 
+def _twin_classes(g: Graph) -> list[int]:
+    """Classes of vertices with equal closed neighbourhoods, as vertex masks by lowest vertex.
+
+    Swapping two vertices of one class, and fixing every other vertex, is
+    an automorphism.
+    """
+    classes: dict[int, int] = {}
+    for v, nb in enumerate(g.adj):
+        closed = nb | 1 << v
+        classes[closed] = classes.get(closed, 0) | 1 << v
+    return list(classes.values())
+
+
 # One cache per walk.  It maps each labeled component (n, adj) to its
 # canonical edge list and automorphism generators in canonical labels, and
-# each whole canonical form (n, edges) to generators of its automorphism
-# group.  The two key kinds never meet: a component has n >= 1 entries in
-# adj, while a form's edge tuple holds pairs.
+# each component's canonical form (n, edges) to those generators.  The two
+# key kinds never meet: a component has n >= 1 entries in adj, while a
+# form's edge tuple holds pairs.
 _CanonMemo = dict
+
+
+def _join(parts: Sequence[_Form]) -> _Form:
+    """The form of the disjoint union of connected forms, given in sorted order.
+
+    Each part is relabeled past the parts before it, so the concatenated
+    edge list is already sorted.
+    """
+    edges: list[tuple[int, int]] = []
+    offset = 0
+    for size, part_edges in parts:
+        edges.extend((u + offset, v + offset) for u, v in part_edges)
+        offset += size
+    return offset, tuple(edges)
 
 
 def canonical_form(g: Graph, memo: _CanonMemo | None = None) -> _Form:
     """A complete isomorphism invariant: canonical (n, edge tuple).
 
     Each connected component is canonicalized on its own (components stay
-    small even when the whole graph does not), then components are sorted
-    and concatenated.  Two graphs get equal forms iff they are isomorphic.
-    A caller that canonicalizes many related graphs may pass one memo dict
-    to every call; it keeps each labeled component's canonical edge list,
-    so a component seen before costs no second search.  The form is the
-    same with or without it.  The memo also receives generators of the
-    form's automorphism group, in canonical labels: each component's own,
-    fixing every other vertex, and a swap of each two consecutive equal
-    components.  The enumeration walk reads them to prune its children.
+    small even when the whole graph does not), then the component forms
+    are sorted and joined.  Two graphs get equal forms iff they are
+    isomorphic.  A caller that canonicalizes many related graphs may pass
+    one memo dict to every call; it keeps each labeled component's
+    canonical edge list, so a component seen before costs no second
+    search.  The form is the same with or without it.  The memo also
+    receives, for each component's form, generators of its automorphism
+    group in canonical labels.  The enumeration walk reads them to prune
+    the children of its connected graphs.
     """
     if memo is None:
         memo = {}
@@ -540,28 +568,10 @@ def canonical_form(g: Graph, memo: _CanonMemo | None = None) -> _Form:
         entry = memo.get(key)
         if entry is None:
             entry = memo[key] = _canon_connected(sub)
-        parts.append((sub.n, *entry))
-    parts.sort(key=lambda part: part[:2])
-    n = g.n
-    edges = []
-    gens: list[_Perm] = []
-    offset = 0
-    for i, (size, comp_edges, comp_gens) in enumerate(parts):
-        edges.extend((u + offset, v + offset) for u, v in comp_edges)
-        head, tail = tuple(range(offset)), tuple(range(offset + size, n))
-        gens.extend(head + tuple(a + offset for a in auto) + tail for auto in comp_gens)
-        if i and parts[i - 1][:2] == (size, comp_edges):
-            back = offset - size
-            gens.append(
-                tuple(range(back))
-                + tuple(range(offset, offset + size))
-                + tuple(range(back, offset))
-                + tail
-            )
-        offset += size
-    form = n, tuple(sorted(edges))
-    memo[form] = gens
-    return form
+        part = sub.n, entry[0]
+        memo[part] = entry[1]
+        parts.append(part)
+    return _join(sorted(parts))
 
 
 def _check_automorphisms(form: _Form, gens: Sequence[_Perm]) -> None:
@@ -601,17 +611,40 @@ def _edge_key(adj: Sequence[int], u: int, v: int) -> tuple[int, int, int]:
     return (adj[u] & adj[v]).bit_count(), max(du, dv), min(du, dv)
 
 
-def _children(form: _Form, cap: int, memo: _CanonMemo) -> Iterator[_Form]:
-    """Canonical forms of the one-edge children of a canonical graph that the walk needs.
+def _is_removable(adj: Sequence[int], u: int, v: int) -> bool:
+    """Whether the edge uv of a connected graph is removable.
 
-    The children are: an edge between two present vertices, a pendant edge
-    to one new vertex, and a new K_2.  An automorphism of the parent maps
-    a child to an isomorphic one, so one child per orbit of non-edges and
-    one per orbit of vertices give every child's form.  The generators
-    come from the memo that canonicalized the parent, and are re-verified
-    before use.  A child is canonicalized only if its new edge has the
-    largest _edge_key among its edges; the rest are dropped unbuilt, from
-    the parent's adjacency plus the new edge (see _graph_levels).
+    Removable: deleting the edge, and any vertex it leaves isolated, keeps
+    the graph connected.  True for a pendant edge, and for an edge on a
+    cycle, where v is still reachable from u without the edge.
+    """
+    if not adj[u] & (adj[u] - 1) or not adj[v] & (adj[v] - 1):
+        return True
+    frontier = adj[u] & ~(1 << v)
+    seen = frontier | 1 << u
+    while frontier:
+        w = (frontier & -frontier).bit_length() - 1
+        frontier &= frontier - 1
+        new = adj[w] & ~seen
+        if new >> v & 1:
+            return True
+        seen |= new
+        frontier |= new
+    return False
+
+
+def _children(form: _Form, cap: int, memo: _CanonMemo) -> Iterator[_Form]:
+    """Canonical forms of the one-edge children of a connected canonical graph that the walk needs.
+
+    The children are an edge between two present vertices and a pendant
+    edge to one new vertex; both stay connected.  An automorphism of the
+    parent maps a child to an isomorphic one, so one child per orbit of
+    non-edges and one per orbit of vertices give every child's form.  The
+    generators come from the memo that canonicalized the parent, and are
+    re-verified before use.  A child is canonicalized only if no removable
+    edge (see _is_removable) has a larger _edge_key than its new edge; the
+    rest are dropped unbuilt, from the parent's adjacency plus the new
+    edge (see _graph_levels).
     """
     n, edges = form
     gens = memo[form]
@@ -624,9 +657,7 @@ def _children(form: _Form, cap: int, memo: _CanonMemo) -> Iterator[_Form]:
     )
     if n + 1 <= cap:
         new += [(u, n) for u in _orbit_heads(range(n), lambda u: [a[u] for a in gens])]
-    if n + 2 <= cap:
-        new.append((n, n + 1))
-    adj = [0] * (n + 2)
+    adj = [0] * (n + 1)
     for u, v in edges:
         adj[u] |= 1 << v
         adj[v] |= 1 << u
@@ -635,56 +666,90 @@ def _children(form: _Form, cap: int, memo: _CanonMemo) -> Iterator[_Form]:
         child[u] |= 1 << v
         child[v] |= 1 << u
         key = _edge_key(child, u, v)
-        if all(_edge_key(child, a, b) <= key for a, b in edges):
+        if not any(_edge_key(child, a, b) > key and _is_removable(child, a, b) for a, b in edges):
             yield canonical_form(Graph(max(n, v + 1), edges + ((u, v),)), memo)
+
+
+def _unions(connected: Sequence[Sequence[_Form]], m: int, cap: int) -> Iterator[_Form]:
+    """The forms of every multiset of connected forms with m edges in all and at most cap vertices.
+
+    connected[j - 1] lists the connected forms with j edges.  Parts are
+    taken by nonincreasing edge count, and by nondecreasing position among
+    equal counts, so each multiset comes once.
+    """
+    chosen: list[_Form] = []
+
+    def extend(most: int, start: int, left: int, room: int) -> Iterator[_Form]:
+        if not left:
+            yield _join(sorted(chosen))
+            return
+        for j in range(min(most, left), 0, -1):
+            level = connected[j - 1]
+            for i in range(start if j == most else 0, len(level)):
+                part = level[i]
+                if part[0] <= room:
+                    chosen.append(part)
+                    yield from extend(j, i, left - j, room - part[0])
+                    chosen.pop()
+
+    return extend(m, 0, m, cap)
 
 
 def _graph_levels(m: int, max_vertices: int | None) -> Iterator[list[Graph]]:
     """Levels 1..m of the isomorphism-free walk, each sorted by canonical form.
 
-    Level k+1 is grown from level k by adding one edge in every way: between
-    two present vertices, to one new vertex, or on two new vertices.  Every
-    (k+1)-edge graph arises so from a k-edge one by edge removal plus
-    isolated-vertex cleanup, and removal never adds vertices, so each level
-    is complete, also under the vertex cap.  Children that an automorphism
-    of their parent maps onto each other are isomorphic, so only one per
-    orbit is canonicalized (the first half of McKay's isomorph-free
-    generation).  Of those, only a child whose new edge has the largest
-    _edge_key among its edges is canonicalized (McKay's cheap-invariant
-    test).  That loses nothing: for a (k+1)-edge graph G, delete an edge e
-    with the largest key and any vertex it leaves isolated; the result P
+    The walk grows connected graphs only.  Connected level k+1 is grown
+    from connected level k by adding one edge in every way that keeps the
+    graph connected: between two present vertices, or to one new vertex.
+    Call an edge removable when deleting it, and any vertex it leaves
+    isolated, keeps the graph connected: an edge on a cycle or a pendant
+    edge.  Every connected graph with k+1 >= 2 edges has one (a cycle edge,
+    or else a leaf edge of the tree), and deletion never adds vertices, so
+    each connected level is complete, also under the vertex cap.  Children
+    that an automorphism of their parent maps onto each other are
+    isomorphic, so only one per orbit is canonicalized (the first half of
+    McKay's isomorph-free generation).  Of those, only a child whose new
+    edge has the largest _edge_key among its removable edges is
+    canonicalized (McKay's cheap-invariant test).  That loses nothing: for
+    a connected (k+1)-edge graph G, delete a removable edge e with the
+    largest key among the removable ones; the result P is connected and
     lies on level k, and the orbit head for e's place in P's canonical
-    form gives a child isomorphic to G by a map that sends the new edge
-    to e, so the new edge's key is the largest.  Duplicates are still
-    removed by form, so the levels are the same as with neither prune.
-    One memo serves the whole walk, so each distinct labeled component is
-    canonicalized once, and it carries each parent's automorphism
-    generators from one level to the next.
+    form gives a child isomorphic to G by a map that sends the new edge to
+    e, so the new edge is removable with the largest key.  Duplicates are
+    still removed by form.  Level k is then assembled, with no canonical
+    labeling, from the multisets of connected forms whose edge counts sum
+    to k and whose vertex counts total at most the cap: a graph with no
+    isolated vertex is the disjoint union of its components, and the form
+    of a union is the join of its sorted component forms.  So the levels
+    are the same as those of the one-edge walk over all graphs with
+    neither prune.  One memo serves the whole walk, so each distinct
+    labeled component is canonicalized once, and it carries each parent's
+    automorphism generators from one level to the next.
     """
     memo: _CanonMemo = {}
     cap = 2 * m if max_vertices is None else max_vertices
-    level = [canonical_form(complete(2), memo)] if cap >= 2 else []
+    connected = [[canonical_form(complete(2), memo)] if cap >= 2 else []]
     for k in range(1, m + 1):
-        yield [Graph(n, edges) for n, edges in level]
+        yield [Graph(n, edges) for n, edges in sorted(_unions(connected, k, cap))]
         if k == m:
             return
         nxt: set[_Form] = set()
-        for form in level:
+        for form in connected[-1]:
             nxt.update(_children(form, cap, memo))
-        level = sorted(nxt)
+        connected.append(sorted(nxt))
 
 
 def enumerate_graphs(m: int, max_vertices: int | None = None) -> Iterator[Graph]:
     """All graphs with exactly m edges and no isolated vertices, up to iso.
 
-    Yields level m of the one-edge-at-a-time walk from K_2, in sorted
-    canonical-form order, each graph labeled by its canonical form.  The
-    walk canonicalizes one child per orbit of its parent's automorphisms,
-    and only if its new edge has the largest edge invariant; it
-    deduplicates by canonical form at every level and shares one component
-    memo across its levels.  A caller that needs every level up to m walks
-    them once through the same generator rather than calling this per
-    level.
+    Yields level m of _graph_levels, in sorted canonical-form order, each
+    graph labeled by its canonical form.  The walk grows connected graphs
+    one edge at a time from K_2: it canonicalizes one child per orbit of
+    its parent's automorphisms, and only if no removable edge has a larger
+    edge invariant than the new one.  Level m is assembled from multisets
+    of connected graphs, with no further canonical labeling.  A caller
+    that needs every level up to m walks them once through the same
+    generator rather than calling this per level.
     """
     if m < 0:
         raise RequestError(f"need m >= 0, got {m}")

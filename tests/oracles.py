@@ -3,9 +3,9 @@
 Nothing here shares algorithms with the package: minimizations enumerate
 partitions outright or run the O(total^2) composition DP, matchings
 enumerate edge subsets, colorings try every assignment, hypergraph cliques
-test every vertex window, decoloring sets are scanned subset by subset,
-partitions are checked for equitability vertex by vertex and automorphism
-groups are found by trying every permutation.
+test every vertex window, decoloring sets and the tightness remark are
+scanned subset by subset, partitions are checked for equitability vertex
+by vertex and automorphism groups are found by trying every permutation.
 Slow on purpose; only run at oracle scale.  Graphs are vertex counts plus
 edge lists, so nothing here imports the package; the unpruned enumeration
 walk takes its canonical form as an argument.
@@ -178,6 +178,33 @@ def exact_decolor_scan(
             if brute_chromatic(len(index), rest) <= n - 2:
                 return subset
     return None
+
+
+def brute_tightness(n: int, t: int, ghat: bool) -> bool:
+    """The tightness remark, scanning every vertex subset of every extremal clique union.
+
+    A part taking s stripes is a clique on n+s-2 vertices (ghat) or on
+    n+2s-2 (g); the extremal unions are the partitions of 2t (ghat) or of
+    t (g) with the least summed edge count.  True when no union has a set
+    of at most 2t-1 vertices (ghat), or of at most 2t vertices spanning
+    fewer than t disjoint edges (g), whose removal leaves an
+    (n-2)-colorable graph.
+    """
+    target, step, max_size, bound = (2 * t, 1, 2 * t - 1, None) if ghat else (t, 2, 2 * t, t - 1)
+    sizes = lambda parts: [n + step * s - 2 for s in parts]
+    cost = lambda parts: sum(k * (k - 1) // 2 for k in sizes(parts))
+    least = min(cost(parts) for parts in partitions(target))
+    for parts in partitions(target):
+        if cost(parts) != least:
+            continue
+        edges: list[tuple[int, int]] = []
+        offset = 0
+        for k in sizes(parts):
+            edges += [(offset + u, offset + v) for u, v in combinations(range(k), 2)]
+            offset += k
+        if exact_decolor_scan(offset, edges, n, max_size, bound) is not None:
+            return False
+    return True
 
 
 Form = tuple[int, tuple[tuple[int, int], ...]]

@@ -165,6 +165,26 @@ def test_hyper_pinned_cases():
     assert v.arrows and v.mode == "structural"
 
 
+def test_root_merge_reuses_the_packing_of_choose(monkeypatch):
+    # choose bounds S by the packing of its live cliques before it starts
+    # the merge search, whose root would compute the same packing again.
+    # On K_8 with (4,3), 37 choose calls pack once each (parts empty) and 9
+    # of them pass and start a merge; the other 124 calls come from merges
+    # below the root.  Computing the root's packing again made 170 calls
+    real = rsize.arrowing._odd_packing
+    calls = []
+
+    def counting(live, parts):
+        calls.append(parts)
+        return real(live, parts)
+
+    monkeypatch.setattr(rsize.arrowing, "_odd_packing", counting)
+    v = arrows_pair(complete(8), 4, 3)
+    assert (v.arrows, v.mode, v.nodes) == (True, "structural", 133)
+    assert len(calls) == 170 - 9
+    assert sum(1 for parts in calls if not parts) == 37
+
+
 def test_frankl_phase_refutes_below_the_hyper_threshold():
     # K_7^3 with (5,2), one vertex below R(K_5^3, 2K_3^3) = 8: the reduced
     # DFS needs 44 nodes; the phase fails at i = 1 and i = 2, and at

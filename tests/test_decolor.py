@@ -4,7 +4,7 @@ from itertools import combinations
 import pytest
 
 import rsize.decolor as D
-from oracles import brute_chromatic, brute_max_matching, exact_decolor_scan
+from oracles import brute_chromatic, brute_max_matching, brute_tightness, exact_decolor_scan
 from rsize.arrowing import CertificationError, UndecidedError, arrows_pair, is_good_coloring
 from rsize.decolor import (
     DecolorResult,
@@ -18,6 +18,7 @@ from rsize.decolor import (
 )
 from rsize.graphs import (
     Graph,
+    canonical_form,
     chromatic_number,
     coloring_from_assignment,
     complete,
@@ -243,6 +244,38 @@ def test_tightness_remark_more_small_cases():
     assert check_tightness_remark(3, 2, Flavor.G)
     assert check_tightness_remark(4, 2, Flavor.GHAT)
     assert check_tightness_remark(5, 1, Flavor.G)
+
+
+def test_tightness_remark_agrees_with_the_full_subset_scan():
+    for n in (3, 4, 5):
+        for t in (1, 2):
+            for flavor in (Flavor.G, Flavor.GHAT):
+                want = brute_tightness(n, t, flavor is Flavor.GHAT)
+                assert check_tightness_remark(n, t, flavor) is want, (n, t, flavor)
+
+
+def test_twin_prefixes_stand_for_every_subset():
+    # swapping twins is an automorphism, so every vertex set S has a
+    # twin-prefix set T with G - S isomorphic to G - T and G[S] to G[T];
+    # two cliques laid over each random graph make twin classes
+    rng = random.Random(31)
+    hosts = []
+    for _ in range(30):
+        nv = rng.randint(1, 8)
+        edges = set(rng.sample(list(combinations(range(nv), 2)), rng.randint(0, nv * (nv - 1) // 2)))
+        for clique in (rng.sample(range(nv), rng.randint(1, nv)) for _ in range(2)):
+            edges.update(combinations(sorted(clique), 2))
+        hosts.append(Graph(nv, edges))
+    hosts += [disjoint_union([complete(3), complete(4)]), Graph(4, [(0, 1), (0, 2), (0, 3)])]
+    for G in hosts:
+        for k in range(G.n + 1):
+            forms = set()
+            for S in D._twin_prefixes(G, k):
+                assert len(S) == k
+                forms.add((canonical_form(G.without_vertices(S)), canonical_form(G.induced(S))))
+            for S in combinations(range(G.n), k):
+                pair = canonical_form(G.without_vertices(S)), canonical_form(G.induced(S))
+                assert pair in forms, (G, S)
 
 
 def test_tightness_remark_limits():

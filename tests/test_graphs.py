@@ -370,10 +370,13 @@ def _orbits(n: int, perms) -> set[frozenset[int]]:
 
 
 def test_canonical_generators_give_the_full_vertex_orbits():
-    # the walk prunes children by these generators' orbits; a generator set
-    # spanning a smaller group would prune less and canonicalize more children
+    # the walk prunes the children of connected graphs by these generators'
+    # orbits; a generator set spanning a smaller group would prune less and
+    # canonicalize more children
     for m in range(1, 7):
         for g in enumerate_graphs(m, max_vertices=7):
+            if len(graphs._components(g)) > 1:
+                continue
             memo: dict = {}
             form = canonical_form(g, memo)
             want = _orbits(g.n, brute_automorphisms(*form))
@@ -389,6 +392,13 @@ def test_enumerate_graphs_counts():
 
 def test_enumerate_graphs_count_at_eight_edges():
     assert sum(1 for _ in enumerate_graphs(8)) == 497  # OEIS A000664
+
+
+def test_connected_level_sizes():
+    # the walk grows connected graphs only and assembles the rest; its
+    # connected graphs per edge count are OEIS A002905
+    connected = [sum(len(graphs._components(g)) == 1 for g in level) for level in _graph_levels(8, None)]
+    assert connected == [1, 1, 3, 5, 12, 30, 79, 227]
 
 
 def children(g: Graph) -> list[Graph]:
@@ -460,8 +470,9 @@ def test_edge_key_is_relabel_invariant():
 
 
 def test_walk_canonicalization_count(monkeypatch):
-    # the edge-key filter leaves 317 children of levels 1..6 to canonicalize,
-    # plus the root K_2; without it the orbit-pruned walk made 1,006 calls
+    # the walk canonicalizes 140 connected children of connected levels
+    # 1..6, plus the root K_2, and assembles the disconnected graphs from
+    # their components
     calls = []
     real = graphs.canonical_form
 
@@ -471,24 +482,24 @@ def test_walk_canonicalization_count(monkeypatch):
 
     monkeypatch.setattr(graphs, "canonical_form", counting)
     assert [len(level) for level in _graph_levels(7, None)] == [1, 2, 5, 11, 26, 68, 177]
-    assert len(calls) == 318
+    assert len(calls) == 141
+    assert all(len(graphs._components(g)) == 1 for g in calls)
 
 
 def test_walk_rejects_a_bogus_generator():
-    # swapping one edge's ends is an automorphism of 2K_2; every child of
-    # 2K_2 passes the edge-key filter, so the prune alone removes two of the
-    # four cross non-edges and one of the four pendant sites
-    pair = canonical_form(Graph(4, [(0, 1), (2, 3)]))
-    assert pair == (4, ((0, 1), (2, 3)))
-    unpruned = list(_children(pair, 6, {pair: []}))
-    pruned = list(_children(pair, 6, {pair: [(1, 0, 2, 3)]}))
-    assert len(unpruned) == 4 + 4 + 1
-    assert len(pruned) == len(unpruned) - 3 and set(pruned) == set(unpruned)
-    # P_3 with its ends swapped is an automorphism; a middle-end swap is not
+    # P_3's four children (K_3, P_4 twice, K_{1,3}) all pass the edge-key
+    # filter: a P_4 child's middle edge has a larger key than its new
+    # pendant edge, but is a bridge, so not removable.  With the ends
+    # swapped as the generator, the prune alone removes one P_4
     path = canonical_form(Graph(3, [(0, 1), (1, 2)]))
     (middle,) = set(path[1][0]) & set(path[1][1])
     end = (middle + 1) % 3
     good = tuple(v if v == middle else 3 - middle - v for v in range(3))
+    unpruned = list(_children(path, 4, {path: []}))
+    pruned = list(_children(path, 4, {path: [good]}))
+    assert len(unpruned) == 1 + 3
+    assert len(pruned) == len(unpruned) - 1 and set(pruned) == set(unpruned)
+    # a middle-end swap is not an automorphism
     bogus = tuple(end if v == middle else middle if v == end else v for v in range(3))
     with pytest.raises(CertificationError):
         list(_children(path, 5, {path: [good, bogus]}))

@@ -14,12 +14,15 @@ import string
 from itertools import combinations
 from pathlib import Path
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import rsize
 from rsize.arrowing import _cliques_of_hypergraph, _run_frankl, arrows_pair
 from rsize.cli import main
+from rsize.errors import RequestError
 from rsize.graphs import Graph, Hypergraph, complete, hypergraph_to_text, to_graph6
+from rsize.values import g
 
 FUZZ = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -61,6 +64,17 @@ def test_benchmark_tracer_names_resolve():
     # perfbench's pool_speedup still calls arrows_pair with jobs
     assert "jobs" in inspect.signature(arrows_pair).parameters
     assert arrows_pair(complete(3), 3, 1, jobs=2).arrows
+
+
+def test_non_integer_n_and_t_are_refused():
+    # a float is no clique order, and True is no stripe count
+    for call in (
+        lambda: arrows_pair(complete(5), 2.5, 2),
+        lambda: g(4.5, 2),
+        lambda: g(4, True),
+    ):
+        with pytest.raises(RequestError, match="must be an integer"):
+            call()
 
 
 # ------------------------------------------------------------ fuzzed inputs
