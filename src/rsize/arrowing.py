@@ -73,7 +73,7 @@ from itertools import combinations
 from math import comb
 from typing import Sequence
 
-from .errors import RequestError, _check_nt
+from .errors import RequestError, _check_int, _check_nt
 from .graphs import (
     CertificationError,
     Graph,
@@ -685,8 +685,11 @@ def min_size_ramsey_bruteforce(
     so its all-red coloring is good: those levels are walked but not
     searched, and no level is walked when C(n,2) > m_max.
     """
-    if m_max < 1 or m_max > BRUTEFORCE_MAX_EDGES:
-        raise RequestError(f"need 1 <= m_max <= {BRUTEFORCE_MAX_EDGES}, got {m_max}")
+    _check_int("m_max", m_max, 1)
+    if m_max > BRUTEFORCE_MAX_EDGES:
+        raise RequestError(f"need m_max <= {BRUTEFORCE_MAX_EDGES}, got m_max={m_max}")
+    if max_vertices is not None:
+        _check_int("max_vertices", max_vertices, 0)
     _check_nt(n, t)
     first = comb(n, 2)
     if first > m_max:

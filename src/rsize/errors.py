@@ -11,13 +11,16 @@ class RequestError(ValueError):
     """
 
 
+def _check_int(name: str, value: object, least: int) -> None:
+    """Refuse a `value` that is not a plain int, or is below `least`."""
+    # bool is an int subclass: True would pass as 1
+    if type(value) is not int:
+        raise RequestError(f"{name} must be an integer, got {name}={value!r}")
+    if value < least:
+        raise RequestError(f"need {name} >= {least}, got {name}={value}")
+
+
 def _check_nt(n: int, t: int, n_min: int = 2) -> None:
     """Refuse an `n` or `t` that is not a plain int, an `n` below `n_min`, or a `t` below 1."""
-    for name, value in (("n", n), ("t", t)):
-        # bool is an int subclass: True would pass as 1
-        if type(value) is not int:
-            raise RequestError(f"{name} must be an integer, got {name}={value!r}")
-    if n < n_min:
-        raise RequestError(f"need n >= {n_min}, got n={n}")
-    if t < 1:
-        raise RequestError(f"need t >= 1, got t={t}")
+    _check_int("n", n, n_min)
+    _check_int("t", t, 1)

@@ -18,7 +18,7 @@ from itertools import combinations, count
 from math import comb
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .errors import RequestError
+from .errors import RequestError, _check_int
 
 MAX_GRAPH_VERTICES = 64
 MAX_HYPER_VERTICES = 32
@@ -401,12 +401,6 @@ def _find(parent: list[int], x: int) -> int:
     return x
 
 
-# A cap on the generators kept per component.  A capped set spans a subgroup
-# of the automorphism group: the orbit prunes below then merge fewer
-# candidates, which costs time and never soundness, since every kept
-# generator is a verified automorphism.
-_MAX_STORED_AUTOMORPHISMS = 64
-
 # a permutation of 0..n-1, as the tuple of images
 _Perm = tuple[int, ...]
 # a canonical form (n, edge tuple), as canonical_form returns it
@@ -445,7 +439,7 @@ def _canon_connected(g: Graph) -> tuple[tuple[tuple[int, int], ...], list[_Perm]
         )
         if not best_colors or key < best:
             best, best_colors = key, colors
-        elif key == best and len(gens) < _MAX_STORED_AUTOMORPHISMS:
+        elif key == best:
             inverse = [0] * n
             for v in range(n):
                 inverse[best_colors[v]] = v
@@ -523,14 +517,6 @@ def _twin_classes(g: Graph) -> list[int]:
     return list(classes.values())
 
 
-# One cache per walk.  It maps each labeled component (n, adj) to its
-# canonical edge list and automorphism generators in canonical labels, and
-# each component's canonical form (n, edges) to those generators.  The two
-# key kinds never meet: a component has n >= 1 entries in adj, while a
-# form's edge tuple holds pairs.
-_CanonMemo = dict
-
-
 def _join(parts: Sequence[_Form]) -> _Form:
     """The form of the disjoint union of connected forms, given in sorted order.
 
@@ -545,32 +531,18 @@ def _join(parts: Sequence[_Form]) -> _Form:
     return offset, tuple(edges)
 
 
-def canonical_form(g: Graph, memo: _CanonMemo | None = None) -> _Form:
+def canonical_form(g: Graph) -> _Form:
     """A complete isomorphism invariant: canonical (n, edge tuple).
 
     Each connected component is canonicalized on its own (components stay
     small even when the whole graph does not), then the component forms
     are sorted and joined.  Two graphs get equal forms iff they are
-    isomorphic.  A caller that canonicalizes many related graphs may pass
-    one memo dict to every call; it keeps each labeled component's
-    canonical edge list, so a component seen before costs no second
-    search.  The form is the same with or without it.  The memo also
-    receives, for each component's form, generators of its automorphism
-    group in canonical labels.  The enumeration walk reads them to prune
-    the children of its connected graphs.
+    isomorphic.
     """
-    if memo is None:
-        memo = {}
     parts = []
     for comp in _components(g):
         sub = g if comp.bit_count() == g.n else g.induced(_mask_vertices(comp))
-        key = (sub.n, sub.adj)
-        entry = memo.get(key)
-        if entry is None:
-            entry = memo[key] = _canon_connected(sub)
-        part = sub.n, entry[0]
-        memo[part] = entry[1]
-        parts.append(part)
+        parts.append((sub.n, _canon_connected(sub)[0]))
     return _join(sorted(parts))
 
 
@@ -633,21 +605,22 @@ def _is_removable(adj: Sequence[int], u: int, v: int) -> bool:
     return False
 
 
-def _children(form: _Form, cap: int, memo: _CanonMemo) -> Iterator[_Form]:
-    """Canonical forms of the one-edge children of a connected canonical graph that the walk needs.
+def _children(form: _Form, gens: Sequence[_Perm], cap: int) -> Iterator[tuple[_Form, list[_Perm]]]:
+    """The one-edge children of a connected canonical graph that the walk needs, labeled.
 
-    The children are an edge between two present vertices and a pendant
-    edge to one new vertex; both stay connected.  An automorphism of the
-    parent maps a child to an isomorphic one, so one child per orbit of
-    non-edges and one per orbit of vertices give every child's form.  The
-    generators come from the memo that canonicalized the parent, and are
-    re-verified before use.  A child is canonicalized only if no removable
-    edge (see _is_removable) has a larger _edge_key than its new edge; the
-    rest are dropped unbuilt, from the parent's adjacency plus the new
-    edge (see _graph_levels).
+    Yields each child's canonical form with generators of its automorphism
+    group in its canonical labels, as _canon_connected returns them.  The
+    children are an edge between two present vertices and a pendant edge
+    to one new vertex; both stay connected.  An automorphism of the parent
+    maps a child to an isomorphic one, so one child per orbit of non-edges
+    and one per orbit of vertices give every child's form.  The orbits
+    come from gens, automorphisms of the parent form in its canonical
+    labels, which are re-verified before use.  A child is canonicalized
+    only if no removable edge (see _is_removable) has a larger _edge_key
+    than its new edge; the rest are dropped unbuilt, from the parent's
+    adjacency plus the new edge (see _graph_levels).
     """
     n, edges = form
-    gens = memo[form]
     _check_automorphisms(form, gens)
     present = set(edges)
     non_edges = [p for p in combinations(range(n), 2) if p not in present]
@@ -667,7 +640,9 @@ def _children(form: _Form, cap: int, memo: _CanonMemo) -> Iterator[_Form]:
         child[v] |= 1 << u
         key = _edge_key(child, u, v)
         if not any(_edge_key(child, a, b) > key and _is_removable(child, a, b) for a, b in edges):
-            yield canonical_form(Graph(max(n, v + 1), edges + ((u, v),)), memo)
+            size = max(n, v + 1)
+            child_edges, child_gens = _canon_connected(Graph(size, edges + ((u, v),)))
+            yield (size, child_edges), child_gens
 
 
 def _unions(connected: Sequence[Sequence[_Form]], m: int, cap: int) -> Iterator[_Form]:
@@ -722,20 +697,24 @@ def _graph_levels(m: int, max_vertices: int | None) -> Iterator[list[Graph]]:
     isolated vertex is the disjoint union of its components, and the form
     of a union is the join of its sorted component forms.  So the levels
     are the same as those of the one-edge walk over all graphs with
-    neither prune.  One memo serves the whole walk, so each distinct
-    labeled component is canonicalized once, and it carries each parent's
-    automorphism generators from one level to the next.
+    neither prune.  Every child that passes both prunes is labeled by
+    _canon_connected, and the automorphism generators that labeling
+    returns go with the child's form to the next level, where they prune
+    its own children.  A form reached twice keeps the generators of its
+    last labeling.
     """
-    memo: _CanonMemo = {}
     cap = 2 * m if max_vertices is None else max_vertices
-    connected = [[canonical_form(complete(2), memo)] if cap >= 2 else []]
+    root, root_gens = _canon_connected(complete(2))
+    gens: dict[_Form, list[_Perm]] = {(2, root): root_gens}
+    connected = [[(2, root)] if cap >= 2 else []]
     for k in range(1, m + 1):
         yield [Graph(n, edges) for n, edges in sorted(_unions(connected, k, cap))]
         if k == m:
             return
-        nxt: set[_Form] = set()
+        nxt: dict[_Form, list[_Perm]] = {}
         for form in connected[-1]:
-            nxt.update(_children(form, cap, memo))
+            nxt.update(_children(form, gens[form], cap))
+        gens = nxt
         connected.append(sorted(nxt))
 
 
@@ -751,8 +730,9 @@ def enumerate_graphs(m: int, max_vertices: int | None = None) -> Iterator[Graph]
     that needs every level up to m walks them once through the same
     generator rather than calling this per level.
     """
-    if m < 0:
-        raise RequestError(f"need m >= 0, got {m}")
+    _check_int("m", m, 0)
+    if max_vertices is not None:
+        _check_int("max_vertices", max_vertices, 0)
     if m > ENUMERATION_MAX_EDGES:
         raise CapacityError(f"enumeration capped at {ENUMERATION_MAX_EDGES} edges, got {m}")
     if m == 0:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterator
 
-from .errors import RequestError, _check_nt
+from .errors import RequestError, _check_int, _check_nt
 from .exactmath import binomial
 
 __all__ = [
@@ -184,13 +184,15 @@ def g_r(n: int, r: int, t: int) -> ValueResult:
 
 def g_values(n: int, t_max: int) -> list[int]:
     """g(n, t) for t = 0..t_max in one O(t_max) pass (index by t; entry 0 is 0)."""
-    _check_nt(n, max(t_max, 1))
+    _check_int("n", n, 2)
+    _check_int("t_max", t_max, 0)
     return _row(lambda s: part_cost(Flavor.G, n, s), t_max)
 
 
 def g_hat_values(n: int, t_max: int) -> list[int]:
     """g_hat(n, t) for t = 0..t_max in one O(t_max) pass (index by t)."""
-    _check_nt(n, max(t_max, 1))
+    _check_int("n", n, 2)
+    _check_int("t_max", t_max, 0)
     return _row(lambda s: part_cost(Flavor.GHAT, n, s), 2 * t_max)[::2]
 
 

@@ -30,8 +30,9 @@ from rsize.graphs import (
     to_graph6,
 )
 from rsize import graphs
+from rsize.arrowing import min_size_ramsey_bruteforce
 from rsize.errors import RequestError
-from rsize.graphs import _children, _edge_key, _graph_levels, _refine
+from rsize.graphs import _canon_connected, _children, _edge_key, _graph_levels, _refine
 
 from oracles import (
     brute_automorphisms,
@@ -377,10 +378,34 @@ def test_canonical_generators_give_the_full_vertex_orbits():
         for g in enumerate_graphs(m, max_vertices=7):
             if len(graphs._components(g)) > 1:
                 continue
-            memo: dict = {}
-            form = canonical_form(g, memo)
-            want = _orbits(g.n, brute_automorphisms(*form))
-            assert _orbits(g.n, memo[form]) == want, form
+            edges, gens = _canon_connected(g)
+            want = _orbits(g.n, brute_automorphisms(g.n, edges))
+            assert _orbits(g.n, gens) == want, edges
+
+
+def test_canonical_form_keeps_every_leaf_automorphism(monkeypatch):
+    # the orbit prune merges candidates by every verified leaf automorphism;
+    # with 64 kept at most, K_16 took 154,635 refinements and K_{10,10}
+    # 11,090, against 696 and 772 with all of them kept
+    real = _refine
+    bipartite = Graph(20, [(u, v) for u in range(10) for v in range(10, 20)])
+    for g in (complete(16), bipartite):
+        limit = g.n**3 // 4
+        calls = 0
+
+        def counting(*args):
+            nonlocal calls
+            calls += 1
+            if calls > limit:
+                raise AssertionError(f"more than {limit} refinements on {g.n} vertices")
+            return real(*args)
+
+        monkeypatch.setattr(graphs, "_refine", counting)
+        form = canonical_form(g)
+        monkeypatch.undo()
+        assert form == canonical_form(relabel(g, list(range(g.n))[::-1]))
+    edges, gens = _canon_connected(complete(16))
+    assert _orbits(16, gens) == {frozenset(range(16))}
 
 
 def test_enumerate_graphs_counts():
@@ -410,19 +435,15 @@ def children(g: Graph) -> list[Graph]:
     return out
 
 
-def test_canonical_form_shared_memo_changes_nothing():
-    # one memo across the whole walk, children met under fresh labels too
+def test_canonical_form_of_relabeled_children():
+    # the walk's children, met under fresh labels too
     rng = random.Random(23)
-    memo: dict = {}
     for m in range(1, 6):
         for parent in enumerate_graphs(m):
             for child in children(parent):
-                want = canonical_form(child)
-                assert canonical_form(child, memo) == want, child
                 perm = list(range(child.n))
                 rng.shuffle(perm)
-                assert canonical_form(relabel(child, perm), memo) == want, child
-    assert memo
+                assert canonical_form(relabel(child, perm)) == canonical_form(child), child
 
 
 def test_enumerate_graphs_properties():
@@ -448,8 +469,7 @@ def test_orbit_pruned_walk_equals_unpruned_walk():
     # the walk canonicalizes one child per orbit of its parent's
     # automorphisms, and only children whose new edge has the largest edge
     # key; the oracle canonicalizes every child
-    memo: dict = {}
-    canon = lambda n, edges: canonical_form(Graph(n, edges), memo)
+    canon = lambda n, edges: canonical_form(Graph(n, edges))
     for m, cap in ((8, None), *((7, cap) for cap in range(2, 9))):
         want = unpruned_graph_levels(m, cap, canon)
         got = [[(g.n, tuple(g.edges())) for g in level] for level in _graph_levels(m, cap)]
@@ -474,13 +494,13 @@ def test_walk_canonicalization_count(monkeypatch):
     # 1..6, plus the root K_2, and assembles the disconnected graphs from
     # their components
     calls = []
-    real = graphs.canonical_form
+    real = graphs._canon_connected
 
-    def counting(g, memo=None):
+    def counting(g):
         calls.append(g)
-        return real(g, memo)
+        return real(g)
 
-    monkeypatch.setattr(graphs, "canonical_form", counting)
+    monkeypatch.setattr(graphs, "_canon_connected", counting)
     assert [len(level) for level in _graph_levels(7, None)] == [1, 2, 5, 11, 26, 68, 177]
     assert len(calls) == 141
     assert all(len(graphs._components(g)) == 1 for g in calls)
@@ -495,21 +515,33 @@ def test_walk_rejects_a_bogus_generator():
     (middle,) = set(path[1][0]) & set(path[1][1])
     end = (middle + 1) % 3
     good = tuple(v if v == middle else 3 - middle - v for v in range(3))
-    unpruned = list(_children(path, 4, {path: []}))
-    pruned = list(_children(path, 4, {path: [good]}))
+    unpruned = [form for form, _ in _children(path, [], 4)]
+    pruned = [form for form, _ in _children(path, [good], 4)]
     assert len(unpruned) == 1 + 3
     assert len(pruned) == len(unpruned) - 1 and set(pruned) == set(unpruned)
     # a middle-end swap is not an automorphism
     bogus = tuple(end if v == middle else middle if v == end else v for v in range(3))
     with pytest.raises(CertificationError):
-        list(_children(path, 5, {path: [good, bogus]}))
+        list(_children(path, [good, bogus], 5))
     with pytest.raises(CertificationError):  # not a permutation
-        list(_children(path, 5, {path: [(0, 0, 1)]}))
+        list(_children(path, [(0, 0, 1)], 5))
 
 
 def test_enumerate_graphs_capacity():
     with pytest.raises(CapacityError):
         next(enumerate_graphs(13))
+
+
+def test_walk_entry_points_refuse_non_integer_sizes():
+    # True is no edge count, and a fractional cap would silently yield nothing
+    for call in (
+        lambda: list(enumerate_graphs(2.5)),
+        lambda: list(enumerate_graphs(True)),
+        lambda: list(enumerate_graphs(3, max_vertices=2.5)),
+        lambda: min_size_ramsey_bruteforce(3, 1, 3.5),
+    ):
+        with pytest.raises(RequestError, match="must be an integer"):
+            call()
 
 
 # -------------------------------------------------------------------- graph6

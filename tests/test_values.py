@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rsize.errors import RequestError
 from rsize.exactmath import binomial
 from rsize.values import (
     Flavor,
@@ -87,6 +88,13 @@ def test_row_helpers_match_dp_oracle():
         assert g_values(n, 150) == value, n
         value, _ = _dp(Flavor.GHAT, n, 300)
         assert g_hat_values(n, 150) == value[::2], n
+
+
+def test_row_helpers_refuse_a_bad_t_max():
+    assert g_values(4, 0) == g_hat_values(4, 0) == [0]
+    for call in (lambda: g_values(4, 0.5), lambda: g_values(4, -3), lambda: g_hat_values(4, -1)):
+        with pytest.raises(RequestError):
+            call()
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
