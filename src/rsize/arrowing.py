@@ -73,9 +73,8 @@ from itertools import combinations
 from math import comb
 from typing import Sequence
 
-from .errors import RequestError, _check_int, _check_nt
+from .errors import CertificationError, RequestError, UndecidedError, _check_int, _check_nt
 from .graphs import (
-    CertificationError,
     Graph,
     Hypergraph,
     _graph_levels,
@@ -93,10 +92,6 @@ REDUCED_MAX_EDGES = {"graph": 28, "hyper": 36}
 BUDGET_ENV_VAR = "RSIZE_BUDGET_EDGES"
 # the largest m_max that min_size_ramsey_bruteforce walks every graph to
 BRUTEFORCE_MAX_EDGES = 8
-
-
-class UndecidedError(RuntimeError):
-    """The host exceeds the search budget: no verdict is offered."""
 
 
 def _edge_tuples(host: Graph | Hypergraph) -> list[tuple[int, ...]]:

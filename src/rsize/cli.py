@@ -25,12 +25,16 @@ rationals as "p/q", so consumers that care can parse everything back
 losslessly.  The envelope is serialized inside the same guard as the
 command, so a fault there is an exit-4 envelope too.  Search budgets honor
 the same RSIZE_BUDGET_EDGES override the library uses.
+
+Each subcommand imports only the layers it runs: value, table and the
+limit suite load no search code, and check-arrow loads no values or
+decoloring.  Every exception main maps to an exit code lives in
+rsize.errors, so catching one imports nothing more.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import sys
@@ -38,33 +42,12 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Any, Sequence
+from typing import TYPE_CHECKING, Any, Sequence
 
-from .arrowing import (
-    BRUTEFORCE_MAX_EDGES,
-    UndecidedError,
-    arrows_hyper,
-    arrows_pair,
-    min_size_ramsey_bruteforce,
-    verify_graph_ramsey,
-    verify_hyper_ramsey,
-)
-from .decolor import (
-    _witness_coloring,
-    check_tightness_remark,
-    find_decolor_set,
-    find_decolor_set_matching,
-)
-from .errors import RequestError
-from .exactmath import binomial, limit_constant
-from .graphs import (
-    Graph,
-    Graph6Error,
-    HypergraphFormatError,
-    from_graph6,
-    hypergraph_from_text,
-)
-from .values import Flavor, bounds, equality_condition, g, g_hat, g_r, g_values
+from .errors import Graph6Error, HypergraphFormatError, RequestError, UndecidedError
+
+if TYPE_CHECKING:
+    from .graphs import Graph
 
 __all__ = ["CommandResult", "main", "run"]
 
@@ -160,6 +143,8 @@ def _csv_cell(value: Any) -> str:
 
 
 def _csv_text(outputs: dict[str, Any]) -> str:
+    import csv  # only table --format csv needs it
+
     stream = io.StringIO()
     writer = csv.writer(stream, lineterminator="\n")  # default dialect quotes per RFC
     columns = outputs["columns"]
@@ -190,6 +175,8 @@ def _read_text(path: str) -> str:
 
 
 def _read_graph6_file(path: str) -> Graph:
+    from .graphs import from_graph6
+
     lines = _read_text(path).splitlines()
     return from_graph6(lines[0].strip() if lines else "")
 
@@ -210,6 +197,8 @@ def _require(args: argparse.Namespace, *names: str) -> None:
 
 
 def _cmd_value(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
+    from .values import g, g_hat, g_r
+
     _within_scan_limit("t", args.t)
     if args.hat:
         result = g_hat(args.n, args.t)
@@ -228,6 +217,9 @@ def _cmd_value(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
 
 
 def _cmd_table(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
+    from .exactmath import limit_constant
+    from .values import bounds, equality_condition, g_values
+
     n_lo, n_hi = _parse_range(args.n_range)
     t_lo, t_hi = _parse_range(args.t_range)
     _within_scan_limit("n", n_hi)
@@ -258,6 +250,9 @@ def _cmd_table(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
 
 
 def _cmd_check_arrow(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
+    from .arrowing import arrows_hyper, arrows_pair
+    from .graphs import hypergraph_from_text
+
     if args.host is not None:
         verdict = arrows_pair(_read_graph6_file(args.host), args.n, args.t, search=args.mode)
     else:
@@ -285,19 +280,29 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
     if ignored:
         raise RequestError(f"suite {suite!r} does not read {', '.join(ignored)}")
     if suite == "ramsey":
+        from .arrowing import verify_graph_ramsey
+
         _require(args, "n", "t")
         ok = verify_graph_ramsey(args.n, args.t, search=args.mode)
         return {"pass": ok}, 0 if ok else 1
     if suite == "hyper-ramsey":
+        from .arrowing import verify_hyper_ramsey
+
         _require(args, "n", "r", "t")
         ok = verify_hyper_ramsey(args.n, args.r, args.t, search=args.mode)
         return {"pass": ok}, 0 if ok else 1
     if suite == "tightness":
+        from .decolor import check_tightness_remark
+        from .values import Flavor
+
         _require(args, "n", "t", "flavor")
         flavor = Flavor.GHAT if args.flavor == "ghat" else Flavor.G
         ok = check_tightness_remark(args.n, args.t, flavor)
         return {"pass": ok}, 0 if ok else 1
     if suite == "minimality":
+        from .arrowing import BRUTEFORCE_MAX_EDGES, min_size_ramsey_bruteforce
+        from .values import g
+
         _require(args, "n", "t")
         expected = g(args.n, args.t).value
         m_max = args.m_max if args.m_max is not None else min(BRUTEFORCE_MAX_EDGES, expected)
@@ -322,6 +327,9 @@ def _verify_limit(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
     constant, and once T reaches n the running minimum must have landed
     on it exactly.
     """
+    from .exactmath import binomial, limit_constant
+    from .values import g_values
+
     _require(args, "n")
     n, t_cap = args.n, args.T
     _within_scan_limit("max(n, T)", max(n, t_cap))
@@ -352,6 +360,8 @@ def _verify_limit(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
 
 
 def _cmd_decolor(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
+    from .decolor import _witness_coloring, find_decolor_set, find_decolor_set_matching
+
     host = _read_graph6_file(args.host)
     find = find_decolor_set_matching if args.matching else find_decolor_set
     result = find(host, args.n, args.t)

@@ -23,10 +23,9 @@ from dataclasses import dataclass, field
 from itertools import count, product
 from typing import Iterator, Sequence
 
-from .arrowing import EdgeColoring, UndecidedError, _lower_bound
-from .errors import RequestError, _check_nt
+from .arrowing import EdgeColoring, _lower_bound
+from .errors import CertificationError, HypothesisError, RequestError, UndecidedError, _check_nt
 from .graphs import (
-    CertificationError,
     Graph,
     VertexColoring,
     _mask_vertices,
@@ -40,10 +39,6 @@ from .graphs import (
     min_vertex_cover,
 )
 from .values import Flavor, g, g_hat, iter_partitions, part_cost
-
-
-class HypothesisError(RequestError):
-    """The input graph has too many edges for the requested guarantee."""
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,14 @@ from itertools import combinations, count
 from math import comb
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .errors import RequestError, _check_int
+from .errors import (
+    CapacityError,
+    CertificationError,
+    Graph6Error,
+    HypergraphFormatError,
+    RequestError,
+    _check_int,
+)
 
 MAX_GRAPH_VERTICES = 64
 MAX_HYPER_VERTICES = 32
@@ -53,30 +60,6 @@ __all__ = [
     "hypergraph_to_text",
     "hypergraph_from_text",
 ]
-
-
-class CertificationError(RuntimeError):
-    """A certificate built here failed its independent re-check: a defect, not an input error."""
-
-
-class CapacityError(RequestError):
-    """Instance exceeds the fixed small-scale caps."""
-
-
-class Graph6Error(RequestError):
-    """Malformed graph6 input; carries the byte offset of the problem."""
-
-    def __init__(self, message: str, offset: int):
-        super().__init__(f"{message} (byte offset {offset})")
-        self.offset = offset
-
-
-class HypergraphFormatError(RequestError):
-    """Malformed hypergraph text; carries the 1-based line number."""
-
-    def __init__(self, message: str, line: int):
-        super().__init__(f"{message} (line {line})")
-        self.line = line
 
 
 class Graph:

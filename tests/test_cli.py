@@ -1,4 +1,5 @@
 import csv
+import importlib
 import io
 import json
 import subprocess
@@ -11,7 +12,7 @@ from importlib.resources import files
 import jsonschema
 import pytest
 
-from rsize import cli, decolor
+from rsize import cli, decolor, errors
 from rsize.arrowing import CertificationError
 from rsize.cli import _jsonify, main
 from rsize.errors import RequestError
@@ -583,3 +584,105 @@ def test_exit_code_surfaces_in_subprocess(tmp_path):
         timeout=60,
     )
     assert proc.returncode == 3
+
+
+# -- import footprint and exception homes ------------------------------------------
+
+_VALUE_LAYERS = {"rsize.cli", "rsize.errors", "rsize.exactmath", "rsize.values"}
+_SEARCH_LAYERS = {"rsize.cli", "rsize.errors", "rsize.graphs", "rsize.arrowing"}
+_EVERY_LAYER = _VALUE_LAYERS | _SEARCH_LAYERS | {"rsize.decolor"}
+
+# runs main on its arguments, then reports the exit code and the loaded modules
+_FOOTPRINT_PROBE = """
+import sys
+from rsize.cli import main
+code = main(sys.argv[1:])
+print(code, *sorted(m for m in sys.modules if m.startswith("rsize.")), file=sys.stderr)
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, loaded",
+    [
+        (("value", "--n", "6", "--t", "2"), _VALUE_LAYERS),
+        (("table", "--n-range", "3:4", "--t-range", "1:3"), _VALUE_LAYERS),
+        (("verify", "--suite", "limit", "--n", "6", "--T", "12"), _VALUE_LAYERS),
+        (("verify", "--suite", "ramsey", "--n", "3", "--t", "2"), _SEARCH_LAYERS),
+        (("verify", "--suite", "hyper-ramsey", "--n", "3", "--r", "3", "--t", "2"), _SEARCH_LAYERS),
+        (("check-arrow", "--host", "{dir}/k5.g6", "--n", "3", "--t", "2"), _SEARCH_LAYERS),
+        (("check-arrow", "--hyper", "{dir}/k5_3.hg", "--n", "3", "--t", "2"), _SEARCH_LAYERS),
+        (("verify", "--suite", "minimality", "--n", "3", "--t", "2"), _VALUE_LAYERS | _SEARCH_LAYERS),
+        (("verify", "--suite", "tightness", "--n", "4", "--t", "1", "--flavor", "g"), _EVERY_LAYER),
+        (("decolor", "--host", "{dir}/k4.g6", "--n", "4", "--t", "2"), _EVERY_LAYER),
+    ],
+    ids=[
+        "value",
+        "table",
+        "limit",
+        "ramsey",
+        "hyper-ramsey",
+        "check-arrow-host",
+        "check-arrow-hyper",
+        "minimality",
+        "tightness",
+        "decolor",
+    ],
+)
+def test_each_subcommand_loads_only_the_layers_it_runs(tmp_path, argv, loaded):
+    write_graph6(tmp_path, "k5.g6", complete(5))
+    write_graph6(tmp_path, "k4.g6", complete(4))
+    (tmp_path / "k5_3.hg").write_text(hypergraph_to_text(complete_r(5, 3)))
+    argv = [arg.replace("{dir}", str(tmp_path)) for arg in argv]
+    proc = subprocess.run(
+        [sys.executable, "-c", _FOOTPRINT_PROBE, *argv],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    code, *modules = proc.stderr.split()
+    assert code == "0", proc.stderr
+    assert set(modules) == loaded
+
+
+@pytest.mark.parametrize(
+    "module, name",
+    [
+        ("graphs", "CapacityError"),
+        ("graphs", "CertificationError"),
+        ("graphs", "Graph6Error"),
+        ("graphs", "HypergraphFormatError"),
+        ("arrowing", "CertificationError"),
+        ("arrowing", "UndecidedError"),
+        ("decolor", "CertificationError"),
+        ("decolor", "HypothesisError"),
+        ("decolor", "UndecidedError"),
+    ],
+)
+def test_each_exception_is_one_class_under_its_old_and_new_paths(module, name):
+    old = getattr(importlib.import_module(f"rsize.{module}"), name)
+    assert old is getattr(errors, name)
+    assert name in errors.__all__
+
+
+@pytest.mark.parametrize(
+    "raised, code, outputs",
+    [
+        (Graph6Error("bad byte", 5), 2, {"message": "bad byte (byte offset 5)", "offset": 5}),
+        (HypergraphFormatError("bad header", 1), 2, {"message": "bad header (line 1)", "line": 1}),
+        (errors.UndecidedError("over budget"), 3, {"message": "over budget"}),
+        (
+            CertificationError("re-check failed"),
+            4,
+            {"message": "re-check failed", "exception": "CertificationError"},
+        ),
+    ],
+)
+def test_each_exception_keeps_its_exit_code_and_payload(capsys, monkeypatch, raised, code, outputs):
+    def fail(args):
+        raise raised
+
+    monkeypatch.setattr(cli, "_cmd_verify", fail)
+    got, payload = run_json(capsys, "verify", "--suite", "ramsey", "--n", "3", "--t", "2")
+    assert got == code
+    assert payload["status"] == ("undecided" if code == 3 else "error")
+    assert payload["outputs"] == outputs
