@@ -19,8 +19,11 @@ in the test suite:
   once.  The search runs over S (only vertices that lie in an n-clique),
   then a memoised merge search kills the first live clique by merging the
   parts of two of its vertices.  A packing of cliques that need a merge
-  each bounds both levels from below.  The blue set is every host edge
-  that touches S or lies inside a part.
+  each bounds both levels from below.  Twins (vertices with equal closed
+  neighbourhoods) break the symmetry: S takes a prefix of each twin
+  class, and the merge memo keys parts up to relabelling of the twins
+  outside S, so a complete host is searched over |S| and part sizes.  The
+  blue set is every host edge that touches S or lies inside a part.
 * naive -- table the matching number of every one of the 2^m edge subsets
   (a bytearray DP), then scan all subsets.  Independent of the pruned
   searches; memory-bound, so capped at modest edge counts, and run only
@@ -79,6 +82,7 @@ from .graphs import (
     Hypergraph,
     _graph_levels,
     _mask_vertices,
+    _twin_classes,
     complete,
     complete_r,
     has_clique,
@@ -377,25 +381,73 @@ def _odd_packing(live: Sequence[int], parts: Sequence[int]) -> int:
 
 
 def _run_structural(
-    edge_masks: Sequence[int], cliques: Sequence[int], t: int
+    edge_masks: Sequence[int], cliques: Sequence[int], t: int, graph: Graph
 ) -> tuple[int | None, int]:
-    """Search (S, parts) structures; `cliques` are vertex masks.
+    """Search (S, parts) structures of `graph`; `cliques` are vertex masks.
+
+    Twin classes (graphs._twin_classes) are classes of vertices with equal
+    closed neighbourhoods.  Permuting the vertices of one class and fixing
+    every other vertex is an automorphism, so it maps cliques to cliques
+    and a structure that leaves no live clique to another one of the same
+    cost.  Two prunes rest on this.
+
+    S takes a prefix of each class: a vertex joins S only when every
+    lower-numbered vertex of its class is already in it.  Complete: take
+    any good structure and permute each class so that S holds its lowest
+    members; the result is good, and S is a prefix of each class.  Now
+    walk S in vertex order and drop each vertex that lies in no clique
+    avoiding the vertices kept before it; giving it a singleton part
+    keeps the structure good, as every clique through it meets a vertex
+    kept before it, and costs 1 less.  If a vertex u is dropped, so is
+    every later twin w of u in S: a clique through w that avoids the kept
+    vertices and misses u becomes one through u when w is swapped for u,
+    and the kept set only grows.  So S stays a prefix of each class, and
+    every vertex of it lies in a live clique when it is added in vertex
+    order, which is the walk choose makes.
+
+    The merge memo keys parts up to relabelling of the twins outside S:
+    a part by its vertices in singleton classes and its count in each
+    larger class.  Two part lists with the same key differ by a
+    permutation of each class that fixes S, an automorphism mapping the
+    first state's live cliques onto the second's, so one fails exactly
+    when the other does.  A host with no twins keys parts as they are.
 
     Returns the blue edge mask of the first structure that leaves no live
     clique (None if there is none) and the number of structures entered.
     """
     budget = t - 1
     nodes = 0
+    # a vertex added to S costs 1 and kills at most one packed clique, so
+    # the packing of the cliques S leaves live bounds every superset of S;
+    # at the root it often decides alone
+    if _odd_packing(cliques, ()) > budget:
+        return None, 0
+    classes = _twin_classes(graph)
+    twins = [c for c in classes if c & (c - 1)]
+    # profile: a part's memo key, kept for every part built so far: its
+    # vertices in singleton classes, plus its count in each twin class
+    # packed above the vertex bits, so a merged part's is the sum of two
+    profile: dict[int, int] | None = None
+    if twins:
+        profile = {}
+        at = graph.n
+        for c in classes:
+            if c & (c - 1):
+                for v in _mask_vertices(c):
+                    profile[1 << v] = 1 << at
+                at += c.bit_count().bit_length()
+            else:
+                profile[c] = c
 
     def merge(
-        live: list[int], parts: tuple[int, ...], spare: int, failed: set[tuple[int, ...]]
+        live: Sequence[int], parts: tuple[int, ...], key: tuple[int, ...], spare: int, failed: set[tuple[int, ...]]
     ) -> tuple[int, ...] | None:
         # parts: sorted masks of the parts with two or more vertices
         nonlocal nodes
         nodes += 1
         if not live:
             return parts
-        # choose has checked the root's packing against the same spare
+        # the caller has checked the root's packing against the same spare
         if not parts or _odd_packing(live, parts) <= spare:
             owners = [next((p for p in parts if p >> v & 1), 1 << v) for v in _mask_vertices(live[0])]
             for a, b in combinations(owners, 2):
@@ -403,37 +455,53 @@ def _run_structural(
                 cost = merged.bit_count() // 2 - a.bit_count() // 2 - b.bit_count() // 2
                 if cost > spare:
                     continue
-                key = tuple(sorted([p for p in parts if p != a and p != b] + [merged]))
-                if key in failed:
+                child = tuple(sorted([p for p in parts if p != a and p != b] + [merged]))
+                if profile is None:
+                    child_key = child
+                else:
+                    pa, pb = profile[a], profile[b]
+                    profile[merged] = pa + pb
+                    # the key lists the profiles of the parts of two or more vertices
+                    keys = list(key)
+                    if a & (a - 1):
+                        keys.remove(pa)
+                    if b & (b - 1):
+                        keys.remove(pb)
+                    keys.append(pa + pb)
+                    keys.sort()
+                    child_key = tuple(keys)
+                if child_key in failed:
                     continue
                 alive = [c for c in live if (c & merged) & ((c & merged) - 1) == 0]
-                found = merge(alive, key, spare - cost, failed)
+                found = merge(alive, child, child_key, spare - cost, failed)
                 if found is not None:
                     return found
-        failed.add(parts)
+        failed.add(key)
         return None
 
-    def choose(low: int, S: int, size: int) -> tuple[int, tuple[int, ...]] | None:
-        # every clique meeting S has a blue edge at S; the rest are live
-        live = [c for c in cliques if not c & S]
-        # a vertex added to S costs 1 and kills at most one packed clique, so
-        # the packing bounds every superset of S as well
-        if size + _odd_packing(live, ()) > budget:
-            return None
-        parts = merge(live, (), budget - size, set())
+    def choose(low: int, S: int, size: int, live: Sequence[int]) -> tuple[int, tuple[int, ...]] | None:
+        # live: the cliques that avoid S (each clique meeting S has a blue
+        # edge at S), whose packing fits the budget
+        parts = merge(live, (), (), budget - size, set())
         if parts is not None:
             return S, parts
-        # S grows in vertex order, and only by vertices of live cliques
+        # S grows in vertex order, only by vertices of live cliques, and
+        # from each twin class only by its lowest vertex outside S
         reach = 0
         for c in live:
             reach |= c
+        for c in twins:
+            rest = c & ~S
+            reach &= ~(rest & (rest - 1))
         for v in _mask_vertices(reach >> low << low):
-            found = choose(v + 1, S | 1 << v, size + 1)
-            if found is not None:
-                return found
+            left = [c for c in live if not c >> v & 1]
+            if size + 1 + _odd_packing(left, ()) <= budget:
+                found = choose(v + 1, S | 1 << v, size + 1, left)
+                if found is not None:
+                    return found
         return None
 
-    found = choose(0, 0, 0)
+    found = choose(0, 0, 0, cliques)
     if found is None:
         return None, nodes
     S, parts = found
@@ -549,7 +617,7 @@ def _decide(host: Graph | Hypergraph, n: int, t: int, search: str) -> ArrowVerdi
     else:
         windows = _cliques_of_hypergraph(host, n)
     if mode == "structural":
-        found, nodes = _run_structural(edge_masks, windows, t)
+        found, nodes = _run_structural(edge_masks, windows, t, graph)
     elif mode == "naive":
         found, nodes = _run_naive(edge_masks, _window_edges(edge_masks, windows), t)
     else:

@@ -433,24 +433,30 @@ def _canon_connected(g: Graph) -> tuple[tuple[tuple[int, int], ...], list[_Perm]
                     raise CertificationError(f"leaf relabeling {auto} is not an automorphism")
                 gens.append(auto)
 
-    def search(cells: list[int], fixed: tuple[int, ...]) -> None:
+    def search(cells: list[int], fixed: tuple[int, ...], fixing: list[_Perm], seen: int) -> None:
+        # fixing: the generators in gens[:seen] that fix `fixed` pointwise
         if len(cells) == n:
             leaf(cells)
             return
         i = next(i for i, cell in enumerate(cells) if cell & (cell - 1))
         target = cells[i]
+        members = _mask_vertices(target)
         explored: list[int] = []
-        # union-find of the orbits of the stored generators that fix `fixed` pointwise
+        # union-find of their orbits on the target cell, which each of them
+        # maps to itself: refinement commutes with an automorphism that
+        # fixes every individualized vertex
         orbits = list(range(n))
         merged = 0
-        for v in _mask_vertices(target):
+        for v in members:
             if explored:
-                # gens only grows, at leaves: merge the generators stored since the last candidate
-                for auto in gens[merged:]:
-                    if all(auto[u] == u for u in fixed):
-                        for u in range(n):
+                # gens only grows, at leaves: take in those stored since the last look
+                fixing += [auto for auto in gens[seen:] if all(auto[u] == u for u in fixed)]
+                seen = len(gens)
+                for auto in fixing[merged:]:
+                    for u in members:
+                        if auto[u] != u:
                             orbits[_find(orbits, u)] = _find(orbits, auto[u])
-                merged = len(gens)
+                merged = len(fixing)
                 root = _find(orbits, v)
                 if any(_find(orbits, u) == root for u in explored):
                     continue
@@ -458,10 +464,15 @@ def _canon_connected(g: Graph) -> tuple[tuple[tuple[int, int], ...], list[_Perm]
             # the parent partition is equitable, so {v} is the only splitter needed
             bit = 1 << v
             split = cells[:i] + [bit, target ^ bit] + cells[i + 1 :]
-            search(_refine(adj, split, [bit]), fixed + (v,))
+            search(
+                _refine(adj, split, [bit]),
+                fixed + (v,),
+                [auto for auto in fixing if auto[v] == v],
+                seen,
+            )
 
     full = (1 << n) - 1
-    search(_refine(adj, [full], [full]), ())
+    search(_refine(adj, [full], [full]), (), [], 0)
     # vertex v has canonical label best_colors[v]
     inverse = [0] * n
     for v in range(n):

@@ -34,6 +34,7 @@ from rsize.graphs import (
     Graph,
     Hypergraph,
     _graph_levels,
+    _twin_classes,
     complete,
     complete_r,
     disjoint_union,
@@ -157,20 +158,23 @@ def test_hyper_pinned_cases():
     assert not v.arrows
     assert arrows_hyper(complete_r(4, 3), 4, 1).arrows
     # a 2-uniform host is a graph: K_8 as a hypergraph takes the structural
-    # search, where the reduced DFS needs 192,128 nodes
+    # search, where the reduced DFS needs 2,778 nodes.  K_8 is one twin
+    # class, so S runs through {}, {0}, {0,1} and the merge memo sees one
+    # state per multiset of part sizes: 8 structures, where 133 were
+    # entered without the twin prunes
     v = arrows_hyper(complete_r(8, 2), 4, 3)
-    assert (v.arrows, v.mode, v.nodes) == (True, "structural", 133)
+    assert (v.arrows, v.mode, v.nodes) == (True, "structural", 8)
     # 36 edges: past the graph budget of 28, inside the hypergraph one
     v = arrows_hyper(complete_r(9, 2), 3, 1)
     assert v.arrows and v.mode == "structural"
 
 
 def test_root_merge_reuses_the_packing_of_choose(monkeypatch):
-    # choose bounds S by the packing of its live cliques before it starts
-    # the merge search, whose root would compute the same packing again.
-    # On K_8 with (4,3), 37 choose calls pack once each (parts empty) and 9
-    # of them pass and start a merge; the other 124 calls come from merges
-    # below the root.  Computing the root's packing again made 170 calls
+    # each set S is bounded by the packing of its live cliques before its
+    # merge search starts, whose root would compute the same packing again.
+    # On K_8 with (4,3), 3 sets S are packed once each (parts empty) and 2
+    # of them pass and start a merge; the other 6 calls come from merges
+    # below the root.  Computing the root's packing again made 11 calls
     real = rsize.arrowing._odd_packing
     calls = []
 
@@ -180,9 +184,9 @@ def test_root_merge_reuses_the_packing_of_choose(monkeypatch):
 
     monkeypatch.setattr(rsize.arrowing, "_odd_packing", counting)
     v = arrows_pair(complete(8), 4, 3)
-    assert (v.arrows, v.mode, v.nodes) == (True, "structural", 133)
-    assert len(calls) == 170 - 9
-    assert sum(1 for parts in calls if not parts) == 37
+    assert (v.arrows, v.mode, v.nodes) == (True, "structural", 8)
+    assert len(calls) == 11 - 2
+    assert sum(1 for parts in calls if not parts) == 3
 
 
 def test_frankl_phase_refutes_below_the_hyper_threshold():
@@ -295,6 +299,70 @@ def test_structural_equals_reduced_on_denser_hosts():
                 a = arrows_pair(host, n, t, search="reduced")
                 b = arrows_pair(host, n, t)
                 assert (a.arrows, b.mode) == (b.arrows, "structural"), (host, n, t)
+
+
+def twin_rich_host(rng: random.Random) -> Graph:
+    """A host of at most 28 edges made mostly of twins, randomly relabelled.
+
+    Twins are vertices with equal closed neighbourhoods.  The hosts are
+    unions of cliques (sometimes with a few edges between them), blow-ups
+    of a small graph with every vertex replaced by a clique, and complete
+    multipartite graphs, whose singleton parts are twins of each other.
+    The relabelling scatters each twin class over the vertex order.
+    """
+    while True:
+        kind = rng.choice(("cliques", "blow-up", "multipartite"))
+        if kind == "cliques":
+            host = disjoint_union([complete(rng.randint(1, 6)) for _ in range(rng.randint(1, 4))])
+            edges = host.edges()
+            if rng.random() < 0.5:
+                missing = [e for e in combinations(range(host.n), 2) if e not in edges]
+                edges += rng.sample(missing, min(len(missing), rng.randint(1, 3)))
+        elif kind == "blow-up":
+            k = rng.randint(2, 4)
+            base = Graph(k, [e for e in combinations(range(k), 2) if rng.random() < 0.6])
+            blocks, start = [], 0
+            for _ in range(base.n):
+                size = rng.randint(1, 4)
+                blocks.append(range(start, start + size))
+                start += size
+            edges = [e for b in blocks for e in combinations(b, 2)]
+            edges += [(u, v) for a, b in base.edges() for u in blocks[a] for v in blocks[b]]
+            host = Graph(start)
+        else:
+            sizes = [rng.randint(1, 3) for _ in range(rng.randint(2, 5))]
+            part = [i for i, size in enumerate(sizes) for _ in range(size)]
+            host = Graph(len(part))
+            edges = [(u, v) for u, v in combinations(range(len(part)), 2) if part[u] != part[v]]
+        if len(edges) <= 28:
+            break
+    perm = list(range(host.n))
+    rng.shuffle(perm)
+    return Graph(host.n, [(perm[u], perm[v]) for u, v in edges])
+
+
+def test_structural_equals_reduced_on_twin_rich_hosts():
+    # the structural search takes S as a prefix of each twin class and
+    # keys its merge memo up to twin relabelling; both prunes must keep
+    # every verdict, including on hosts whose classes are not contiguous
+    rng = random.Random(67)
+    twins = 0
+    for _ in range(60):
+        host = twin_rich_host(rng)
+        twins += any(c & (c - 1) for c in _twin_classes(host))
+        m = host.edge_count()
+        for n in (2, 3, 4, 5):
+            for t in (1, 2, 3, 4):
+                auto = arrows_pair(host, n, t)
+                modes = ("reduced", "naive") if m <= 16 else ("reduced",)
+                others = [arrows_pair(host, n, t, search=mode) for mode in modes]
+                assert auto.mode == "structural"
+                assert {auto.arrows} == {v.arrows for v in others}, (host, n, t)
+                for v in [auto, *others]:
+                    # the verdict re-verified it on build; check it once more here
+                    assert v.arrows or is_good_coloring(v.counterexample, n, t)
+    # most hosts have a twin class of two or more vertices
+    assert twins >= 40
 
 
 def test_structural_decides_many_disjoint_triangles():
@@ -470,6 +538,26 @@ def test_hyper_lower_bound_coloring():
 def test_verify_graph_ramsey_small():
     for n, t in [(2, 1), (2, 2), (2, 3), (3, 2), (4, 1), (4, 2), (5, 1), (3, 3)]:
         assert verify_graph_ramsey(n, t), (n, t)
+
+
+def test_verify_graph_ramsey_up_to_sixteen_vertices(monkeypatch):
+    # every (n, t) with n+2t-2 <= 16, 64 pairs: K_{n+2t-2} arrows and
+    # K_{n+2t-3} does not.  Complete hosts are one twin class, so S runs
+    # through prefixes {0..s-1} and the merge memo keys parts by size.
+    # Without the twin prunes K_12 with (4,5) entered 15,529 structures
+    # and K_14 with (4,6) 159,337
+    monkeypatch.setenv(BUDGET_ENV_VAR, "120")
+    pairs = [(n, t) for t in range(1, 9) for n in range(2, 19 - 2 * t)]
+    assert len(pairs) == 64
+    start = time.perf_counter()
+    for n, t in pairs:
+        assert verify_graph_ramsey(n, t), (n, t)
+        v = arrows_pair(complete(n + 2 * t - 3), n, t)
+        assert not v.arrows and is_good_coloring(v.counterexample, n, t), (n, t)
+    # a backstop against runaway runs, not a timing assertion
+    assert time.perf_counter() - start < 60.0
+    assert arrows_pair(complete(12), 4, 5).nodes == 46
+    assert arrows_pair(complete(14), 4, 6).nodes == 87
 
 
 def test_verify_hyper_ramsey_naive_case():

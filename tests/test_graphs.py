@@ -1,4 +1,6 @@
+import hashlib
 import random
+import time
 from itertools import combinations, permutations
 
 import pytest
@@ -504,6 +506,38 @@ def test_walk_canonicalization_count(monkeypatch):
     assert [len(level) for level in _graph_levels(7, None)] == [1, 2, 5, 11, 26, 68, 177]
     assert len(calls) == 141
     assert all(len(graphs._components(g)) == 1 for g in calls)
+
+
+def test_walk_labels_are_pinned(monkeypatch):
+    # the orbit bookkeeping only decides which candidates the labeling
+    # search skips, so reworking it must leave every label alone: levels
+    # 1..8 (787 forms, OEIS A000664) hash to the digest they had when the
+    # bookkeeping merged every generator over every vertex, from the same
+    # 402 labelings
+    calls = 0
+    real = graphs._canon_connected
+
+    def counting(g):
+        nonlocal calls
+        calls += 1
+        return real(g)
+
+    monkeypatch.setattr(graphs, "_canon_connected", counting)
+    levels = [[(g.n, tuple(g.edges())) for g in level] for level in _graph_levels(8, None)]
+    assert sum(map(len, levels)) == 787 and calls == 402
+    digest = hashlib.sha256(repr(levels).encode()).hexdigest()
+    assert digest == "e13d7441c04c46e0c982a31e089e9c2bd09194a728e41f5b250389e0975b85d2"
+
+
+def test_canonical_form_of_a_large_complete_graph():
+    # K_32 stores 496 generators; merging each one over all 32 vertices at
+    # every search node, after testing it against the whole prefix, took
+    # several seconds.  Only the generators that fix the prefix act, each
+    # maps the target cell to itself, and children inherit the filtered list
+    start = time.perf_counter()
+    assert canonical_form(complete(32)) == (32, tuple(combinations(range(32), 2)))
+    # a backstop against runaway runs, not a timing assertion
+    assert time.perf_counter() - start < 30.0
 
 
 def test_walk_rejects_a_bogus_generator():
