@@ -410,7 +410,8 @@ def _run_structural(
     larger class.  Two part lists with the same key differ by a
     permutation of each class that fixes S, an automorphism mapping the
     first state's live cliques onto the second's, so one fails exactly
-    when the other does.  A host with no twins keys parts as they are.
+    when the other does.  On a host with no twins a part's key is its
+    mask.
 
     Returns the blue edge mask of the first structure that leaves no live
     clique (None if there is none) and the number of structures entered.
@@ -422,27 +423,23 @@ def _run_structural(
     # at the root it often decides alone
     if _odd_packing(cliques, ()) > budget:
         return None, 0
-    classes = _twin_classes(graph)
-    twins = [c for c in classes if c & (c - 1)]
+    twins = [c for c in _twin_classes(graph) if c & (c - 1)]
     # profile: a part's memo key, kept for every part built so far: its
     # vertices in singleton classes, plus its count in each twin class
     # packed above the vertex bits, so a merged part's is the sum of two
-    profile: dict[int, int] | None = None
-    if twins:
-        profile = {}
-        at = graph.n
-        for c in classes:
-            if c & (c - 1):
-                for v in _mask_vertices(c):
-                    profile[1 << v] = 1 << at
-                at += c.bit_count().bit_length()
-            else:
-                profile[c] = c
+    # and a part's is its mask when the host has no twins
+    profile = {1 << v: 1 << v for v in range(graph.n)}
+    at = graph.n
+    for c in twins:
+        for v in _mask_vertices(c):
+            profile[1 << v] = 1 << at
+        at += c.bit_count().bit_length()
 
     def merge(
-        live: Sequence[int], parts: tuple[int, ...], key: tuple[int, ...], spare: int, failed: set[tuple[int, ...]]
+        live: Sequence[int], parts: tuple[int, ...], spare: int, failed: set[tuple[int, ...]]
     ) -> tuple[int, ...] | None:
-        # parts: sorted masks of the parts with two or more vertices
+        # parts: sorted masks of the parts with two or more vertices;
+        # failed: the keys of the part lists known to fail
         nonlocal nodes
         nodes += 1
         if not live:
@@ -456,33 +453,21 @@ def _run_structural(
                 if cost > spare:
                     continue
                 child = tuple(sorted([p for p in parts if p != a and p != b] + [merged]))
-                if profile is None:
-                    child_key = child
-                else:
-                    pa, pb = profile[a], profile[b]
-                    profile[merged] = pa + pb
-                    # the key lists the profiles of the parts of two or more vertices
-                    keys = list(key)
-                    if a & (a - 1):
-                        keys.remove(pa)
-                    if b & (b - 1):
-                        keys.remove(pb)
-                    keys.append(pa + pb)
-                    keys.sort()
-                    child_key = tuple(keys)
-                if child_key in failed:
+                profile[merged] = profile[a] + profile[b]
+                key = tuple(sorted(profile[p] for p in child))
+                if key in failed:
                     continue
                 alive = [c for c in live if (c & merged) & ((c & merged) - 1) == 0]
-                found = merge(alive, child, child_key, spare - cost, failed)
+                found = merge(alive, child, spare - cost, failed)
                 if found is not None:
                     return found
-        failed.add(key)
+                failed.add(key)
         return None
 
     def choose(low: int, S: int, size: int, live: Sequence[int]) -> tuple[int, tuple[int, ...]] | None:
         # live: the cliques that avoid S (each clique meeting S has a blue
         # edge at S), whose packing fits the budget
-        parts = merge(live, (), (), budget - size, set())
+        parts = merge(live, (), budget - size, set())
         if parts is not None:
             return S, parts
         # S grows in vertex order, only by vertices of live cliques, and

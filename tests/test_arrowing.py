@@ -160,8 +160,7 @@ def test_hyper_pinned_cases():
     # a 2-uniform host is a graph: K_8 as a hypergraph takes the structural
     # search, where the reduced DFS needs 2,778 nodes.  K_8 is one twin
     # class, so S runs through {}, {0}, {0,1} and the merge memo sees one
-    # state per multiset of part sizes: 8 structures, where 133 were
-    # entered without the twin prunes
+    # state per multiset of part sizes: 8 structures
     v = arrows_hyper(complete_r(8, 2), 4, 3)
     assert (v.arrows, v.mode, v.nodes) == (True, "structural", 8)
     # 36 edges: past the graph budget of 28, inside the hypergraph one
@@ -543,9 +542,7 @@ def test_verify_graph_ramsey_small():
 def test_verify_graph_ramsey_up_to_sixteen_vertices(monkeypatch):
     # every (n, t) with n+2t-2 <= 16, 64 pairs: K_{n+2t-2} arrows and
     # K_{n+2t-3} does not.  Complete hosts are one twin class, so S runs
-    # through prefixes {0..s-1} and the merge memo keys parts by size.
-    # Without the twin prunes K_12 with (4,5) entered 15,529 structures
-    # and K_14 with (4,6) 159,337
+    # through prefixes {0..s-1} and the merge memo keys parts by size
     monkeypatch.setenv(BUDGET_ENV_VAR, "120")
     pairs = [(n, t) for t in range(1, 9) for n in range(2, 19 - 2 * t)]
     assert len(pairs) == 64
