@@ -71,7 +71,6 @@ survives `python -O`.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 from typing import Sequence
@@ -90,6 +89,7 @@ from .graphs import (
     hyper_matching,
     max_matching,
 )
+from .records import Record, _set
 
 NAIVE_MAX_EDGES = {"graph": 20, "hyper": 24}
 REDUCED_MAX_EDGES = {"graph": 28, "hyper": 36}
@@ -110,21 +110,23 @@ def _edge_masks(host: Graph | Hypergraph) -> list[int]:
     return list(host.edge_masks)
 
 
-@dataclass(frozen=True)
-class EdgeColoring:
+class EdgeColoring(Record):
     """A red/blue coloring of a host's edges.
 
     `blue` is a bitmask over the host's sorted edge list; every edge not
     in it is red.
     """
 
+    __slots__ = ("host", "blue")
     host: Graph | Hypergraph
     blue: int
 
-    def __post_init__(self) -> None:
-        m = self.host.edge_count()
-        if not 0 <= self.blue < 1 << m:
-            raise ValueError(f"blue mask {self.blue:#x} out of range for {m} edges")
+    def __init__(self, host: Graph | Hypergraph, blue: int) -> None:
+        m = host.edge_count()
+        if not 0 <= blue < 1 << m:
+            raise ValueError(f"blue mask {blue:#x} out of range for {m} edges")
+        _set(self, "host", host)
+        _set(self, "blue", blue)
 
     def blue_edges(self) -> list[tuple[int, ...]]:
         return [e for i, e in enumerate(_edge_tuples(self.host)) if self.blue >> i & 1]
@@ -153,10 +155,10 @@ def is_good_coloring(coloring: EdgeColoring, n: int, t: int) -> bool:
     return hyper_matching(blue_part) <= t - 1
 
 
-@dataclass(frozen=True)
-class ArrowVerdict:
+class ArrowVerdict(Record):
     """Outcome of an arrowing search, counterexample re-verified on build."""
 
+    __slots__ = ("arrows", "counterexample", "n", "t", "mode", "nodes")
     arrows: bool
     counterexample: EdgeColoring | None
     n: int
@@ -164,13 +166,25 @@ class ArrowVerdict:
     mode: str
     nodes: int
 
-    def __post_init__(self) -> None:
-        if self.arrows != (self.counterexample is None):
+    def __init__(
+        self,
+        arrows: bool,
+        counterexample: EdgeColoring | None,
+        n: int,
+        t: int,
+        mode: str,
+        nodes: int,
+    ) -> None:
+        if arrows != (counterexample is None):
             raise ValueError("counterexample must be present exactly when arrows is false")
-        if self.counterexample is not None and not is_good_coloring(
-            self.counterexample, self.n, self.t
-        ):
+        if counterexample is not None and not is_good_coloring(counterexample, n, t):
             raise CertificationError("counterexample failed re-verification")
+        _set(self, "arrows", arrows)
+        _set(self, "counterexample", counterexample)
+        _set(self, "n", n)
+        _set(self, "t", t)
+        _set(self, "mode", mode)
+        _set(self, "nodes", nodes)
 
 
 # ----------------------------------------------------------------- searches
@@ -633,14 +647,13 @@ def arrows_pair(
     """Does every red/blue coloring of F have a red K_n or t disjoint blue edges?
 
     Auto runs the structural search; `search="reduced"` or `"naive"` runs
-    that search instead, as a cross-check.  `jobs` must be at least 1 and
-    is otherwise ignored: every search is sequential.  It stays only
-    because perfbench's `pool_speedup` still passes `jobs=2`.
+    that search instead, as a cross-check.  `jobs` must be an int of at
+    least 1 and is otherwise ignored: every search is sequential.  It
+    stays only because perfbench's `pool_speedup` still passes `jobs=2`.
     """
     if not isinstance(F, Graph):
         raise TypeError("arrows_pair expects a Graph host")
-    if jobs < 1:
-        raise RequestError(f"need jobs >= 1, got {jobs}")
+    _check_int("jobs", jobs, 1)
     return _decide(F, n, t, search)
 
 
@@ -692,8 +705,7 @@ def _lower_bound(host: Graph | Hypergraph, X: int, i: int, n: int, t: int) -> Ed
 
 def lower_bound_coloring_hyper(n: int, r: int, t: int) -> EdgeColoring:
     """Hypergraph analogue on n+(t-1)r-1 vertices: |A| = n-r, |B| = tr-1."""
-    if r < 2:
-        raise RequestError(f"need r >= 2, got {r}")
+    _check_int("r", r, 2)
     _check_nt(n, t, n_min=r)
     host = complete_r(n + (t - 1) * r - 1, r)
     return _lower_bound(host, (1 << host.n) - (1 << n - r), r, n, t)
@@ -707,6 +719,7 @@ def verify_graph_ramsey(n: int, t: int, *, search: str = "auto") -> bool:
     is re-verified as good when it is built (checked, never searched), and
     a failure raises CertificationError.
     """
+    _check_nt(n, t)
     upper = arrows_pair(complete(n + 2 * t - 2), n, t, search=search)
     lower_bound_coloring(n, t)
     return upper.arrows
@@ -714,6 +727,8 @@ def verify_graph_ramsey(n: int, t: int, *, search: str = "auto") -> bool:
 
 def verify_hyper_ramsey(n: int, r: int, t: int, *, search: str = "auto") -> bool:
     """Check R(K_n^r, tK_r^r) = n+(t-1)r from both sides, as verify_graph_ramsey does."""
+    _check_int("r", r, 2)
+    _check_nt(n, t, n_min=r)
     upper = arrows_hyper(complete_r(n + (t - 1) * r, r), n, t, search=search)
     lower_bound_coloring_hyper(n, r, t)
     return upper.arrows

@@ -29,7 +29,8 @@ the same RSIZE_BUDGET_EDGES override the library uses.
 Each subcommand imports only the layers it runs: value, table and the
 limit suite load no search code, and check-arrow loads no values or
 decoloring.  Every exception main maps to an exit code lives in
-rsize.errors, so catching one imports nothing more.
+rsize.errors, so catching one imports nothing more.  No subcommand loads
+dataclasses, and only table and the limit suite load fractions.
 """
 
 from __future__ import annotations
@@ -39,12 +40,11 @@ import io
 import json
 import sys
 import time
-from dataclasses import dataclass
-from fractions import Fraction
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Sequence
 
 from .errors import Graph6Error, HypergraphFormatError, RequestError, UndecidedError
+from .records import Record, _set
 
 if TYPE_CHECKING:
     from .graphs import Graph
@@ -81,15 +81,29 @@ _TABLE_COLUMNS = (
 )
 
 
-@dataclass(frozen=True)
-class CommandResult:
+class CommandResult(Record):
     """One command run: an echo of the request plus a structured outcome."""
 
+    __slots__ = ("command", "inputs", "outputs", "status", "elapsed_ms")
     command: str
     inputs: dict[str, Any]
     outputs: dict[str, Any]
     status: str  # ok | undecided | error
     elapsed_ms: int
+
+    def __init__(
+        self,
+        command: str,
+        inputs: dict[str, Any],
+        outputs: dict[str, Any],
+        status: str,
+        elapsed_ms: int,
+    ) -> None:
+        _set(self, "command", command)
+        _set(self, "inputs", inputs)
+        _set(self, "outputs", outputs)
+        _set(self, "status", status)
+        _set(self, "elapsed_ms", elapsed_ms)
 
     def to_payload(self) -> dict[str, Any]:
         """JSON-ready dict matching the shipped schema."""
@@ -123,7 +137,9 @@ def _jsonify(value: Any) -> Any:
         return value
     if isinstance(value, int):
         return value if -_INT_JSON_LIMIT <= value <= _INT_JSON_LIMIT else _digits(value)
-    if isinstance(value, Fraction):
+    # a Fraction, known without importing fractions; every int has a
+    # denominator too, so this comes after the int branch
+    if hasattr(value, "denominator"):
         return f"{value.numerator}/{value.denominator}"
     if isinstance(value, dict):
         return {str(k): _jsonify(v) for k, v in value.items()}
@@ -137,7 +153,9 @@ def _csv_cell(value: Any) -> str:
         return ""
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, Fraction):
+    if isinstance(value, int):
+        return str(value)
+    if hasattr(value, "denominator"):  # a Fraction, as in _jsonify
         return f"{value.numerator}/{value.denominator}"
     return str(value)
 
@@ -327,6 +345,8 @@ def _verify_limit(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
     constant, and once T reaches n the running minimum must have landed
     on it exactly.
     """
+    from fractions import Fraction  # only this suite and table make rationals
+
     from .exactmath import binomial, limit_constant
     from .values import g_values
 

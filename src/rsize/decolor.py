@@ -19,7 +19,6 @@ survives `python -O`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import count, product
 from typing import Iterator, Sequence
 
@@ -38,43 +37,61 @@ from .graphs import (
     max_matching,
     min_vertex_cover,
 )
+from .records import Record, _set
 from .values import Flavor, g, g_hat, iter_partitions, part_cost
 
 
-@dataclass(frozen=True)
-class DecolorResult:
+class DecolorResult(Record):
     """A vertex set S with a certified (n-2)-coloring of G - S.
 
     `removed` is a bitmask over G's vertices; `residual_coloring` colors
     G.without_vertices(removed), whose vertices are the kept vertices of
     G in ascending order.  `matching_in_set` is the matching number of
     G[S] for the matching variant, which checks it, and None otherwise.
+    `method` is always "heuristic" (the paper's construction) and is not
+    an argument.
     """
 
+    __slots__ = ("graph", "n", "t", "removed", "residual_coloring", "matching_in_set", "method")
     graph: Graph
     n: int
     t: int
     removed: int
     residual_coloring: VertexColoring
-    matching_in_set: int | None = None
-    method: str = field(default="heuristic", init=False)  # the paper's construction
+    matching_in_set: int | None
+    method: str
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.removed < 1 << self.graph.n:
+    def __init__(
+        self,
+        graph: Graph,
+        n: int,
+        t: int,
+        removed: int,
+        residual_coloring: VertexColoring,
+        matching_in_set: int | None = None,
+    ) -> None:
+        if not 0 <= removed < 1 << graph.n:
             raise ValueError("removed-set mask out of range")
-        residual = self.graph.without_vertices(self.removed_vertices())
+        residual = graph.without_vertices(_mask_vertices(removed))
         # re-validate properness and the color budget from scratch
         try:
-            check = coloring_from_assignment(residual, self.residual_coloring.color_of)
+            check = coloring_from_assignment(residual, residual_coloring.color_of)
         except ValueError as exc:
             raise CertificationError(f"residual coloring does not match G - S: {exc}") from None
-        if check.classes != self.residual_coloring.classes:
+        if check.classes != residual_coloring.classes:
             raise CertificationError("residual coloring does not match G - S")
-        if self.residual_coloring.num_colors > self.n - 2:
+        if residual_coloring.num_colors > n - 2:
             raise CertificationError(
-                f"residual coloring uses {self.residual_coloring.num_colors} colors, "
-                f"allowed {self.n - 2}"
+                f"residual coloring uses {residual_coloring.num_colors} colors, "
+                f"allowed {n - 2}"
             )
+        _set(self, "graph", graph)
+        _set(self, "n", n)
+        _set(self, "t", t)
+        _set(self, "removed", removed)
+        _set(self, "residual_coloring", residual_coloring)
+        _set(self, "matching_in_set", matching_in_set)
+        _set(self, "method", "heuristic")
 
     def removed_vertices(self) -> tuple[int, ...]:
         return _mask_vertices(self.removed)

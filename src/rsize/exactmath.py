@@ -9,10 +9,13 @@ never floats.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import comb
+from typing import TYPE_CHECKING
 
 from .errors import RequestError
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = [
     "binomial",
@@ -46,6 +49,8 @@ def cost_per_stripe(n: int, x: int) -> Fraction:
         raise RequestError(f"cost_per_stripe needs n >= 3, got n={n}")
     if x < 1:
         raise RequestError(f"cost_per_stripe needs x >= 1, got x={x}")
+    from fractions import Fraction  # imported where used: value and most commands need none
+
     return Fraction(binomial(n + 2 * x - 2, 2), x)
 
 
@@ -65,6 +70,8 @@ def limit_constant(n: int, t_max: int) -> tuple[Fraction, int]:
         raise RequestError(f"limit_constant needs n >= 2, got n={n}")
     if t_max < n:
         raise RequestError(f"limit_constant needs t_max >= n, got t_max={t_max}")
+    from fractions import Fraction
+
     base = binomial(n, 2)
 
     def quotient(t: int) -> Fraction:

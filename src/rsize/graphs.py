@@ -13,7 +13,6 @@ assembles every other graph from its components.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
 from itertools import combinations, count
 from math import comb
 from typing import Callable, Iterable, Iterator, Sequence
@@ -26,6 +25,7 @@ from .errors import (
     RequestError,
     _check_int,
 )
+from .records import Record, _set
 
 MAX_GRAPH_VERTICES = 64
 MAX_HYPER_VERTICES = 32
@@ -259,16 +259,20 @@ def min_vertex_cover(g: Graph) -> tuple[int, ...]:
 # ------------------------------------------------------------------ coloring
 
 
-@dataclass(frozen=True)
-class VertexColoring:
+class VertexColoring(Record):
     """A proper coloring: per-vertex colors plus classes as vertex bitmasks.
 
     Classes are ordered by nonincreasing size (ties by smallest member) and
     color_of refers to positions in that order.
     """
 
+    __slots__ = ("color_of", "classes")
     color_of: tuple[int, ...]
     classes: tuple[int, ...]
+
+    def __init__(self, color_of: tuple[int, ...], classes: tuple[int, ...]) -> None:
+        _set(self, "color_of", color_of)
+        _set(self, "classes", classes)
 
     @property
     def num_colors(self) -> int:

@@ -22,12 +22,12 @@ evaluations, and a whole row of totals takes O(total) (see _row).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterator
 
 from .errors import RequestError, _check_int, _check_nt
 from .exactmath import binomial
+from .records import Record, _set
 
 __all__ = [
     "Flavor",
@@ -66,50 +66,69 @@ def part_cost(flavor: Flavor, n: int, s: int, r: int | None = None) -> int:
     return binomial(n + r * (s - 1), r)
 
 
-@dataclass(frozen=True)
-class PartitionWitness:
+class PartitionWitness(Record):
     """An optimal multiset of parts, stored nonincreasing.
 
     target_sum is the exact sum the parts achieve (t for G and GR, 2t for
     GHAT); objective is the summed part cost.  Validated on construction.
     """
 
+    __slots__ = ("flavor", "n", "parts", "objective", "target_sum", "r")
     flavor: Flavor
     n: int
     parts: tuple[int, ...]
     objective: int
     target_sum: int
-    r: int | None = None
+    r: int | None
 
-    def __post_init__(self) -> None:
-        if not self.parts or any(s < 1 for s in self.parts):
-            raise ValueError(f"witness parts must be positive, got {self.parts}")
-        if any(a < b for a, b in zip(self.parts, self.parts[1:])):
-            raise ValueError(f"witness parts must be nonincreasing, got {self.parts}")
-        if sum(self.parts) != self.target_sum:
+    def __init__(
+        self,
+        flavor: Flavor,
+        n: int,
+        parts: tuple[int, ...],
+        objective: int,
+        target_sum: int,
+        r: int | None = None,
+    ) -> None:
+        if not parts or any(s < 1 for s in parts):
+            raise ValueError(f"witness parts must be positive, got {parts}")
+        if any(a < b for a, b in zip(parts, parts[1:])):
+            raise ValueError(f"witness parts must be nonincreasing, got {parts}")
+        if sum(parts) != target_sum:
+            raise ValueError(f"witness parts sum to {sum(parts)}, target is {target_sum}")
+        recomputed = sum(part_cost(flavor, n, s, r) for s in parts)
+        if recomputed != objective:
             raise ValueError(
-                f"witness parts sum to {sum(self.parts)}, target is {self.target_sum}"
+                f"witness objective {objective} does not match part costs {recomputed}"
             )
-        recomputed = sum(part_cost(self.flavor, self.n, s, self.r) for s in self.parts)
-        if recomputed != self.objective:
-            raise ValueError(
-                f"witness objective {self.objective} does not match part costs {recomputed}"
-            )
+        _set(self, "flavor", flavor)
+        _set(self, "n", n)
+        _set(self, "parts", parts)
+        _set(self, "objective", objective)
+        _set(self, "target_sum", target_sum)
+        _set(self, "r", r)
 
 
-@dataclass(frozen=True)
-class ValueResult:
+class ValueResult(Record):
     """A computed value together with its witness."""
 
+    __slots__ = ("n", "t", "value", "witness", "r")
     n: int
     t: int
     value: int
     witness: PartitionWitness
-    r: int | None = None
+    r: int | None
 
-    def __post_init__(self) -> None:
-        if self.value != self.witness.objective:
+    def __init__(
+        self, n: int, t: int, value: int, witness: PartitionWitness, r: int | None = None
+    ) -> None:
+        if value != witness.objective:
             raise ValueError("value and witness objective disagree")
+        _set(self, "n", n)
+        _set(self, "t", t)
+        _set(self, "value", value)
+        _set(self, "witness", witness)
+        _set(self, "r", r)
 
 
 def _near_equal(total: int, parts: int) -> tuple[int, ...]:
@@ -176,8 +195,7 @@ def g_hat(n: int, t: int) -> ValueResult:
 
 def g_r(n: int, r: int, t: int) -> ValueResult:
     """r-uniform analogue: part cost C(n + r(s-1), r), target t."""
-    if r < 2:
-        raise RequestError(f"need r >= 2, got r={r}")
+    _check_int("r", r, 2)
     _check_nt(n, t, n_min=r)
     return _solve(Flavor.GR, n, t, t, r)
 

@@ -588,32 +588,38 @@ def test_exit_code_surfaces_in_subprocess(tmp_path):
 
 # -- import footprint and exception homes ------------------------------------------
 
-_VALUE_LAYERS = {"rsize.cli", "rsize.errors", "rsize.exactmath", "rsize.values"}
-_SEARCH_LAYERS = {"rsize.cli", "rsize.errors", "rsize.graphs", "rsize.arrowing"}
+_VALUE_LAYERS = {"rsize.cli", "rsize.errors", "rsize.records", "rsize.exactmath", "rsize.values"}
+_SEARCH_LAYERS = {"rsize.cli", "rsize.errors", "rsize.records", "rsize.graphs", "rsize.arrowing"}
 _EVERY_LAYER = _VALUE_LAYERS | _SEARCH_LAYERS | {"rsize.decolor"}
+# the standard-library modules whose import the footprint pins
+_HEAVY_STDLIB = ("dataclasses", "fractions")
 
-# runs main on its arguments, then reports the exit code and the loaded modules
-_FOOTPRINT_PROBE = """
+# runs main on its arguments, then reports the exit code, the loaded rsize
+# modules and, after a "|", the heavy modules that rsize itself imported
+# (measured against the probe's own modules, so a site hook does not count)
+_FOOTPRINT_PROBE = f"""
 import sys
+before = set(sys.modules)
 from rsize.cli import main
 code = main(sys.argv[1:])
-print(code, *sorted(m for m in sys.modules if m.startswith("rsize.")), file=sys.stderr)
+added = [m for m in {_HEAVY_STDLIB!r} if m in sys.modules and m not in before]
+print(code, *sorted(m for m in sys.modules if m.startswith("rsize.")), "|", *added, file=sys.stderr)
 """
 
 
 @pytest.mark.parametrize(
-    "argv, loaded",
+    "argv, loaded, heavy",
     [
-        (("value", "--n", "6", "--t", "2"), _VALUE_LAYERS),
-        (("table", "--n-range", "3:4", "--t-range", "1:3"), _VALUE_LAYERS),
-        (("verify", "--suite", "limit", "--n", "6", "--T", "12"), _VALUE_LAYERS),
-        (("verify", "--suite", "ramsey", "--n", "3", "--t", "2"), _SEARCH_LAYERS),
-        (("verify", "--suite", "hyper-ramsey", "--n", "3", "--r", "3", "--t", "2"), _SEARCH_LAYERS),
-        (("check-arrow", "--host", "{dir}/k5.g6", "--n", "3", "--t", "2"), _SEARCH_LAYERS),
-        (("check-arrow", "--hyper", "{dir}/k5_3.hg", "--n", "3", "--t", "2"), _SEARCH_LAYERS),
-        (("verify", "--suite", "minimality", "--n", "3", "--t", "2"), _VALUE_LAYERS | _SEARCH_LAYERS),
-        (("verify", "--suite", "tightness", "--n", "4", "--t", "1", "--flavor", "g"), _EVERY_LAYER),
-        (("decolor", "--host", "{dir}/k4.g6", "--n", "4", "--t", "2"), _EVERY_LAYER),
+        (("value", "--n", "6", "--t", "2"), _VALUE_LAYERS, []),
+        (("table", "--n-range", "3:4", "--t-range", "1:3"), _VALUE_LAYERS, ["fractions"]),
+        (("verify", "--suite", "limit", "--n", "6", "--T", "12"), _VALUE_LAYERS, ["fractions"]),
+        (("verify", "--suite", "ramsey", "--n", "3", "--t", "2"), _SEARCH_LAYERS, []),
+        (("verify", "--suite", "hyper-ramsey", "--n", "3", "--r", "3", "--t", "2"), _SEARCH_LAYERS, []),
+        (("check-arrow", "--host", "{dir}/k5.g6", "--n", "3", "--t", "2"), _SEARCH_LAYERS, []),
+        (("check-arrow", "--hyper", "{dir}/k5_3.hg", "--n", "3", "--t", "2"), _SEARCH_LAYERS, []),
+        (("verify", "--suite", "minimality", "--n", "3", "--t", "2"), _VALUE_LAYERS | _SEARCH_LAYERS, []),
+        (("verify", "--suite", "tightness", "--n", "4", "--t", "1", "--flavor", "g"), _EVERY_LAYER, []),
+        (("decolor", "--host", "{dir}/k4.g6", "--n", "4", "--t", "2"), _EVERY_LAYER, []),
     ],
     ids=[
         "value",
@@ -628,7 +634,7 @@ print(code, *sorted(m for m in sys.modules if m.startswith("rsize.")), file=sys.
         "decolor",
     ],
 )
-def test_each_subcommand_loads_only_the_layers_it_runs(tmp_path, argv, loaded):
+def test_each_subcommand_loads_only_the_layers_it_runs(tmp_path, argv, loaded, heavy):
     write_graph6(tmp_path, "k5.g6", complete(5))
     write_graph6(tmp_path, "k4.g6", complete(4))
     (tmp_path / "k5_3.hg").write_text(hypergraph_to_text(complete_r(5, 3)))
@@ -641,7 +647,10 @@ def test_each_subcommand_loads_only_the_layers_it_runs(tmp_path, argv, loaded):
     )
     code, *modules = proc.stderr.split()
     assert code == "0", proc.stderr
-    assert set(modules) == loaded
+    bar = modules.index("|")
+    assert set(modules[:bar]) == loaded
+    # no subcommand loads dataclasses; only rationals need fractions
+    assert modules[bar + 1 :] == heavy
 
 
 @pytest.mark.parametrize(

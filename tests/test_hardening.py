@@ -18,11 +18,17 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import rsize
-from rsize.arrowing import _cliques_of_hypergraph, _run_frankl, arrows_pair
+from rsize.arrowing import (
+    _cliques_of_hypergraph,
+    _run_frankl,
+    arrows_pair,
+    verify_graph_ramsey,
+    verify_hyper_ramsey,
+)
 from rsize.cli import main
 from rsize.errors import RequestError
 from rsize.graphs import Graph, Hypergraph, complete, hypergraph_to_text, to_graph6
-from rsize.values import g
+from rsize.values import g, g_r
 
 FUZZ = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -67,11 +73,20 @@ def test_benchmark_tracer_names_resolve():
 
 
 def test_non_integer_n_and_t_are_refused():
-    # a float is no clique order, and True is no stripe count
+    # a float is no clique order, and True is no stripe count; each size is
+    # checked before any range or comb sees it
     for call in (
         lambda: arrows_pair(complete(5), 2.5, 2),
         lambda: g(4.5, 2),
         lambda: g(4, True),
+        lambda: verify_graph_ramsey(3, 2.0),
+        lambda: verify_hyper_ramsey(3, 3, 2.0),
+        lambda: verify_hyper_ramsey(3, 3.0, 2),
+        lambda: g_r(3, 2.0, 2),
+        lambda: arrows_pair(complete(3), 3, 1, jobs=1.5),
+        lambda: arrows_pair(complete(3), 3, 1, jobs=True),
+        lambda: arrows_pair(complete(3), 3, 1, jobs="2"),
+        lambda: arrows_pair(complete(3), 3, 1, jobs=None),
     ):
         with pytest.raises(RequestError, match="must be an integer"):
             call()

@@ -1,0 +1,120 @@
+"""The seven result records: frozen, compared and hashed by value, named in repr."""
+
+import copy
+import pickle
+
+import pytest
+
+from rsize.arrowing import ArrowVerdict, EdgeColoring
+from rsize.cli import CommandResult, _jsonify
+from rsize.decolor import DecolorResult
+from rsize.graphs import VertexColoring, coloring_from_assignment, complete
+from rsize.values import Flavor, PartitionWitness, ValueResult, part_cost
+
+_WITNESS = dict(flavor=Flavor.G, n=4, parts=(1,), objective=part_cost(Flavor.G, 4, 1), target_sum=1, r=None)
+
+# each record with valid fields in declaration order
+RECORDS = [
+    (EdgeColoring, dict(host=complete(3), blue=0b101)),
+    (
+        ArrowVerdict,
+        dict(arrows=False, counterexample=EdgeColoring(complete(3), 0), n=4, t=1, mode="structural", nodes=3),
+    ),
+    (VertexColoring, dict(color_of=(0, 1, 0), classes=(0b101, 0b010))),
+    (
+        DecolorResult,
+        dict(
+            graph=complete(3),
+            n=4,
+            t=2,
+            removed=0b001,
+            residual_coloring=coloring_from_assignment(complete(2), (0, 1)),
+            matching_in_set=0,
+        ),
+    ),
+    (PartitionWitness, _WITNESS),
+    (ValueResult, dict(n=4, t=1, value=_WITNESS["objective"], witness=PartitionWitness(**_WITNESS), r=None)),
+    (CommandResult, dict(command="value", inputs={"n": 4}, outputs={"value": 6}, status="ok", elapsed_ms=1)),
+]
+
+
+@pytest.mark.parametrize("cls, fields", RECORDS, ids=[cls.__name__ for cls, _ in RECORDS])
+def test_records_keep_their_value_semantics(cls, fields):
+    by_keyword = cls(**fields)
+    by_position = cls(*fields.values())
+    assert by_keyword == by_position
+    assert not by_keyword != by_position
+    if cls is CommandResult:
+        with pytest.raises(TypeError):  # it holds dicts, so it has no hash
+            hash(by_keyword)
+    else:
+        assert hash(by_keyword) == hash(by_position)
+        assert len({by_keyword, by_position}) == 1
+    for name, value in fields.items():
+        assert getattr(by_keyword, name) is value
+        with pytest.raises(AttributeError):
+            setattr(by_keyword, name, value)
+        with pytest.raises(AttributeError):
+            delattr(by_keyword, name)
+    with pytest.raises(AttributeError):
+        by_keyword.extra = 1
+    # never equal to another type, a tuple of its fields included
+    assert by_keyword != tuple(fields.values())
+    assert by_keyword != object()
+    assert by_keyword.__eq__(tuple(fields.values())) is NotImplemented
+    text = repr(by_keyword)
+    assert text.startswith(f"{cls.__name__}(")
+    for name, value in fields.items():
+        assert f"{name}={value!r}" in text
+    # copies are rebuilt field by field, not by setattr
+    assert copy.copy(by_keyword) == by_keyword
+    assert pickle.loads(pickle.dumps(by_keyword)) == by_keyword
+    # a record is no tuple: the envelope serializer refuses it
+    with pytest.raises(TypeError, match="cannot serialize"):
+        _jsonify(by_keyword)
+
+
+# one field per record, and another value it may hold
+CHANGES = {
+    EdgeColoring: ("blue", 0b001),
+    ArrowVerdict: ("nodes", 4),
+    VertexColoring: ("color_of", (0, 1, 1)),
+    DecolorResult: ("matching_in_set", None),
+    PartitionWitness: ("r", 3),
+    ValueResult: ("t", 2),
+    CommandResult: ("status", "error"),
+}
+
+
+@pytest.mark.parametrize("cls, fields", RECORDS, ids=[cls.__name__ for cls, _ in RECORDS])
+def test_records_with_one_field_changed_differ(cls, fields):
+    name, value = CHANGES[cls]
+    assert cls(**fields) != cls(**{**fields, name: value})
+
+
+def test_decolor_method_is_fixed():
+    fields = dict(RECORDS[3][1])
+    result = DecolorResult(**fields)
+    assert result.method == "heuristic"
+    assert "method='heuristic'" in repr(result)
+    with pytest.raises(TypeError):
+        DecolorResult(**fields, method="exact")
+
+
+def test_defaults_are_kept():
+    fields = dict(RECORDS[3][1])
+    del fields["matching_in_set"]
+    assert DecolorResult(**fields).matching_in_set is None
+    assert PartitionWitness(Flavor.G, 4, (1,), 6, 1).r is None
+    assert ValueResult(4, 1, 6, PartitionWitness(Flavor.G, 4, (1,), 6, 1)).r is None
+
+
+def test_records_validate_before_they_store():
+    with pytest.raises(ValueError, match="out of range"):
+        EdgeColoring(complete(3), 1 << 3)
+    with pytest.raises(ValueError, match="exactly when arrows is false"):
+        ArrowVerdict(True, EdgeColoring(complete(3), 0), 4, 1, "structural", 1)
+    with pytest.raises(ValueError, match="nonincreasing"):
+        PartitionWitness(Flavor.G, 4, (1, 2), part_cost(Flavor.G, 4, 1) + part_cost(Flavor.G, 4, 2), 3)
+    with pytest.raises(ValueError, match="disagree"):
+        ValueResult(4, 1, 7, PartitionWitness(**_WITNESS))
