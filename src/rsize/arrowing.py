@@ -79,6 +79,7 @@ from .errors import CertificationError, RequestError, UndecidedError, _check_int
 from .graphs import (
     Graph,
     Hypergraph,
+    _clique_union_levels,
     _graph_levels,
     _mask_vertices,
     _twin_classes,
@@ -94,7 +95,7 @@ from .records import Record, _set
 NAIVE_MAX_EDGES = {"graph": 20, "hyper": 24}
 REDUCED_MAX_EDGES = {"graph": 28, "hyper": 36}
 BUDGET_ENV_VAR = "RSIZE_BUDGET_EDGES"
-# the largest m_max that min_size_ramsey_bruteforce walks every graph to
+# the largest m_max that min_size_ramsey_bruteforce walks to
 BRUTEFORCE_MAX_EDGES = 8
 
 
@@ -739,14 +740,20 @@ def min_size_ramsey_bruteforce(
 ) -> int | None:
     """Least edge count m <= m_max whose graphs include one that arrows (n, t).
 
-    Exact because the per-edge-count enumeration is complete up to
-    isomorphism and arrowing ignores isolated vertices.  The levels
-    m = 1..m_max come from one walk of the connected graphs, each level
-    assembled once from their components.
-    None means every graph with at most m_max edges fails, i.e. the
-    answer is > m_max.  A graph with fewer than C(n,2) edges has no K_n,
-    so its all-red coloring is good: those levels are walked but not
-    searched, and no level is walked when C(n,2) > m_max.
+    Only K_n-unions, graphs in which every edge lies in a K_n, need a
+    search.  Suppose G arrows with the least m and its edge e lies in no
+    K_n.  In any coloring of G - e, color e red: no red K_n can use e and
+    the blue edges do not change, so G - e arrows with m - 1 edges, a
+    contradiction.  Deleting e keeps G within the vertex cap.  So for
+    n >= 3 the levels m = 1..m_max come from one walk of the connected
+    K_n-unions (graphs._clique_union_levels), each level assembled once
+    from their components; levels below C(n,2) are empty.  Every graph is
+    a K_2-union, so n = 2 walks every graph (graphs._graph_levels).  Exact
+    because both walks are complete up to isomorphism and arrowing
+    ignores isolated vertices.  None means every graph with at most m_max
+    edges fails, i.e. the answer is > m_max.  No level is walked when
+    C(n,2) > m_max: such a graph has no K_n, so its all-red coloring is
+    good.
     """
     _check_int("m_max", m_max, 1)
     if m_max > BRUTEFORCE_MAX_EDGES:
@@ -754,10 +761,13 @@ def min_size_ramsey_bruteforce(
     if max_vertices is not None:
         _check_int("max_vertices", max_vertices, 0)
     _check_nt(n, t)
-    first = comb(n, 2)
-    if first > m_max:
+    if comb(n, 2) > m_max:
         return None
-    for m, level in enumerate(_graph_levels(m_max, max_vertices), start=1):
-        if m >= first and any(arrows_pair(g, n, t).arrows for g in level):
+    if n == 2:
+        levels = _graph_levels(m_max, max_vertices)
+    else:
+        levels = _clique_union_levels(n, m_max, max_vertices)
+    for m, level in enumerate(levels, start=1):
+        if any(arrows_pair(g, n, t).arrows for g in level):
             return m
     return None

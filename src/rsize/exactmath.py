@@ -12,7 +12,7 @@ from __future__ import annotations
 from math import comb
 from typing import TYPE_CHECKING
 
-from .errors import RequestError
+from .errors import RequestError, _check_int
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -45,10 +45,8 @@ def cost_per_stripe(n: int, x: int) -> Fraction:
     is minimized at x in {(n-3)/2, (n-2)/2} (whichever neighbours are
     integral), where it equals 4n - 10.
     """
-    if n < 3:
-        raise RequestError(f"cost_per_stripe needs n >= 3, got n={n}")
-    if x < 1:
-        raise RequestError(f"cost_per_stripe needs x >= 1, got x={x}")
+    _check_int("n", n, 3)
+    _check_int("x", x, 1)
     from fractions import Fraction  # imported where used: value and most commands need none
 
     return Fraction(binomial(n + 2 * x - 2, 2), x)
@@ -66,10 +64,8 @@ def limit_constant(n: int, t_max: int) -> tuple[Fraction, int]:
     t_max must be at least n so the interior minimum lies inside the
     scanned range.
     """
-    if n <= 1:
-        raise RequestError(f"limit_constant needs n >= 2, got n={n}")
-    if t_max < n:
-        raise RequestError(f"limit_constant needs t_max >= n, got t_max={t_max}")
+    _check_int("n", n, 2)
+    _check_int("t_max", t_max, n)
     from fractions import Fraction
 
     base = binomial(n, 2)
@@ -97,10 +93,9 @@ def merge_profitable(n: int, a: int, b: int) -> bool:
     to the product test a * b <= C(n - 2, 2).  Both forms are evaluated and
     compared; a mismatch raises instead of silently trusting either.
     """
-    if n < 2:
-        raise RequestError(f"merge_profitable needs n >= 2, got n={n}")
-    if a < 1 or b < 1:
-        raise RequestError(f"merge_profitable needs a, b >= 1, got ({a}, {b})")
+    _check_int("n", n, 2)
+    _check_int("a", a, 1)
+    _check_int("b", b, 1)
     by_cost = binomial(n + a - 2, 2) + binomial(n + b - 2, 2) >= binomial(n + a + b - 2, 2)
     by_product = a * b <= binomial(n - 2, 2)
     if by_cost != by_product:

@@ -7,7 +7,8 @@ searches; no heuristic ever stands in for an answer.  Isomorphism-free
 enumeration walks connected graphs only, canonically labeled by
 individualization and refinement (partitions are ordered lists of vertex
 masks, refined to equitable ones by splitter masks off a queue), and
-assembles every other graph from its components.
+assembles every other graph from its components; a second walk does the
+same over K_n-unions, graphs in which every edge lies in a K_n.
 """
 
 from __future__ import annotations
@@ -68,7 +69,8 @@ class Graph:
     __slots__ = ("n", "adj")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
-        if n < 0 or n > MAX_GRAPH_VERTICES:
+        _check_int("n", n, 0)
+        if n > MAX_GRAPH_VERTICES:
             raise CapacityError(f"graphs must have 0..{MAX_GRAPH_VERTICES} vertices, got {n}")
         adj = [0] * n
         for u, v in edges:
@@ -136,6 +138,7 @@ class Graph:
 
 
 def complete(k: int) -> Graph:
+    _check_int("k", k, 0)
     return Graph(k, combinations(range(k), 2))
 
 
@@ -402,19 +405,27 @@ def _canon_connected(g: Graph) -> tuple[tuple[tuple[int, int], ...], list[_Perm]
     reveal an automorphism; candidates related by an automorphism that
     fixes every vertex individualized so far generate identical subtrees,
     so only one per orbit is explored.  Without that prune the search is
-    factorial on vertex-transitive graphs.  Returns the edge list and the
-    automorphisms found, relabeled into the canonical labeling, where
-    they are automorphisms of the canonical graph.
+    factorial on vertex-transitive graphs.  A leaf that matches the best
+    leaf ends its whole subtree below the depth where its path leaves the
+    best leaf's path (McKay's jump back): the automorphism it reveals fixes
+    the common prefix and maps the subtree onto one already searched, so
+    the search unwinds to that depth, where the orbit prune skips the rest.
+    The skipped leaves repeat keys already seen, so the first minimal leaf,
+    and with it the labeling, is the same as with no jump.  Returns the
+    edge list and the automorphisms found, relabeled into the canonical
+    labeling, where they are automorphisms of the canonical graph.
     """
     n, adj = g.n, g.adj
     edges = g.edges()
     best: tuple[tuple[int, int], ...] = ()
     best_colors: list[int] = []  # empty until the first leaf
+    best_path: tuple[int, ...] = ()
     gens: list[_Perm] = []
 
-    def leaf(cells: list[int]) -> None:
-        # discrete partition: each vertex is labeled by its cell's position
-        nonlocal best, best_colors
+    def leaf(cells: list[int], path: tuple[int, ...]) -> int:
+        # discrete partition: each vertex is labeled by its cell's position;
+        # returns the depth to unwind to, n for none
+        nonlocal best, best_colors, best_path
         colors = [0] * n
         for i, cell in enumerate(cells):
             colors[cell.bit_length() - 1] = i
@@ -425,7 +436,7 @@ def _canon_connected(g: Graph) -> tuple[tuple[tuple[int, int], ...], list[_Perm]
             )
         )
         if not best_colors or key < best:
-            best, best_colors = key, colors
+            best, best_colors, best_path = key, colors, path
         elif key == best:
             inverse = [0] * n
             for v in range(n):
@@ -436,12 +447,14 @@ def _canon_connected(g: Graph) -> tuple[tuple[tuple[int, int], ...], list[_Perm]
                 if not all(adj[auto[u]] >> auto[v] & 1 for u, v in edges):
                     raise CertificationError(f"leaf relabeling {auto} is not an automorphism")
                 gens.append(auto)
+                return next(d for d, (u, v) in enumerate(zip(path, best_path)) if u != v)
+        return n
 
-    def search(cells: list[int], fixed: tuple[int, ...], fixing: list[_Perm], seen: int) -> None:
-        # fixing: the generators in gens[:seen] that fix `fixed` pointwise
+    def search(cells: list[int], fixed: tuple[int, ...], fixing: list[_Perm], seen: int) -> int:
+        # fixing: the generators in gens[:seen] that fix `fixed` pointwise;
+        # returns the depth to unwind to, n for none
         if len(cells) == n:
-            leaf(cells)
-            return
+            return leaf(cells, fixed)
         i = next(i for i, cell in enumerate(cells) if cell & (cell - 1))
         target = cells[i]
         members = _mask_vertices(target)
@@ -468,12 +481,15 @@ def _canon_connected(g: Graph) -> tuple[tuple[tuple[int, int], ...], list[_Perm]
             # the parent partition is equitable, so {v} is the only splitter needed
             bit = 1 << v
             split = cells[:i] + [bit, target ^ bit] + cells[i + 1 :]
-            search(
+            back = search(
                 _refine(adj, split, [bit]),
                 fixed + (v,),
                 [auto for auto in fixing if auto[v] == v],
                 seen,
             )
+            if back < len(fixed):
+                return back
+        return n
 
     full = (1 << n) - 1
     search(_refine(adj, [full], [full]), (), [], 0)
@@ -716,6 +732,59 @@ def _graph_levels(m: int, max_vertices: int | None) -> Iterator[list[Graph]]:
         connected.append(sorted(nxt))
 
 
+def _clique_union_levels(n: int, m: int, max_vertices: int | None) -> Iterator[list[Graph]]:
+    """Levels 1..m of the K_n-unions, each sorted by canonical form.
+
+    A K_n-union is an edge-union of copies of K_n: every edge lies in a
+    K_n.  The walk grows connected unions only, from K_n: a child adds one
+    K_n on a j-subset of the union's vertices (1 <= j <= n) and n-j new
+    vertices, and adds at least one edge.  Growth is complete: take an
+    inclusion-minimal K_n cover of a connected union, ordered breadth-first
+    by shared vertices.  Each clique then meets an earlier one and adds an
+    edge no other clique covers, so every prefix is a connected union one
+    step from the one before.  Edge and vertex counts only grow along the
+    way, so stopping at m edges and at the vertex cap (2m when None) loses
+    nothing.  Children that an automorphism of their parent maps onto each
+    other are isomorphic, so one j-subset per orbit of the parent's
+    generators is taken; the generators are re-verified before use, as in
+    _children.  Each child is labeled by _canon_connected, duplicates are
+    removed by form, and its generators go with it.  Level k is assembled
+    from connected unions by _unions, as in _graph_levels: a union's
+    components are unions.  Levels below C(n,2) are empty.
+    """
+    cap = 2 * m if max_vertices is None else max_vertices
+    size = comb(n, 2)
+    # found[k]: the connected unions with k edges met so far, with their generators
+    found: list[dict[_Form, list[_Perm]]] = [{} for _ in range(m + 1)]
+    if n <= cap and size <= m:
+        root, root_gens = _canon_connected(complete(n))
+        found[size][(n, root)] = root_gens
+    connected: list[list[_Form]] = []
+    for k in range(1, m + 1):
+        connected.append(sorted(found[k]))
+        yield [Graph(v, edges) for v, edges in sorted(_unions(connected, k, cap))]
+        if k == m:
+            return
+        for form in connected[-1]:
+            p, edges = form
+            gens = found[k][form]
+            _check_automorphisms(form, gens)
+            present = set(edges)
+            for j in range(1, min(n, p) + 1):
+                # the new K_n adds at least its C(n,2) - C(j,2) edges at new vertices
+                if p + n - j > cap or k + size - comb(j, 2) > m:
+                    continue
+                fresh = tuple(range(p, p + n - j))
+                for shared in _orbit_heads(
+                    combinations(range(p), j),
+                    lambda s: [tuple(sorted(a[v] for v in s)) for a in gens],
+                ):
+                    new = [e for e in combinations(shared + fresh, 2) if e not in present]
+                    if new and k + len(new) <= m:
+                        child, child_gens = _canon_connected(Graph(p + n - j, edges + tuple(new)))
+                        found[k + len(new)][(p + n - j, child)] = child_gens
+
+
 def enumerate_graphs(m: int, max_vertices: int | None = None) -> Iterator[Graph]:
     """All graphs with exactly m edges and no isolated vertices, up to iso.
 
@@ -820,12 +889,12 @@ class Hypergraph:
     __slots__ = ("n", "r", "edge_masks")
 
     def __init__(self, n: int, r: int, edges: Iterable[Iterable[int]]):
-        if n < 0 or n > MAX_HYPER_VERTICES:
+        _check_int("n", n, 0)
+        if n > MAX_HYPER_VERTICES:
             raise CapacityError(
                 f"hypergraphs must have 0..{MAX_HYPER_VERTICES} vertices, got {n}"
             )
-        if r < 2:
-            raise RequestError(f"uniformity must be at least 2, got r={r}")
+        _check_int("r", r, 2)
         masks = []
         for edge in edges:
             vs = sorted(edge)
@@ -877,10 +946,8 @@ def _vertices_mask(vertices: Iterable[int]) -> int:
 
 def complete_r(k: int, r: int) -> Hypergraph:
     """The complete r-uniform hypergraph on k vertices."""
-    if r < 2:
-        raise RequestError(f"uniformity must be at least 2, got r={r}")
-    if k < 0:
-        raise RequestError(f"need k >= 0, got {k}")
+    _check_int("k", k, 0)
+    _check_int("r", r, 2)
     return Hypergraph(k, r, combinations(range(k), r))
 
 

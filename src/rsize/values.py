@@ -260,12 +260,17 @@ def structural_witness(n: int, t: int) -> PartitionWitness:
 
 def iter_partitions(total: int, max_part: int | None = None) -> Iterator[tuple[int, ...]]:
     """All partitions of total into positive parts, nonincreasing order."""
-    if total < 0:
-        raise RequestError(f"need total >= 0, got {total}")
+    _check_int("total", total, 0)
+    if max_part is not None:
+        _check_int("max_part", max_part, 0)
+    return _partitions(total, total if max_part is None else max_part)
+
+
+def _partitions(total: int, most: int) -> Iterator[tuple[int, ...]]:
+    """The partitions of total with every part at most `most`."""
     if total == 0:
         yield ()
         return
-    cap = total if max_part is None else min(max_part, total)
-    for first in range(cap, 0, -1):
-        for rest in iter_partitions(total - first, first):
+    for first in range(min(most, total), 0, -1):
+        for rest in _partitions(total - first, first):
             yield (first,) + rest

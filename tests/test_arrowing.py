@@ -604,19 +604,20 @@ def test_min_size_bruteforce_rejects_large_budget():
 
 
 def test_min_size_bruteforce_equals_searching_every_level():
-    # levels below C(n,2) edges hold no K_n and are not searched
-    for n in (2, 3, 4):
-        for t in (1, 2, 3):
-            for m_max in range(1, 8):
-                for cap in (None, 5):
-                    want = next(
-                        (
-                            m
-                            for m, level in enumerate(_graph_levels(m_max, cap), start=1)
-                            if any(arrows_pair(h, n, t).arrows for h in level)
-                        ),
-                        None,
-                    )
+    # the brute force searches only K_n-unions for n >= 3; the reference
+    # searches every graph.  Levels 1..m_max of the all-graph walk do not
+    # depend on m_max, so one walk to 8 edges gives the reference answer
+    # for every m_max
+    for cap in (None, 5):
+        levels = list(_graph_levels(8, cap))
+        for n in (2, 3, 4, 5):
+            for t in (1, 2, 3):
+                first = next(
+                    (m for m, level in enumerate(levels, start=1) if any(arrows_pair(h, n, t).arrows for h in level)),
+                    None,
+                )
+                for m_max in range(1, 9):
+                    want = first if first is not None and first <= m_max else None
                     got = min_size_ramsey_bruteforce(n, t, m_max, max_vertices=cap)
                     assert got == want, (n, t, m_max, cap)
 
@@ -637,6 +638,7 @@ def test_min_size_bruteforce_skips_levels_without_k_n(monkeypatch):
         raise AssertionError("walked although C(n,2) > m_max")
 
     monkeypatch.setattr(rsize.arrowing, "_graph_levels", no_walk)
+    monkeypatch.setattr(rsize.arrowing, "_clique_union_levels", no_walk)
     assert min_size_ramsey_bruteforce(100000, 100000, 8) is None
     assert min_size_ramsey_bruteforce(5, 1, 8) is None  # C(5,2) = 10
     for n, t in ((1, 1), (0, 1), (-3, 1), (3, 0), (100000, 0)):

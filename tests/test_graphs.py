@@ -34,7 +34,14 @@ from rsize.graphs import (
 from rsize import graphs
 from rsize.arrowing import min_size_ramsey_bruteforce
 from rsize.errors import RequestError
-from rsize.graphs import _canon_connected, _children, _edge_key, _graph_levels, _refine
+from rsize.graphs import (
+    _canon_connected,
+    _children,
+    _clique_union_levels,
+    _edge_key,
+    _graph_levels,
+    _refine,
+)
 
 from oracles import (
     brute_automorphisms,
@@ -388,11 +395,11 @@ def test_canonical_generators_give_the_full_vertex_orbits():
 def test_canonical_form_keeps_every_leaf_automorphism(monkeypatch):
     # the orbit prune merges candidates by every verified leaf automorphism;
     # with 64 kept at most, K_16 took 154,635 refinements and K_{10,10}
-    # 11,090, against 696 and 772 with all of them kept
+    # 11,090, against 696 and 772 with all of them kept, and 136 and 208
+    # once a leaf that matches the best leaf jumps back
     real = _refine
     bipartite = Graph(20, [(u, v) for u in range(10) for v in range(10, 20)])
-    for g in (complete(16), bipartite):
-        limit = g.n**3 // 4
+    for g, limit in ((complete(16), 136), (bipartite, 208)):
         calls = 0
 
         def counting(*args):
@@ -530,14 +537,29 @@ def test_walk_labels_are_pinned(monkeypatch):
 
 
 def test_canonical_form_of_a_large_complete_graph():
-    # K_32 stores 496 generators; merging each one over all 32 vertices at
-    # every search node, after testing it against the whole prefix, took
-    # several seconds.  Only the generators that fix the prefix act, each
-    # maps the target cell to itself, and children inherit the filtered list
+    # K_32 once stored 496 generators; merging each one over all 32
+    # vertices at every search node, after testing it against the whole
+    # prefix, took several seconds.  Only the generators that fix the
+    # prefix act, each maps the target cell to itself, and children inherit
+    # the filtered list
     start = time.perf_counter()
     assert canonical_form(complete(32)) == (32, tuple(combinations(range(32), 2)))
     # a backstop against runaway runs, not a timing assertion
     assert time.perf_counter() - start < 30.0
+
+
+def test_labeling_jumps_back_on_automorphisms():
+    # a leaf that matches the best leaf ends its subtree below the depth
+    # where the two paths part, so a subtree reveals one generator rather
+    # than one per leaf: with no jump, K_16 stored 120, K_{10,10} 91 and
+    # K_32 496, and K_32 took 5,488 refinements
+    bipartite = Graph(20, [(u, v) for u in range(10) for v in range(10, 20)])
+    for g, want in ((complete(16), 15), (bipartite, 19), (complete(32), 31)):
+        edges, gens = _canon_connected(g)
+        assert len(gens) == want, g.n
+        graphs._check_automorphisms((g.n, edges), gens)
+        # all three are vertex-transitive
+        assert _orbits(g.n, gens) == {frozenset(range(g.n))}
 
 
 def test_walk_rejects_a_bogus_generator():
@@ -559,6 +581,61 @@ def test_walk_rejects_a_bogus_generator():
         list(_children(path, [good, bogus], 5))
     with pytest.raises(CertificationError):  # not a permutation
         list(_children(path, [(0, 0, 1)], 5))
+
+
+def every_edge_in_a_clique(g: Graph, n: int) -> bool:
+    """Whether each edge of g lies in some K_n, by trying every (n-2)-set of common neighbours."""
+    for u, v in g.edges():
+        common = [w for w in range(g.n) if g.has_edge(u, w) and g.has_edge(v, w)]
+        if not any(all(g.has_edge(a, b) for a, b in combinations(s, 2)) for s in combinations(common, n - 2)):
+            return False
+    return True
+
+
+def test_clique_union_walk_is_complete():
+    # the K_n-union walk grows connected unions one K_n at a time; the
+    # independent route filters the all-graph walk by its definition.  Whole
+    # levels are compared, so the connected unions and their assembly both
+    # count.  Every graph is a K_2-union
+    for n, m in ((2, 6), (3, 8), (4, 8)):
+        for cap in (None, 5):
+            got = [[(g.n, tuple(g.edges())) for g in level] for level in _clique_union_levels(n, m, cap)]
+            want = [
+                [(g.n, tuple(g.edges())) for g in level if every_edge_in_a_clique(g, n)]
+                for level in _graph_levels(m, cap)
+            ]
+            assert got == want, (n, cap)
+    # the K_3-unions with 1..8 edges, per edge count
+    assert [len(level) for level in _clique_union_levels(3, 8, None)] == [0, 0, 1, 0, 1, 3, 2, 5]
+
+
+def test_clique_union_walk_rejects_a_bogus_generator(monkeypatch):
+    # the walk takes one new K_n per orbit of its parent's generators, so it
+    # re-verifies them first, as _children does
+    real = graphs._canon_connected
+
+    def with_extra(extra):
+        def labeling(g):
+            edges, gens = real(g)
+            return edges, gens + [extra(g.n, edges)]
+
+        return labeling
+
+    def swap_unequal_degrees(n, edges):
+        # the bowtie's centre and a leaf: a permutation but no automorphism
+        degree = [sum(v in e for e in edges) for v in range(n)]
+        u = degree.index(min(degree))
+        v = degree.index(max(degree))
+        return tuple(v if w == u else u if w == v else w for w in range(n))
+
+    assert len(list(_clique_union_levels(3, 6, None))) == 6
+    monkeypatch.setattr(graphs, "_canon_connected", with_extra(lambda n, edges: (0,) * n))
+    with pytest.raises(CertificationError):  # not a permutation
+        list(_clique_union_levels(3, 6, None))
+    monkeypatch.setattr(graphs, "_canon_connected", with_extra(swap_unequal_degrees))
+    # on the regular K_3 the swap is the identity; the bowtie (6 edges) is not regular
+    with pytest.raises(CertificationError):
+        list(_clique_union_levels(3, 8, None))
 
 
 def test_enumerate_graphs_capacity():

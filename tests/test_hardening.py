@@ -27,8 +27,9 @@ from rsize.arrowing import (
 )
 from rsize.cli import main
 from rsize.errors import RequestError
-from rsize.graphs import Graph, Hypergraph, complete, hypergraph_to_text, to_graph6
-from rsize.values import g, g_r
+from rsize.exactmath import cost_per_stripe, limit_constant, merge_profitable
+from rsize.graphs import Graph, Hypergraph, complete, complete_r, hypergraph_to_text, to_graph6
+from rsize.values import g, g_r, iter_partitions
 
 FUZZ = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -89,6 +90,38 @@ def test_non_integer_n_and_t_are_refused():
         lambda: arrows_pair(complete(3), 3, 1, jobs=None),
     ):
         with pytest.raises(RequestError, match="must be an integer"):
+            call()
+
+
+def test_non_integer_sizes_are_refused():
+    # the size of a graph, a hypergraph, a partition or a clique cost is
+    # checked once, at the entry, before range, comb or list repetition
+    for call in (
+        lambda: Graph(2.5),
+        lambda: Graph(True),
+        lambda: complete(2.5),
+        lambda: complete_r(5.0, 3),
+        lambda: complete_r(5, 3.0),
+        lambda: Hypergraph(4, 3.0, []),
+        lambda: Hypergraph(4.0, 3, []),
+        lambda: list(iter_partitions(3.0, 2)),
+        lambda: list(iter_partitions(3, 2.0)),
+        lambda: cost_per_stripe(5, 1.5),
+        lambda: cost_per_stripe(5.0, 1),
+        lambda: limit_constant(4.0, 10),
+        lambda: limit_constant(4, 10.0),
+        lambda: merge_profitable(4, 1.5, 1),
+    ):
+        with pytest.raises(RequestError, match="must be an integer"):
+            call()
+    for call in (
+        lambda: Graph(-1),
+        lambda: Hypergraph(4, 1, []),
+        lambda: list(iter_partitions(-1)),
+        lambda: cost_per_stripe(2, 1),
+        lambda: limit_constant(5, 4),
+    ):
+        with pytest.raises(RequestError, match="need"):
             call()
 
 
