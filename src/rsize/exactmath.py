@@ -12,7 +12,7 @@ from __future__ import annotations
 from math import comb
 from typing import TYPE_CHECKING
 
-from .errors import RequestError, _check_int
+from .errors import _check_int
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -28,11 +28,12 @@ __all__ = [
 def binomial(a: int, k: int) -> int:
     """C(a, k), with C(a, k) = 0 whenever k > a.
 
-    Rejects negative arguments; the zero convention for k > a is what makes
-    the cost formulas below uniform at their boundary cases.
+    Rejects arguments that are not nonnegative plain ints; the zero
+    convention for k > a is what makes the cost formulas below uniform at
+    their boundary cases.
     """
-    if a < 0 or k < 0:
-        raise RequestError(f"binomial needs nonnegative arguments, got ({a}, {k})")
+    _check_int("a", a, 0)
+    _check_int("k", k, 0)
     return comb(a, k)
 
 
@@ -57,9 +58,17 @@ def limit_constant(n: int, t_max: int) -> tuple[Fraction, int]:
 
     Returns (minimum, argmin), argmin being the first t attaining it.  This
     is the constant that the normalized size-Ramsey value approaches for
-    large t.  For n >= 4 the scan is cross-checked against the closed form
-    4(2n - 5) / (n(n - 1)); disagreement means a bug, so it raises rather
-    than returning either side.
+    large t.  For n >= 4 the minimum is cross-checked against the closed
+    form 4(2n - 5) / (n(n - 1)); disagreement means a bug, so it raises
+    rather than returning either side.
+
+    The walk stops at the minimum after O(argmin) quotients, argmin <= n/2.
+    Times C(n, 2) the quotient is f(t) = 2t + 2n - 5 + (n - 2)(n - 3)/(2t),
+    convex on t > 0 since (n - 2)(n - 3) >= 0, so its steps f(t+1) - f(t)
+    never fall.  At the first t with f(t+1) >= f(t) every earlier step is
+    negative and every later one nonnegative, so that t is the first
+    minimizer, the one `min` over the whole range would pick; if none comes
+    before t_max, f falls throughout and t_max is.
 
     t_max must be at least n so the interior minimum lies inside the
     scanned range.
@@ -68,13 +77,15 @@ def limit_constant(n: int, t_max: int) -> tuple[Fraction, int]:
     _check_int("t_max", t_max, n)
     from fractions import Fraction
 
+    # f(t+1) >= f(t) compared as C(n+2t, 2) * t >= C(n+2t-2, 2) * (t+1)
     base = binomial(n, 2)
-
-    def quotient(t: int) -> Fraction:
-        return Fraction(binomial(n + 2 * t - 2, 2), t * base)
-
-    best_t = min(range(1, t_max + 1), key=quotient)  # min keeps the first of ties
-    best = quotient(best_t)
+    best_t, cost = 1, base
+    while best_t < t_max:
+        following = binomial(n + 2 * best_t, 2)
+        if following * best_t >= cost * (best_t + 1):
+            break
+        best_t, cost = best_t + 1, following
+    best = Fraction(cost, best_t * base)
     if n >= 4:
         closed = Fraction(4 * (2 * n - 5), n * (n - 1))
         if best != closed:

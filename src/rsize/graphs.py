@@ -200,7 +200,8 @@ def max_matching(g: Graph) -> int:
 
 def has_clique(g: Graph, k: int) -> bool:
     """Whether the graph contains a clique on k vertices."""
-    if k <= 0:
+    _check_int("k", k, 0)
+    if k == 0:
         return True
     if k == 1:
         return g.n >= 1
@@ -312,9 +313,10 @@ def is_k_colorable(g: Graph, k: int) -> VertexColoring | None:
     Backtracking over vertices in nonincreasing degree order, with the
     standard symmetry break: a vertex may open at most one new color.
     """
+    _check_int("k", k, 0)
     if g.n == 0:
         return VertexColoring(color_of=(), classes=())
-    if k <= 0:
+    if k == 0:
         return None
     adj = g.adj
     order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))

@@ -17,7 +17,9 @@ q, e = divmod(total, l).  h(l) is l times the piecewise-linear
 interpolation of c at total/l, the perspective of a convex function, so
 h is convex in l.  The fewest-part optimum is the first l with
 h(l+1) >= h(l): a binary search finds it in O(log total) cost
-evaluations, and a whole row of totals takes O(total) (see _row).
+evaluations.  The witness check costs one evaluation per distinct part
+(at most two) plus C-level O(total) passes over the parts tuple.  A
+whole row of totals takes O(total) steps (see _row).
 """
 
 from __future__ import annotations
@@ -90,13 +92,14 @@ class PartitionWitness(Record):
         target_sum: int,
         r: int | None = None,
     ) -> None:
-        if not parts or any(s < 1 for s in parts):
+        if not parts or min(parts) < 1:
             raise ValueError(f"witness parts must be positive, got {parts}")
-        if any(a < b for a, b in zip(parts, parts[1:])):
+        if sorted(parts, reverse=True) != list(parts):
             raise ValueError(f"witness parts must be nonincreasing, got {parts}")
         if sum(parts) != target_sum:
             raise ValueError(f"witness parts sum to {sum(parts)}, target is {target_sum}")
-        recomputed = sum(part_cost(flavor, n, s, r) for s in parts)
+        # one cost per distinct part: near-equal parts have at most two
+        recomputed = sum(parts.count(s) * part_cost(flavor, n, s, r) for s in set(parts))
         if recomputed != objective:
             raise ValueError(
                 f"witness objective {objective} does not match part costs {recomputed}"
@@ -163,14 +166,19 @@ def _solve(flavor: Flavor, n: int, t: int, total: int, r: int | None) -> ValueRe
 
 
 def _row(cost_of: Callable[[int], int], total: int) -> list[int]:
-    """The optimum for every exact sum m = 0..total, in O(total) cost lookups.
+    """The optimum for every exact sum m = 0..total, in O(total) steps.
 
     The fewest-part count never falls as m grows (h_m(l+1) - h_m(l) is
     nonincreasing in m), so one pointer on l walks forward across the row.
+    Step m reads costs up to index m // l + 1 (l + 1 parts read less), so
+    the cost table grows only that far, not to total + 1.
     """
-    cost = ([0] + [cost_of(s) for s in range(1, total + 2)]).__getitem__
+    table = [0]
+    cost = table.__getitem__
     row, parts = [0], 1
     for m in range(1, total + 1):
+        while len(table) <= m // parts + 1:
+            table.append(cost_of(len(table)))
         best = _split_cost(cost, m, parts)
         while parts < m:
             more = _split_cost(cost, m, parts + 1)

@@ -13,7 +13,9 @@ walk takes its canonical form as an argument.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import combinations, permutations
+from math import comb
 from typing import Callable, Iterator, Sequence
 
 
@@ -66,6 +68,14 @@ def min_cost_rows(
         value[m] = best_v
         parts[m] = tuple(sorted(parts[m - best_s] + (best_s,), reverse=True))
     return value, parts
+
+
+def scan_limit_constant(n: int, t_max: int) -> tuple[Fraction, int]:
+    """Least C(n + 2t - 2, 2) / (t C(n, 2)) over every t = 1..t_max, with its first argmin."""
+    base = comb(n, 2)
+    quotients = [Fraction(comb(n + 2 * t - 2, 2), t * base) for t in range(1, t_max + 1)]
+    best = min(quotients)
+    return best, quotients.index(best) + 1
 
 
 def window_cliques(vertices: int, r: int, edge_masks: Sequence[int], n: int) -> list[int]:

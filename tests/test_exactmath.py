@@ -4,6 +4,8 @@ import pytest
 
 from rsize.exactmath import binomial, cost_per_stripe, limit_constant, merge_profitable
 
+from oracles import scan_limit_constant
+
 
 def test_binomial_basics():
     assert binomial(5, 2) == 10
@@ -71,6 +73,14 @@ def test_limit_constant_closed_form_agreement():
         value, argmin = limit_constant(n, 2 * n)
         assert value == Fraction(4 * (2 * n - 5), n * (n - 1))
         assert 1 <= argmin <= n
+
+
+def test_limit_constant_matches_full_scan():
+    # the walk stops at the first t the next one does not beat; the oracle
+    # scans every t, so value and first argmin must both agree
+    for n in range(2, 41):
+        for t_max in (n, n + 1, 2 * n, 7 * n + 5):
+            assert limit_constant(n, t_max) == scan_limit_constant(n, t_max), (n, t_max)
 
 
 def test_limit_constant_rejects_bad_args():

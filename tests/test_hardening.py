@@ -27,8 +27,17 @@ from rsize.arrowing import (
 )
 from rsize.cli import main
 from rsize.errors import RequestError
-from rsize.exactmath import cost_per_stripe, limit_constant, merge_profitable
-from rsize.graphs import Graph, Hypergraph, complete, complete_r, hypergraph_to_text, to_graph6
+from rsize.exactmath import binomial, cost_per_stripe, limit_constant, merge_profitable
+from rsize.graphs import (
+    Graph,
+    Hypergraph,
+    complete,
+    complete_r,
+    has_clique,
+    hypergraph_to_text,
+    is_k_colorable,
+    to_graph6,
+)
 from rsize.values import g, g_r, iter_partitions
 
 FUZZ = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -111,6 +120,13 @@ def test_non_integer_sizes_are_refused():
         lambda: limit_constant(4.0, 10),
         lambda: limit_constant(4, 10.0),
         lambda: merge_profitable(4, 1.5, 1),
+        lambda: binomial(True, 1),
+        lambda: binomial(2.5, 2),
+        lambda: binomial(5, 2.0),
+        lambda: has_clique(complete(4), 2.5),
+        lambda: has_clique(complete(4), True),
+        lambda: is_k_colorable(complete(4), 2.5),
+        lambda: is_k_colorable(Graph(0), 1.0),
     ):
         with pytest.raises(RequestError, match="must be an integer"):
             call()
@@ -120,6 +136,10 @@ def test_non_integer_sizes_are_refused():
         lambda: list(iter_partitions(-1)),
         lambda: cost_per_stripe(2, 1),
         lambda: limit_constant(5, 4),
+        lambda: binomial(-1, 2),
+        lambda: binomial(3, -1),
+        lambda: has_clique(complete(4), -1),
+        lambda: is_k_colorable(complete(4), -1),
     ):
         with pytest.raises(RequestError, match="need"):
             call()

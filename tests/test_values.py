@@ -1,9 +1,12 @@
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rsize import exactmath, values
 from rsize.errors import RequestError
-from rsize.exactmath import binomial
+from rsize.exactmath import binomial, limit_constant
 from rsize.values import (
     Flavor,
     PartitionWitness,
@@ -182,6 +185,27 @@ def test_witness_validation_rejects_bad_witnesses():
         PartitionWitness(flavor=Flavor.G, n=5, parts=(), objective=0, target_sum=0)
 
 
+def test_long_witnesses_fail_each_check():
+    # 1,000 parts of two sizes, as the solver builds them; each mutation
+    # keeps the other fields consistent so that exactly one check fires
+    parts = (3,) * 400 + (2,) * 600
+
+    def witness(ps, objective=None, target_sum=None):
+        if objective is None:
+            objective = sum(part_cost(Flavor.G, 6, s) for s in ps)
+        return PartitionWitness(Flavor.G, 6, ps, objective, sum(ps) if target_sum is None else target_sum)
+
+    assert witness(parts).objective == 400 * 45 + 600 * 28
+    with pytest.raises(ValueError, match="sum to 2399"):
+        witness(parts[:-1] + (1,), target_sum=2400)  # one part off by one
+    with pytest.raises(ValueError, match="nonincreasing"):
+        witness(parts[:399] + (2, 3) + parts[401:])  # an adjacent pair swapped
+    with pytest.raises(ValueError, match="positive"):
+        witness(parts[:-1] + (0,))  # one part set to 0
+    with pytest.raises(ValueError, match="objective"):
+        witness(parts, objective=400 * 45 + 600 * 28 + 1)
+
+
 # ----------------------------------------------------- structural cross-route
 
 def test_structural_witness_examples():
@@ -273,6 +297,55 @@ def test_row_helpers_match_single_calls():
         for t in range(1, 16):
             assert row[t] == g(n, t).value
             assert hat[t] == g_hat(n, t).value
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 6, 12, 40, 60])
+def test_long_rows_match_single_calls(n):
+    # the single calls bisect on the part count, independent of the row's scan
+    row = g_values(n, 2000)
+    hat = g_hat_values(n, 600)
+    for t in [*range(1, 25), *range(25, 2001, 89), 2000]:
+        assert row[t] == g(n, t).value, (n, t)
+    for t in [*range(1, 25), *range(25, 601, 37), 600]:
+        assert hat[t] == g_hat(n, t).value, (n, t)
+
+
+# ---------------------------------------------------------- work counters
+
+
+def _counted(monkeypatch, module, name):
+    calls = [0]
+    inner = getattr(module, name)
+
+    def counting(*args):
+        calls[0] += 1
+        return inner(*args)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def test_value_makes_logarithmically_many_cost_calls(monkeypatch):
+    # the bisection, plus one cost per distinct part in the witness check
+    calls = _counted(monkeypatch, values, "part_cost")
+    t = 100_000
+    res = g(4, t)
+    assert res.value == 6 * t and len(res.witness.parts) == t
+    assert calls[0] <= 4 * math.ceil(math.log2(t)) + 8
+
+
+def test_row_fills_its_cost_table_only_as_far_as_it_reads(monkeypatch):
+    calls = _counted(monkeypatch, values, "part_cost")
+    row = g_values(6, 5000)
+    assert calls[0] <= 40
+    assert row[5000] == g(6, 5000).value
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 9, 40, 201])
+def test_limit_constant_walks_only_to_its_argmin(monkeypatch, n):
+    calls = _counted(monkeypatch, exactmath, "binomial")
+    limit_constant(n, 10**6)
+    assert calls[0] <= n + 2
 
 
 # ------------------------------------------------------------------ plumbing
