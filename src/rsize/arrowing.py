@@ -139,20 +139,33 @@ class EdgeColoring(Record):
 def is_good_coloring(coloring: EdgeColoring, n: int, t: int) -> bool:
     """No red n-clique and no t disjoint blue edges, checked directly.
 
-    Deliberately built on the standalone clique/matching routines rather
-    than the search internals, so search results can be re-verified by an
-    independent code path.
+    One pass over the host's edge list, in the host's own order, splits
+    red from blue by the blue bit.  The two sides then go to the
+    standalone solvers (has_clique and max_matching on a Graph,
+    has_red_complete_r and hyper_matching on a Hypergraph), never to the
+    search internals, so search results are re-verified by an independent
+    code path.
     """
     host = coloring.host
+    blue_bits = coloring.blue
     if isinstance(host, Graph):
-        red = Graph(host.n, coloring.red_edges())
+        red_adj, blue_adj = [0] * host.n, [0] * host.n
+        for i, (u, v) in enumerate(host.edges()):
+            side = blue_adj if blue_bits >> i & 1 else red_adj
+            side[u] |= 1 << v
+            side[v] |= 1 << u
+        red, blue = Graph(host.n), Graph(host.n)
+        red.adj, blue.adj = tuple(red_adj), tuple(blue_adj)
         if has_clique(red, n):
             return False
-        blue = Graph(host.n, coloring.blue_edges())
         return max_matching(blue) <= t - 1
-    if has_red_complete_r(host, coloring.red_edges(), n):
+    red_masks, blue_masks = [], []
+    for i, em in enumerate(host.edge_masks):
+        (blue_masks if blue_bits >> i & 1 else red_masks).append(em)
+    if has_red_complete_r(host, red_masks, n):
         return False
-    blue_part = Hypergraph(host.n, host.r, coloring.blue_edges())
+    blue_part = Hypergraph(host.n, host.r, ())
+    blue_part.edge_masks = tuple(blue_masks)
     return hyper_matching(blue_part) <= t - 1
 
 
@@ -439,11 +452,12 @@ def _run_structural(
     if _odd_packing(cliques, ()) > budget:
         return None, 0
     twins = [c for c in _twin_classes(graph) if c & (c - 1)]
-    # profile: a part's memo key, kept for every part built so far: its
-    # vertices in singleton classes, plus its count in each twin class
-    # packed above the vertex bits, so a merged part's is the sum of two
-    # and a part's is its mask when the host has no twins
-    profile = {1 << v: 1 << v for v in range(graph.n)}
+    # profile: a part's memo key: its vertices in singleton classes, plus
+    # its count in each twin class packed above the vertex bits, so a
+    # merged part's is the sum of two.  Kept for the twin vertices and for
+    # every part built so far; any other singleton's is its mask, and a
+    # part's is its mask when the host has no twins
+    profile: dict[int, int] = {}
     at = graph.n
     for c in twins:
         for v in _mask_vertices(c):
@@ -468,7 +482,7 @@ def _run_structural(
                 if cost > spare:
                     continue
                 child = tuple(sorted([p for p in parts if p != a and p != b] + [merged]))
-                profile[merged] = profile[a] + profile[b]
+                profile[merged] = profile.get(a, a) + profile.get(b, b)
                 key = tuple(sorted(profile[p] for p in child))
                 if key in failed:
                     continue
@@ -535,13 +549,27 @@ def _cliques_of_graph(g: Graph, n: int) -> list[int]:
         if need == 0:
             out.append(members)
             return
-        while cand:
+        # a branch ends once too few candidates are left to fill the clique
+        while cand.bit_count() >= need:
             v = (cand & -cand).bit_length() - 1
             cand &= cand - 1
             extend(members | 1 << v, cand & adj[v], need - 1)
 
     extend(0, (1 << g.n) - 1, n)
     return out
+
+
+def _graph_of(n: int, edge_masks: Sequence[int]) -> Graph:
+    """The graph on n vertices whose edges are the given two-vertex masks."""
+    adj = [0] * n
+    for em in edge_masks:
+        low = em & -em
+        high = em ^ low
+        adj[low.bit_length() - 1] |= high
+        adj[high.bit_length() - 1] |= low
+    graph = Graph(n)
+    graph.adj = tuple(adj)
+    return graph
 
 
 def _cliques_of_hypergraph(h: Hypergraph, n: int) -> list[int]:
@@ -612,7 +640,7 @@ def _decide(host: Graph | Hypergraph, n: int, t: int, search: str) -> ArrowVerdi
     mode = _pick_mode(search, host.edge_count(), kind, r)
     edge_masks = _edge_masks(host)
     if r == 2:
-        graph = host if kind == "graph" else Graph(host.n, host.edge_tuples())
+        graph = host if kind == "graph" else _graph_of(host.n, edge_masks)
         windows = _cliques_of_graph(graph, n)
     else:
         windows = _cliques_of_hypergraph(host, n)

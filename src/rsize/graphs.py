@@ -84,15 +84,14 @@ class Graph:
         self.adj = tuple(adj)
 
     def edges(self) -> list[tuple[int, int]]:
+        """Every edge (u, v) with u < v, sorted."""
         out = []
-        for u in range(self.n):
-            rest = self.adj[u] >> (u + 1)
-            v = u + 1
+        for u, row in enumerate(self.adj):
+            rest = row >> (u + 1) << (u + 1)
             while rest:
-                if rest & 1:
-                    out.append((u, v))
-                rest >>= 1
-                v += 1
+                low = rest & -rest
+                rest ^= low
+                out.append((u, low.bit_length() - 1))
         return out
 
     def edge_count(self) -> int:

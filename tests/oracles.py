@@ -88,6 +88,29 @@ def window_cliques(vertices: int, r: int, edge_masks: Sequence[int], n: int) -> 
     return out
 
 
+def brute_good_coloring(
+    vertices: int,
+    r: int,
+    edge_tuples: Sequence[tuple[int, ...]],
+    blue_mask: int,
+    n: int,
+    t: int,
+) -> bool:
+    """No red n-window and fewer than t disjoint blue edges.
+
+    Edge i is blue when bit i of blue_mask is set, red otherwise.  Red
+    windows are found by testing every vertex n-set; the blue matching
+    number by subset enumeration.
+    """
+    red = [e for i, e in enumerate(edge_tuples) if not blue_mask >> i & 1]
+    blue = [e for i, e in enumerate(edge_tuples) if blue_mask >> i & 1]
+    if window_cliques(vertices, r, [sum(1 << v for v in e) for e in red], n):
+        return False
+    if r == 2:
+        return brute_max_matching(vertices, blue) <= t - 1
+    return brute_hyper_matching([sum(1 << v for v in e) for e in blue]) <= t - 1
+
+
 def brute_max_matching(n_vertices: int, edges: Sequence[tuple[int, int]]) -> int:
     """Largest matching by trying every subset of edges."""
     best = 0

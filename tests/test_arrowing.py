@@ -18,6 +18,7 @@ from rsize.arrowing import (
     CertificationError,
     EdgeColoring,
     UndecidedError,
+    _cliques_of_graph,
     _cliques_of_hypergraph,
     arrows_hyper,
     arrows_pair,
@@ -43,7 +44,7 @@ from rsize.graphs import (
 )
 from rsize.values import g, iter_partitions
 
-from oracles import window_cliques
+from oracles import brute_good_coloring, window_cliques
 
 
 def run_python(*args: str) -> subprocess.CompletedProcess:
@@ -79,6 +80,28 @@ def test_is_good_coloring():
     tri = sum(1 << i for i, (u, v) in enumerate(host.edges()) if u < 3 and v < 3)
     assert is_good_coloring(EdgeColoring(host, tri), 3, 2)
     assert not is_good_coloring(EdgeColoring(host, tri), 3, 1)
+
+
+def test_is_good_coloring_matches_the_oracle():
+    # the re-verifier splits the host's edge list by the blue bit and hands
+    # each side to a standalone solver; the oracle judges the same coloring
+    # from edge tuples, window enumeration and subset matchings
+    rng = random.Random(71)
+    for r, container in ((2, Graph), (3, Hypergraph), (2, Hypergraph)):
+        seen = set()
+        for _ in range(300):
+            vertices = rng.randint(0, 9) if container is Graph else rng.randint(r, 8)
+            pool = list(combinations(range(vertices), r))
+            chosen = rng.sample(pool, rng.randint(0, len(pool)))
+            host = Graph(vertices, chosen) if container is Graph else Hypergraph(vertices, r, chosen)
+            tuples = host.edges() if container is Graph else host.edge_tuples()
+            blue = rng.getrandbits(len(tuples)) if tuples else 0
+            n, t = rng.randint(r, r + 2), rng.randint(1, 3)
+            good = is_good_coloring(EdgeColoring(host, blue), n, t)
+            assert good == brute_good_coloring(vertices, r, tuples, blue, n, t), (host, blue, n, t)
+            red = [sum(1 << v for v in e) for i, e in enumerate(tuples) if not blue >> i & 1]
+            seen.add("good" if good else "red" if window_cliques(vertices, r, red, n) else "blue")
+        assert seen == {"good", "red", "blue"}, (r, container)
 
 
 def test_verdict_reverifies_counterexample():
@@ -439,6 +462,19 @@ def test_reduced_search_is_pinned(host, n, t, arrows, nodes, blue):
     assert (None if v.counterexample is None else v.counterexample.blue) == blue
 
 
+def test_graph_cliques_come_in_window_order():
+    # the structural search walks the cliques in the order listed, so the
+    # size-pruned listing must keep the window enumeration's order
+    rng = random.Random(59)
+    for _ in range(80):
+        nv = rng.randint(0, 10)
+        pool = list(combinations(range(nv), 2))
+        host = Graph(nv, rng.sample(pool, rng.randint(0, len(pool))))
+        masks = [1 << u | 1 << v for u, v in host.edges()]
+        for k in range(nv + 2):
+            assert _cliques_of_graph(host, k) == window_cliques(nv, 2, masks, k), (host, k)
+
+
 def test_hypergraph_cliques_match_window_enumeration():
     rng = random.Random(53)
     for _ in range(60):
@@ -473,10 +509,13 @@ def test_certification_survives_optimized_mode():
         "D.min_vertex_cover = lambda g: tuple(range(g.n))\n"
         "star = Graph(4, [(0, 1), (0, 2), (0, 3)])\n"
         "print(outcome(lambda: D.find_decolor_set(star, 3, 2)))\n"
+        "A._run_structural = lambda *args: (0, 0)\n"
+        "print(outcome(lambda: A.arrows_pair(complete(4), 3, 2)))\n"
+        "print(outcome(lambda: A.arrows_hyper(complete_r(4, 2), 3, 2)))\n"
     )
     proc = run_python("-O", "-c", script)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["raised"] * 5
+    assert proc.stdout.split() == ["raised"] * 7
 
 
 def test_import_leaves_the_process_pool_unloaded():

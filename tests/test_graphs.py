@@ -68,6 +68,19 @@ def test_graph_construction_and_accessors():
     assert g.has_edge(2, 1) and not g.has_edge(0, 2)
 
 
+def test_edges_are_the_sorted_pair_list():
+    # EdgeColoring's bit indices and every search's edge order follow it
+    rng = random.Random(61)
+    cases = [(0, []), (1, []), (64, [(63, 0), (62, 63), (5, 63), (31, 32)])]
+    for _ in range(60):
+        nv = rng.choice([2, 3, 7, 33, 64])
+        cases.append((nv, [tuple(rng.sample(range(nv), 2)) for _ in range(rng.randint(0, 3 * nv))]))
+    for nv, pairs in cases:
+        g = Graph(nv, pairs)
+        assert g.edges() == sorted({(min(e), max(e)) for e in pairs}), (nv, pairs)
+    assert complete(64).edges() == list(combinations(range(64), 2))
+
+
 def test_graph_rejects_bad_input():
     with pytest.raises(ValueError):
         Graph(3, [(0, 0)])
