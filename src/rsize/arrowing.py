@@ -139,29 +139,23 @@ class EdgeColoring(Record):
 def is_good_coloring(coloring: EdgeColoring, n: int, t: int) -> bool:
     """No red n-clique and no t disjoint blue edges, checked directly.
 
-    One pass over the host's edge list, in the host's own order, splits
+    One pass over the host's edge masks, in the host's own order, splits
     red from blue by the blue bit.  The two sides then go to the
-    standalone solvers (has_clique and max_matching on a Graph,
-    has_red_complete_r and hyper_matching on a Hypergraph), never to the
-    search internals, so search results are re-verified by an independent
-    code path.
+    standalone solvers, routed by uniformity as _decide routes: on a
+    2-uniform host, Graph or Hypergraph, has_clique and max_matching on
+    the graph of each side; otherwise has_red_complete_r and
+    hyper_matching.  Search internals never see them, so search results
+    are re-verified by an independent code path.
     """
     host = coloring.host
     blue_bits = coloring.blue
-    if isinstance(host, Graph):
-        red_adj, blue_adj = [0] * host.n, [0] * host.n
-        for i, (u, v) in enumerate(host.edges()):
-            side = blue_adj if blue_bits >> i & 1 else red_adj
-            side[u] |= 1 << v
-            side[v] |= 1 << u
-        red, blue = Graph(host.n), Graph(host.n)
-        red.adj, blue.adj = tuple(red_adj), tuple(blue_adj)
-        if has_clique(red, n):
-            return False
-        return max_matching(blue) <= t - 1
     red_masks, blue_masks = [], []
-    for i, em in enumerate(host.edge_masks):
+    for i, em in enumerate(_edge_masks(host)):
         (blue_masks if blue_bits >> i & 1 else red_masks).append(em)
+    if isinstance(host, Graph) or host.r == 2:
+        if has_clique(_graph_of(host.n, red_masks), n):
+            return False
+        return max_matching(_graph_of(host.n, blue_masks)) <= t - 1
     if has_red_complete_r(host, red_masks, n):
         return False
     blue_part = Hypergraph(host.n, host.r, ())
@@ -772,16 +766,15 @@ def min_size_ramsey_bruteforce(
     search.  Suppose G arrows with the least m and its edge e lies in no
     K_n.  In any coloring of G - e, color e red: no red K_n can use e and
     the blue edges do not change, so G - e arrows with m - 1 edges, a
-    contradiction.  Deleting e keeps G within the vertex cap.  So for
-    n >= 3 the levels m = 1..m_max come from one walk of the connected
-    K_n-unions (graphs._clique_union_levels), each level assembled once
-    from their components; levels below C(n,2) are empty.  Every graph is
-    a K_2-union, so n = 2 walks every graph (graphs._graph_levels).  Exact
-    because both walks are complete up to isomorphism and arrowing
-    ignores isolated vertices.  None means every graph with at most m_max
-    edges fails, i.e. the answer is > m_max.  No level is walked when
-    C(n,2) > m_max: such a graph has no K_n, so its all-red coloring is
-    good.
+    contradiction.  Deleting e keeps G within the vertex cap.  So the
+    levels m = 1..m_max come from one pass of graphs._walk: from K_n by
+    the K_n rule for n >= 3 (graphs._clique_union_levels; levels below
+    C(n,2) are empty), and since every graph is a K_2-union, from K_2 by
+    the edge rule for n = 2 (graphs._graph_levels).  Exact because both
+    rules are complete up to isomorphism and arrowing ignores isolated
+    vertices.  None means every graph with at most m_max edges fails,
+    i.e. the answer is > m_max.  No level is walked when C(n,2) > m_max:
+    such a graph has no K_n, so its all-red coloring is good.
     """
     _check_int("m_max", m_max, 1)
     if m_max > BRUTEFORCE_MAX_EDGES:

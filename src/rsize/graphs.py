@@ -3,17 +3,19 @@
 Graphs live on at most 64 vertices as per-vertex adjacency bitmasks,
 hypergraphs on at most 32 vertices as per-edge vertex bitmasks.  All
 solvers here (matching, clique, coloring, cover) are exact branch-and-bound
-searches; no heuristic ever stands in for an answer.  Isomorphism-free
-enumeration walks connected graphs only, canonically labeled by
-individualization and refinement (partitions are ordered lists of vertex
-masks, refined to equitable ones by splitter masks off a queue), and
-assembles every other graph from its components; a second walk does the
-same over K_n-unions, graphs in which every edge lies in a K_n.
+searches; no heuristic ever stands in for an answer.  One isomorph-free
+walk labels connected graphs only, by individualization and refinement
+(partitions are ordered lists of vertex masks, refined to equitable ones
+by splitter masks off a queue), and assembles every other graph from its
+components.  Two growth rules drive it: one edge at a time over all
+graphs, or one K_n at a time over K_n-unions, graphs in which every edge
+lies in a K_n.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
+from functools import partial
 from itertools import combinations, count
 from math import comb
 from typing import Callable, Iterable, Iterator, Sequence
@@ -620,23 +622,27 @@ def _is_removable(adj: Sequence[int], u: int, v: int) -> bool:
     return False
 
 
-def _children(form: _Form, gens: Sequence[_Perm], cap: int) -> Iterator[tuple[_Form, list[_Perm]]]:
-    """The one-edge children of a connected canonical graph that the walk needs, labeled.
+def _edge_children(form: _Form, gens: Sequence[_Perm], room: int, cap: int) -> Iterator[Graph]:
+    """The one-edge children of a connected canonical graph that _walk needs, unlabeled.
 
-    Yields each child's canonical form with generators of its automorphism
-    group in its canonical labels, as _canon_connected returns them.  The
-    children are an edge between two present vertices and a pendant edge
-    to one new vertex; both stay connected.  An automorphism of the parent
-    maps a child to an isomorphic one, so one child per orbit of non-edges
-    and one per orbit of vertices give every child's form.  The orbits
-    come from gens, automorphisms of the parent form in its canonical
-    labels, which are re-verified before use.  A child is canonicalized
-    only if no removable edge (see _is_removable) has a larger _edge_key
-    than its new edge; the rest are dropped unbuilt, from the parent's
-    adjacency plus the new edge (see _graph_levels).
+    A child adds an edge between two present vertices or a pendant edge
+    to one new vertex, so it stays connected; room >= 1 is not read.  One
+    new edge per orbit of gens on non-edges, and one pendant edge per
+    orbit on vertices, is tried.  Of those, only a child whose new edge has
+    the largest _edge_key among its removable edges (see _is_removable) is
+    yielded (McKay's cheap-invariant test); the rest are dropped unbuilt,
+    judged from the parent's adjacency plus the new edge.  That
+    loses nothing: every connected graph with k+1 >= 2 edges has a
+    removable edge (a cycle edge, or else a leaf edge of the tree), and
+    deletion never adds vertices.  So for such a graph G, delete a
+    removable edge e with the largest key among the removable ones; the
+    result P is connected, lies on level k and under G's vertex cap, and
+    the orbit head for e's place in P's canonical form gives a child
+    isomorphic to G by a map that sends the new edge to e, so the new
+    edge is removable with the largest key.  The levels are therefore
+    those of the one-edge walk over all graphs with neither prune.
     """
     n, edges = form
-    _check_automorphisms(form, gens)
     present = set(edges)
     non_edges = [p for p in combinations(range(n), 2) if p not in present]
     new = _orbit_heads(
@@ -655,9 +661,38 @@ def _children(form: _Form, gens: Sequence[_Perm], cap: int) -> Iterator[tuple[_F
         child[v] |= 1 << u
         key = _edge_key(child, u, v)
         if not any(_edge_key(child, a, b) > key and _is_removable(child, a, b) for a, b in edges):
-            size = max(n, v + 1)
-            child_edges, child_gens = _canon_connected(Graph(size, edges + ((u, v),)))
-            yield (size, child_edges), child_gens
+            yield Graph(max(n, v + 1), edges + ((u, v),))
+
+
+def _clique_children(n: int, form: _Form, gens: Sequence[_Perm], room: int, cap: int) -> Iterator[Graph]:
+    """The one-K_n children of a connected K_n-union that _walk needs, unlabeled.
+
+    A K_n-union is an edge-union of copies of K_n: every edge lies in a
+    K_n.  A child adds one K_n on a j-subset of the union's vertices
+    (1 <= j <= n) and n-j new vertices, and adds 1..room edges; one
+    j-subset per orbit of gens is taken.  Growth from K_n is complete:
+    take an inclusion-minimal K_n cover of a connected union, ordered
+    breadth-first by shared vertices.  Each clique then meets an earlier
+    one and adds an edge no other clique covers, so every prefix is a
+    connected union one step from the one before.  Edge and vertex counts
+    only grow along the way, so stopping at the edge budget and at the
+    vertex cap loses nothing.  A union's components are unions, so the
+    levels _walk assembles hold every K_n-union.
+    """
+    p, edges = form
+    present = set(edges)
+    for j in range(1, min(n, p) + 1):
+        # the new K_n adds at least its C(n,2) - C(j,2) edges at new vertices
+        if p + n - j > cap or comb(n, 2) - comb(j, 2) > room:
+            continue
+        fresh = tuple(range(p, p + n - j))
+        for shared in _orbit_heads(
+            combinations(range(p), j),
+            lambda s: [tuple(sorted(a[v] for v in s)) for a in gens],
+        ):
+            new = [e for e in combinations(shared + fresh, 2) if e not in present]
+            if new and len(new) <= room:
+                yield Graph(p + n - j, edges + tuple(new))
 
 
 def _unions(connected: Sequence[Sequence[_Form]], m: int, cap: int) -> Iterator[_Form]:
@@ -685,118 +720,72 @@ def _unions(connected: Sequence[Sequence[_Form]], m: int, cap: int) -> Iterator[
     return extend(m, 0, m, cap)
 
 
-def _graph_levels(m: int, max_vertices: int | None) -> Iterator[list[Graph]]:
-    """Levels 1..m of the isomorphism-free walk, each sorted by canonical form.
+def _walk(
+    root: Graph,
+    grow: Callable[[_Form, Sequence[_Perm], int, int], Iterator[Graph]],
+    m: int,
+    max_vertices: int | None,
+) -> Iterator[list[Graph]]:
+    """Levels 1..m of an isomorph-free walk from a connected root, each sorted by canonical form.
 
-    The walk grows connected graphs only.  Connected level k+1 is grown
-    from connected level k by adding one edge in every way that keeps the
-    graph connected: between two present vertices, or to one new vertex.
-    Call an edge removable when deleting it, and any vertex it leaves
-    isolated, keeps the graph connected: an edge on a cycle or a pendant
-    edge.  Every connected graph with k+1 >= 2 edges has one (a cycle edge,
-    or else a leaf edge of the tree), and deletion never adds vertices, so
-    each connected level is complete, also under the vertex cap.  Children
-    that an automorphism of their parent maps onto each other are
-    isomorphic, so only one per orbit is canonicalized (the first half of
-    McKay's isomorph-free generation).  Of those, only a child whose new
-    edge has the largest _edge_key among its removable edges is
-    canonicalized (McKay's cheap-invariant test).  That loses nothing: for
-    a connected (k+1)-edge graph G, delete a removable edge e with the
-    largest key among the removable ones; the result P is connected and
-    lies on level k, and the orbit head for e's place in P's canonical
-    form gives a child isomorphic to G by a map that sends the new edge to
-    e, so the new edge is removable with the largest key.  Duplicates are
-    still removed by form.  Level k is then assembled, with no canonical
-    labeling, from the multisets of connected forms whose edge counts sum
-    to k and whose vertex counts total at most the cap: a graph with no
-    isolated vertex is the disjoint union of its components, and the form
-    of a union is the join of its sorted component forms.  So the levels
-    are the same as those of the one-edge walk over all graphs with
-    neither prune.  Every child that passes both prunes is labeled by
-    _canon_connected, and the automorphism generators that labeling
-    returns go with the child's form to the next level, where they prune
-    its own children.  A form reached twice keeps the generators of its
-    last labeling.
+    The walk labels connected graphs only.  grow(form, gens, room, cap)
+    yields the unlabeled connected children of a connected canonical form
+    that add 1..room edges and keep at most cap vertices (2m when
+    max_vertices is None).  gens generate automorphisms of the form in its
+    canonical labels.  An automorphism of the parent maps a child onto an
+    isomorphic one, so a rule builds one child per orbit of gens (the
+    first half of McKay's isomorph-free generation); the walk re-verifies
+    gens once per parent, before grow sees them.  Every child is labeled by
+    _canon_connected and duplicates are removed by form.  The generators
+    that labeling returns go with the form, to prune its own children; a
+    form reached twice keeps those of its last labeling.  found[k] holds
+    the connected forms with k edges met so far; children only add edges,
+    so it is complete, and cleared, once level k has grown.  Level k is
+    then assembled, with no canonical labeling, from the multisets of
+    connected forms whose edge counts sum to k and whose vertex counts
+    total at most the cap: a graph with no isolated vertex is the disjoint
+    union of its components, and the form of a union is the join of its
+    sorted component forms.  So level k holds every graph of a family
+    closed under components once grow reaches each connected member.
     """
     cap = 2 * m if max_vertices is None else max_vertices
-    root, root_gens = _canon_connected(complete(2))
-    gens: dict[_Form, list[_Perm]] = {(2, root): root_gens}
-    connected = [[(2, root)] if cap >= 2 else []]
-    for k in range(1, m + 1):
-        yield [Graph(n, edges) for n, edges in sorted(_unions(connected, k, cap))]
-        if k == m:
-            return
-        nxt: dict[_Form, list[_Perm]] = {}
-        for form in connected[-1]:
-            nxt.update(_children(form, gens[form], cap))
-        gens = nxt
-        connected.append(sorted(nxt))
-
-
-def _clique_union_levels(n: int, m: int, max_vertices: int | None) -> Iterator[list[Graph]]:
-    """Levels 1..m of the K_n-unions, each sorted by canonical form.
-
-    A K_n-union is an edge-union of copies of K_n: every edge lies in a
-    K_n.  The walk grows connected unions only, from K_n: a child adds one
-    K_n on a j-subset of the union's vertices (1 <= j <= n) and n-j new
-    vertices, and adds at least one edge.  Growth is complete: take an
-    inclusion-minimal K_n cover of a connected union, ordered breadth-first
-    by shared vertices.  Each clique then meets an earlier one and adds an
-    edge no other clique covers, so every prefix is a connected union one
-    step from the one before.  Edge and vertex counts only grow along the
-    way, so stopping at m edges and at the vertex cap (2m when None) loses
-    nothing.  Children that an automorphism of their parent maps onto each
-    other are isomorphic, so one j-subset per orbit of the parent's
-    generators is taken; the generators are re-verified before use, as in
-    _children.  Each child is labeled by _canon_connected, duplicates are
-    removed by form, and its generators go with it.  Level k is assembled
-    from connected unions by _unions, as in _graph_levels: a union's
-    components are unions.  Levels below C(n,2) are empty.
-    """
-    cap = 2 * m if max_vertices is None else max_vertices
-    size = comb(n, 2)
-    # found[k]: the connected unions with k edges met so far, with their generators
     found: list[dict[_Form, list[_Perm]]] = [{} for _ in range(m + 1)]
-    if n <= cap and size <= m:
-        root, root_gens = _canon_connected(complete(n))
-        found[size][(n, root)] = root_gens
+    size = root.edge_count()
+    if root.n <= cap and size <= m:
+        edges, gens = _canon_connected(root)
+        found[size][(root.n, edges)] = gens
     connected: list[list[_Form]] = []
     for k in range(1, m + 1):
         connected.append(sorted(found[k]))
-        yield [Graph(v, edges) for v, edges in sorted(_unions(connected, k, cap))]
+        yield [Graph(n, edges) for n, edges in sorted(_unions(connected, k, cap))]
         if k == m:
             return
         for form in connected[-1]:
-            p, edges = form
             gens = found[k][form]
             _check_automorphisms(form, gens)
-            present = set(edges)
-            for j in range(1, min(n, p) + 1):
-                # the new K_n adds at least its C(n,2) - C(j,2) edges at new vertices
-                if p + n - j > cap or k + size - comb(j, 2) > m:
-                    continue
-                fresh = tuple(range(p, p + n - j))
-                for shared in _orbit_heads(
-                    combinations(range(p), j),
-                    lambda s: [tuple(sorted(a[v] for v in s)) for a in gens],
-                ):
-                    new = [e for e in combinations(shared + fresh, 2) if e not in present]
-                    if new and k + len(new) <= m:
-                        child, child_gens = _canon_connected(Graph(p + n - j, edges + tuple(new)))
-                        found[k + len(new)][(p + n - j, child)] = child_gens
+            for child in grow(form, gens, m - k, cap):
+                edges, child_gens = _canon_connected(child)
+                found[child.edge_count()][(child.n, edges)] = child_gens
+        found[k].clear()
+
+
+def _graph_levels(m: int, max_vertices: int | None) -> Iterator[list[Graph]]:
+    """Levels 1..m of all graphs with no isolated vertex: _walk from K_2 by _edge_children."""
+    return _walk(complete(2), _edge_children, m, max_vertices)
+
+
+def _clique_union_levels(n: int, m: int, max_vertices: int | None) -> Iterator[list[Graph]]:
+    """Levels 1..m of the K_n-unions, empty below C(n,2): _walk from K_n by _clique_children."""
+    return _walk(complete(n), partial(_clique_children, n), m, max_vertices)
 
 
 def enumerate_graphs(m: int, max_vertices: int | None = None) -> Iterator[Graph]:
     """All graphs with exactly m edges and no isolated vertices, up to iso.
 
-    Yields level m of _graph_levels, in sorted canonical-form order, each
-    graph labeled by its canonical form.  The walk grows connected graphs
-    one edge at a time from K_2: it canonicalizes one child per orbit of
-    its parent's automorphisms, and only if no removable edge has a larger
-    edge invariant than the new one.  Level m is assembled from multisets
-    of connected graphs, with no further canonical labeling.  A caller
-    that needs every level up to m walks them once through the same
-    generator rather than calling this per level.
+    Yields level m of _walk from K_2 by the edge rule (_edge_children),
+    in sorted canonical-form order, each graph labeled by its canonical
+    form.  A caller that needs every level up to m walks them once
+    through _graph_levels rather than calling this per level.
     """
     _check_int("m", m, 0)
     if max_vertices is not None:

@@ -512,10 +512,18 @@ def test_certification_survives_optimized_mode():
         "A._run_structural = lambda *args: (0, 0)\n"
         "print(outcome(lambda: A.arrows_pair(complete(4), 3, 2)))\n"
         "print(outcome(lambda: A.arrows_hyper(complete_r(4, 2), 3, 2)))\n"
+        # the walk's one generator check: a rotation is no automorphism of P_3
+        "import rsize.graphs as G\n"
+        "real = G._canon_connected\n"
+        "def forged(g):\n"
+        "    edges, gens = real(g)\n"
+        "    return edges, gens + [tuple(range(1, g.n)) + (0,)]\n"
+        "G._canon_connected = forged\n"
+        "print(outcome(lambda: list(G.enumerate_graphs(4))))\n"
     )
     proc = run_python("-O", "-c", script)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["raised"] * 7
+    assert proc.stdout.split() == ["raised"] * 8
 
 
 def test_import_leaves_the_process_pool_unloaded():

@@ -36,7 +36,6 @@ from rsize.arrowing import min_size_ramsey_bruteforce
 from rsize.errors import RequestError
 from rsize.graphs import (
     _canon_connected,
-    _children,
     _clique_union_levels,
     _edge_key,
     _graph_levels,
@@ -575,25 +574,48 @@ def test_labeling_jumps_back_on_automorphisms():
         assert _orbits(g.n, gens) == {frozenset(range(g.n))}
 
 
-def test_walk_rejects_a_bogus_generator():
+def test_walk_rejects_a_bogus_generator(monkeypatch):
     # P_3's four children (K_3, P_4 twice, K_{1,3}) all pass the edge-key
     # filter: a P_4 child's middle edge has a larger key than its new
     # pendant edge, but is a bridge, so not removable.  With the ends
-    # swapped as the generator, the prune alone removes one P_4
-    path = canonical_form(Graph(3, [(0, 1), (1, 2)]))
-    (middle,) = set(path[1][0]) & set(path[1][1])
-    end = (middle + 1) % 3
-    good = tuple(v if v == middle else 3 - middle - v for v in range(3))
-    unpruned = [form for form, _ in _children(path, [], 4)]
-    pruned = [form for form, _ in _children(path, [good], 4)]
+    # swapped as P_3's generator, the prune alone removes one P_4.  The
+    # walk re-verifies the generators a labeling hands it before any growth
+    # rule uses them
+    real = graphs._canon_connected
+
+    def children_of_p3(p3_gens):
+        # the forms the walk labels on level 3, all children of P_3, under a
+        # labeling that gives P_3 the generators p3_gens(middle, end)
+        children = []
+
+        def labeling(g):
+            edges, gens = real(g)
+            if len(edges) == 2:
+                (middle,) = set(edges[0]) & set(edges[1])
+                gens = p3_gens(middle, (middle + 1) % 3)
+            elif len(edges) == 3:
+                children.append((g.n, edges))
+            return edges, gens
+
+        monkeypatch.setattr(graphs, "_canon_connected", labeling)
+        list(_graph_levels(3, 4))
+        return children
+
+    def good(middle, end):
+        return tuple(v if v == middle else 3 - middle - v for v in range(3))
+
+    def bogus(middle, end):
+        # a middle-end swap is not an automorphism
+        return tuple(end if v == middle else middle if v == end else v for v in range(3))
+
+    unpruned = children_of_p3(lambda middle, end: [])
+    pruned = children_of_p3(lambda middle, end: [good(middle, end)])
     assert len(unpruned) == 1 + 3
     assert len(pruned) == len(unpruned) - 1 and set(pruned) == set(unpruned)
-    # a middle-end swap is not an automorphism
-    bogus = tuple(end if v == middle else middle if v == end else v for v in range(3))
     with pytest.raises(CertificationError):
-        list(_children(path, [good, bogus], 5))
+        children_of_p3(lambda middle, end: [good(middle, end), bogus(middle, end)])
     with pytest.raises(CertificationError):  # not a permutation
-        list(_children(path, [(0, 0, 1)], 5))
+        children_of_p3(lambda middle, end: [(0, 0, 1)])
 
 
 def every_edge_in_a_clique(g: Graph, n: int) -> bool:
@@ -622,9 +644,33 @@ def test_clique_union_walk_is_complete():
     assert [len(level) for level in _clique_union_levels(3, 8, None)] == [0, 0, 1, 0, 1, 3, 2, 5]
 
 
+def test_clique_union_labels_are_pinned(monkeypatch):
+    # the K_n-union walk's levels, labels and labeling count, pinned as
+    # test_walk_labels_are_pinned pins the all-graph walk's, so reworking
+    # the level machinery the two walks share cannot move either
+    calls = 0
+    real = graphs._canon_connected
+
+    def counting(g):
+        nonlocal calls
+        calls += 1
+        return real(g)
+
+    monkeypatch.setattr(graphs, "_canon_connected", counting)
+    levels = [[(g.n, tuple(g.edges())) for g in level] for level in _clique_union_levels(3, 12, None)]
+    assert [len(level) for level in levels] == [0, 0, 1, 0, 1, 3, 2, 5, 12, 20, 40, 91]
+    assert calls == 631
+    digest = hashlib.sha256(repr(levels).encode()).hexdigest()
+    assert digest == "76297452e1bd8613c6019f3b3926a950f23420b867cf9cb6b9da12d040370fd1"
+    for n, m, want in ((4, 14, 24), (5, 16, 3)):
+        calls = 0
+        list(_clique_union_levels(n, m, None))
+        assert calls == want, n
+
+
 def test_clique_union_walk_rejects_a_bogus_generator(monkeypatch):
-    # the walk takes one new K_n per orbit of its parent's generators, so it
-    # re-verifies them first, as _children does
+    # the K_n rule takes one new K_n per orbit of its parent's generators,
+    # so the walk re-verifies them first, as for the edge rule
     real = graphs._canon_connected
 
     def with_extra(extra):

@@ -52,6 +52,20 @@ def test_no_assert_in_the_package():
     assert offenders == []
 
 
+def test_only_the_walk_and_canonical_form_label_connected_graphs():
+    # one isomorph-free walk: its growth rules yield unlabeled children and
+    # graphs._walk labels them, so a second level loop cannot come back
+    # unnoticed.  Every use of _canon_connected counts, a call or a reference
+    users = set()
+    for path in sorted(Path(rsize.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for top in tree.body:
+            for node in ast.walk(top):
+                if getattr(node, "id", getattr(node, "attr", None)) == "_canon_connected":
+                    users.add(f"{path.name}:{getattr(top, 'name', node.lineno)}")
+    assert users == {"graphs.py:canonical_form", "graphs.py:_walk"}
+
+
 def test_bench_records_parse():
     # each performance change commits one BENCH_<topic>.json at the repo root
     records = sorted(Path(__file__).resolve().parent.parent.glob("BENCH_*.json"))
