@@ -77,6 +77,7 @@ from typing import Sequence
 
 from .errors import CertificationError, RequestError, UndecidedError, _check_int, _check_nt
 from .graphs import (
+    MAX_HYPER_VERTICES,
     Graph,
     Hypergraph,
     _clique_union_levels,
@@ -343,7 +344,7 @@ def _run_frankl(
     """
     nodes = 0
 
-    def grow(X: int, size: int, i: int, cap: int, failed: set[int]) -> int | None:
+    def grow(X: int, size: int, i: int, failed: set[int]) -> int | None:
         nonlocal nodes
         nodes += 1
         first = 0
@@ -358,18 +359,18 @@ def _run_frankl(
                     need += short
         if not first:
             return X
-        if need <= cap:
+        if need <= i * t - 1:
             for v in _mask_vertices(first):
                 Y = X | 1 << v
                 if Y not in failed:
-                    found = grow(Y, size + 1, i, cap, failed)
+                    found = grow(Y, size + 1, i, failed)
                     if found is not None:
                         return found
         failed.add(X)
         return None
 
     for i in range(1, r + 1):
-        X = grow(0, 0, i, i * t - 1, set())
+        X = grow(0, 0, i, set())
         if X is not None:
             return _frankl_blue(edge_masks, X, i), nodes
     return None, nodes
@@ -749,10 +750,18 @@ def verify_graph_ramsey(n: int, t: int, *, search: str = "auto") -> bool:
 
 
 def verify_hyper_ramsey(n: int, r: int, t: int, *, search: str = "auto") -> bool:
-    """Check R(K_n^r, tK_r^r) = n+(t-1)r from both sides, as verify_graph_ramsey does."""
+    """Check R(K_n^r, tK_r^r) = n+(t-1)r from both sides, as verify_graph_ramsey does.
+
+    A host over the search budget is refused before its C(k, r) edges are
+    built; past MAX_HYPER_VERTICES, complete_r refuses k before it builds
+    an edge.
+    """
     _check_int("r", r, 2)
     _check_nt(n, t, n_min=r)
-    upper = arrows_hyper(complete_r(n + (t - 1) * r, r), n, t, search=search)
+    k = n + (t - 1) * r
+    if k <= MAX_HYPER_VERTICES:
+        _pick_mode(search, comb(k, r), "hyper", r)
+    upper = arrows_hyper(complete_r(k, r), n, t, search=search)
     lower_bound_coloring_hyper(n, r, t)
     return upper.arrows
 
@@ -766,15 +775,17 @@ def min_size_ramsey_bruteforce(
     search.  Suppose G arrows with the least m and its edge e lies in no
     K_n.  In any coloring of G - e, color e red: no red K_n can use e and
     the blue edges do not change, so G - e arrows with m - 1 edges, a
-    contradiction.  Deleting e keeps G within the vertex cap.  So the
-    levels m = 1..m_max come from one pass of graphs._walk: from K_n by
-    the K_n rule for n >= 3 (graphs._clique_union_levels; levels below
-    C(n,2) are empty), and since every graph is a K_2-union, from K_2 by
-    the edge rule for n = 2 (graphs._graph_levels).  Exact because both
-    rules are complete up to isomorphism and arrowing ignores isolated
-    vertices.  None means every graph with at most m_max edges fails,
-    i.e. the answer is > m_max.  No level is walked when C(n,2) > m_max:
-    such a graph has no K_n, so its all-red coloring is good.
+    contradiction.  So the levels m = 1..m_max come from one pass of
+    graphs._walk: from K_n by the K_n rule for n >= 3
+    (graphs._clique_union_levels; levels below C(n,2) are empty), and
+    since every graph is a K_2-union, from K_2 by the edge rule for n = 2
+    (graphs._graph_levels).  Exact because both rules are complete up to
+    isomorphism and arrowing ignores isolated vertices.  max_vertices,
+    when given, keeps only the graphs on at most that many vertices in
+    each level; deleting e adds no vertex, so the argument holds among
+    them.  None means every graph with at most m_max edges fails, i.e. the
+    answer is > m_max.  No level is walked when C(n,2) > m_max: such a
+    graph has no K_n, so its all-red coloring is good.
     """
     _check_int("m_max", m_max, 1)
     if m_max > BRUTEFORCE_MAX_EDGES:
@@ -784,11 +795,10 @@ def min_size_ramsey_bruteforce(
     _check_nt(n, t)
     if comb(n, 2) > m_max:
         return None
-    if n == 2:
-        levels = _graph_levels(m_max, max_vertices)
-    else:
-        levels = _clique_union_levels(n, m_max, max_vertices)
+    levels = _graph_levels(m_max) if n == 2 else _clique_union_levels(n, m_max)
     for m, level in enumerate(levels, start=1):
+        if max_vertices is not None:
+            level = [g for g in level if g.n <= max_vertices]
         if any(arrows_pair(g, n, t).arrows for g in level):
             return m
     return None

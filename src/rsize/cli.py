@@ -9,7 +9,7 @@ run can end:
   0  the command succeeded (for verifications: ran and passed)
   1  a verification ran to completion and the property failed
   2  the request was unusable (bad flags, unreadable or malformed
-     input, hypothesis violation, an n or t over the scan limit of
+     input, hypothesis violation, an n, r or t over the scan limit of
      value, table and the limit suite): argparse refused it, a file
      could not be read (OSError), or parsing or validation raised
      RequestError
@@ -44,12 +44,11 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any, Sequence
 
 from .errors import Graph6Error, HypergraphFormatError, RequestError, UndecidedError
-from .records import Record, _set
 
 if TYPE_CHECKING:
     from .graphs import Graph
 
-__all__ = ["CommandResult", "main", "run"]
+__all__ = ["main", "run"]
 
 _MODES = ("auto", "naive", "reduced")
 # verify's optional flags with their defaults, and the ones each suite
@@ -79,41 +78,6 @@ _TABLE_COLUMNS = (
     "upper_bound",
     "limit_constant",
 )
-
-
-class CommandResult(Record):
-    """One command run: an echo of the request plus a structured outcome."""
-
-    __slots__ = ("command", "inputs", "outputs", "status", "elapsed_ms")
-    command: str
-    inputs: dict[str, Any]
-    outputs: dict[str, Any]
-    status: str  # ok | undecided | error
-    elapsed_ms: int
-
-    def __init__(
-        self,
-        command: str,
-        inputs: dict[str, Any],
-        outputs: dict[str, Any],
-        status: str,
-        elapsed_ms: int,
-    ) -> None:
-        _set(self, "command", command)
-        _set(self, "inputs", inputs)
-        _set(self, "outputs", outputs)
-        _set(self, "status", status)
-        _set(self, "elapsed_ms", elapsed_ms)
-
-    def to_payload(self) -> dict[str, Any]:
-        """JSON-ready dict matching the shipped schema."""
-        return {
-            "command": self.command,
-            "inputs": _jsonify(self.inputs),
-            "outputs": _jsonify(self.outputs),
-            "status": self.status,
-            "elapsed_ms": self.elapsed_ms,
-        }
 
 
 def _digits(value: int) -> str:
@@ -218,6 +182,8 @@ def _cmd_value(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
     from .values import g, g_hat, g_r
 
     _within_scan_limit("t", args.t)
+    if args.r is not None:
+        _within_scan_limit("r", args.r)
     if args.hat:
         result = g_hat(args.n, args.t)
     elif args.r is not None:
@@ -507,8 +473,14 @@ def _render(
         return _csv_text(outputs)
     elapsed_ms = round((time.perf_counter() - start) * 1000)
     status = "ok" if code == 0 else "undecided" if code == 3 else "error"
-    result = CommandResult(args.command, inputs, outputs, status, elapsed_ms)
-    return json.dumps(result.to_payload(), indent=2) + "\n"
+    envelope = {
+        "command": args.command,
+        "inputs": _jsonify(inputs),
+        "outputs": _jsonify(outputs),
+        "status": status,
+        "elapsed_ms": elapsed_ms,
+    }
+    return json.dumps(envelope, indent=2) + "\n"
 
 
 def run() -> None:

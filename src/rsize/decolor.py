@@ -40,6 +40,11 @@ from .graphs import (
 from .records import Record, _set
 from .values import Flavor, g, g_hat, iter_partitions, part_cost
 
+# the construction runs exact coloring, cover and matching searches, each
+# exponential in the vertex count; on dense hosts under the hypothesis the
+# slowest took 0.4 s at 24 vertices, 0.8 s at 26, 2 s at 28 and 7.5 s at 32
+DECOLOR_MAX_VERTICES = 24
+
 
 class DecolorResult(Record):
     """A vertex set S with a certified (n-2)-coloring of G - S.
@@ -181,13 +186,18 @@ def _decolor(graph: Graph, n: int, t: int, matching: bool) -> DecolorResult:
     against the hypothesis.
 
     A bound the construction misses would contradict the lemma, so it
-    raises CertificationError.
+    raises CertificationError.  A host on more than DECOLOR_MAX_VERTICES
+    vertices that meets the hypothesis raises UndecidedError unsearched.
     """
     _check_shape(graph, n, t)
     bound = (g if matching else g_hat)(n, t).value
     if graph.edge_count() >= bound:
         raise HypothesisError(
             f"{graph.edge_count()} edges, but the guarantee needs fewer than {bound}"
+        )
+    if graph.n > DECOLOR_MAX_VERTICES:
+        raise UndecidedError(
+            f"undecided: decoloring capped at {DECOLOR_MAX_VERTICES} vertices, got {graph.n}"
         )
     if n == 3:
         removed = _vertices_mask(min_vertex_cover(graph))

@@ -622,7 +622,7 @@ def _is_removable(adj: Sequence[int], u: int, v: int) -> bool:
     return False
 
 
-def _edge_children(form: _Form, gens: Sequence[_Perm], room: int, cap: int) -> Iterator[Graph]:
+def _edge_children(form: _Form, gens: Sequence[_Perm], room: int) -> Iterator[Graph]:
     """The one-edge children of a connected canonical graph that _walk needs, unlabeled.
 
     A child adds an edge between two present vertices or a pendant edge
@@ -633,13 +633,12 @@ def _edge_children(form: _Form, gens: Sequence[_Perm], room: int, cap: int) -> I
     yielded (McKay's cheap-invariant test); the rest are dropped unbuilt,
     judged from the parent's adjacency plus the new edge.  That
     loses nothing: every connected graph with k+1 >= 2 edges has a
-    removable edge (a cycle edge, or else a leaf edge of the tree), and
-    deletion never adds vertices.  So for such a graph G, delete a
-    removable edge e with the largest key among the removable ones; the
-    result P is connected, lies on level k and under G's vertex cap, and
-    the orbit head for e's place in P's canonical form gives a child
-    isomorphic to G by a map that sends the new edge to e, so the new
-    edge is removable with the largest key.  The levels are therefore
+    removable edge (a cycle edge, or else a leaf edge of the tree).  So
+    for such a graph G, delete a removable edge e with the largest key
+    among the removable ones; the result P is connected and lies on
+    level k, and the orbit head for e's place in P's canonical form gives
+    a child isomorphic to G by a map that sends the new edge to e, so the
+    new edge is removable with the largest key.  The levels are therefore
     those of the one-edge walk over all graphs with neither prune.
     """
     n, edges = form
@@ -649,8 +648,7 @@ def _edge_children(form: _Form, gens: Sequence[_Perm], room: int, cap: int) -> I
         non_edges,
         lambda p: [(a[p[0]], a[p[1]]) if a[p[0]] < a[p[1]] else (a[p[1]], a[p[0]]) for a in gens],
     )
-    if n + 1 <= cap:
-        new += [(u, n) for u in _orbit_heads(range(n), lambda u: [a[u] for a in gens])]
+    new += [(u, n) for u in _orbit_heads(range(n), lambda u: [a[u] for a in gens])]
     adj = [0] * (n + 1)
     for u, v in edges:
         adj[u] |= 1 << v
@@ -664,7 +662,7 @@ def _edge_children(form: _Form, gens: Sequence[_Perm], room: int, cap: int) -> I
             yield Graph(max(n, v + 1), edges + ((u, v),))
 
 
-def _clique_children(n: int, form: _Form, gens: Sequence[_Perm], room: int, cap: int) -> Iterator[Graph]:
+def _clique_children(n: int, form: _Form, gens: Sequence[_Perm], room: int) -> Iterator[Graph]:
     """The one-K_n children of a connected K_n-union that _walk needs, unlabeled.
 
     A K_n-union is an edge-union of copies of K_n: every edge lies in a
@@ -674,16 +672,16 @@ def _clique_children(n: int, form: _Form, gens: Sequence[_Perm], room: int, cap:
     take an inclusion-minimal K_n cover of a connected union, ordered
     breadth-first by shared vertices.  Each clique then meets an earlier
     one and adds an edge no other clique covers, so every prefix is a
-    connected union one step from the one before.  Edge and vertex counts
-    only grow along the way, so stopping at the edge budget and at the
-    vertex cap loses nothing.  A union's components are unions, so the
-    levels _walk assembles hold every K_n-union.
+    connected union one step from the one before.  Edge counts only grow
+    along the way, so stopping at the edge budget loses nothing.  A
+    union's components are unions, so the levels _walk assembles hold
+    every K_n-union.
     """
     p, edges = form
     present = set(edges)
     for j in range(1, min(n, p) + 1):
         # the new K_n adds at least its C(n,2) - C(j,2) edges at new vertices
-        if p + n - j > cap or comb(n, 2) - comb(j, 2) > room:
+        if comb(n, 2) - comb(j, 2) > room:
             continue
         fresh = tuple(range(p, p + n - j))
         for shared in _orbit_heads(
@@ -695,8 +693,8 @@ def _clique_children(n: int, form: _Form, gens: Sequence[_Perm], room: int, cap:
                 yield Graph(p + n - j, edges + tuple(new))
 
 
-def _unions(connected: Sequence[Sequence[_Form]], m: int, cap: int) -> Iterator[_Form]:
-    """The forms of every multiset of connected forms with m edges in all and at most cap vertices.
+def _unions(connected: Sequence[Sequence[_Form]], m: int) -> Iterator[_Form]:
+    """The forms of every multiset of connected forms with m edges in all.
 
     connected[j - 1] lists the connected forms with j edges.  Parts are
     taken by nonincreasing edge count, and by nondecreasing position among
@@ -704,34 +702,28 @@ def _unions(connected: Sequence[Sequence[_Form]], m: int, cap: int) -> Iterator[
     """
     chosen: list[_Form] = []
 
-    def extend(most: int, start: int, left: int, room: int) -> Iterator[_Form]:
+    def extend(most: int, start: int, left: int) -> Iterator[_Form]:
         if not left:
             yield _join(sorted(chosen))
             return
         for j in range(min(most, left), 0, -1):
             level = connected[j - 1]
             for i in range(start if j == most else 0, len(level)):
-                part = level[i]
-                if part[0] <= room:
-                    chosen.append(part)
-                    yield from extend(j, i, left - j, room - part[0])
-                    chosen.pop()
+                chosen.append(level[i])
+                yield from extend(j, i, left - j)
+                chosen.pop()
 
-    return extend(m, 0, m, cap)
+    return extend(m, 0, m)
 
 
 def _walk(
-    root: Graph,
-    grow: Callable[[_Form, Sequence[_Perm], int, int], Iterator[Graph]],
-    m: int,
-    max_vertices: int | None,
+    root: Graph, grow: Callable[[_Form, Sequence[_Perm], int], Iterator[Graph]], m: int
 ) -> Iterator[list[Graph]]:
     """Levels 1..m of an isomorph-free walk from a connected root, each sorted by canonical form.
 
-    The walk labels connected graphs only.  grow(form, gens, room, cap)
-    yields the unlabeled connected children of a connected canonical form
-    that add 1..room edges and keep at most cap vertices (2m when
-    max_vertices is None).  gens generate automorphisms of the form in its
+    The walk labels connected graphs only.  grow(form, gens, room) yields
+    the unlabeled connected children of a connected canonical form that
+    add 1..room edges.  gens generate automorphisms of the form in its
     canonical labels.  An automorphism of the parent maps a child onto an
     isomorphic one, so a rule builds one child per orbit of gens (the
     first half of McKay's isomorph-free generation); the walk re-verifies
@@ -742,41 +734,40 @@ def _walk(
     the connected forms with k edges met so far; children only add edges,
     so it is complete, and cleared, once level k has grown.  Level k is
     then assembled, with no canonical labeling, from the multisets of
-    connected forms whose edge counts sum to k and whose vertex counts
-    total at most the cap: a graph with no isolated vertex is the disjoint
-    union of its components, and the form of a union is the join of its
-    sorted component forms.  So level k holds every graph of a family
-    closed under components once grow reaches each connected member.
+    connected forms whose edge counts sum to k: a graph with no isolated
+    vertex is the disjoint union of its components, and the form of a
+    union is the join of its sorted component forms.  So level k holds
+    every graph of a family closed under components once grow reaches
+    each connected member.
     """
-    cap = 2 * m if max_vertices is None else max_vertices
     found: list[dict[_Form, list[_Perm]]] = [{} for _ in range(m + 1)]
     size = root.edge_count()
-    if root.n <= cap and size <= m:
+    if size <= m:
         edges, gens = _canon_connected(root)
         found[size][(root.n, edges)] = gens
     connected: list[list[_Form]] = []
     for k in range(1, m + 1):
         connected.append(sorted(found[k]))
-        yield [Graph(n, edges) for n, edges in sorted(_unions(connected, k, cap))]
+        yield [Graph(n, edges) for n, edges in sorted(_unions(connected, k))]
         if k == m:
             return
         for form in connected[-1]:
             gens = found[k][form]
             _check_automorphisms(form, gens)
-            for child in grow(form, gens, m - k, cap):
+            for child in grow(form, gens, m - k):
                 edges, child_gens = _canon_connected(child)
                 found[child.edge_count()][(child.n, edges)] = child_gens
         found[k].clear()
 
 
-def _graph_levels(m: int, max_vertices: int | None) -> Iterator[list[Graph]]:
+def _graph_levels(m: int) -> Iterator[list[Graph]]:
     """Levels 1..m of all graphs with no isolated vertex: _walk from K_2 by _edge_children."""
-    return _walk(complete(2), _edge_children, m, max_vertices)
+    return _walk(complete(2), _edge_children, m)
 
 
-def _clique_union_levels(n: int, m: int, max_vertices: int | None) -> Iterator[list[Graph]]:
+def _clique_union_levels(n: int, m: int) -> Iterator[list[Graph]]:
     """Levels 1..m of the K_n-unions, empty below C(n,2): _walk from K_n by _clique_children."""
-    return _walk(complete(n), partial(_clique_children, n), m, max_vertices)
+    return _walk(complete(n), partial(_clique_children, n), m)
 
 
 def enumerate_graphs(m: int, max_vertices: int | None = None) -> Iterator[Graph]:
@@ -784,8 +775,9 @@ def enumerate_graphs(m: int, max_vertices: int | None = None) -> Iterator[Graph]
 
     Yields level m of _walk from K_2 by the edge rule (_edge_children),
     in sorted canonical-form order, each graph labeled by its canonical
-    form.  A caller that needs every level up to m walks them once
-    through _graph_levels rather than calling this per level.
+    form.  max_vertices, when given, keeps only the graphs on at most
+    that many vertices.  A caller that needs every level up to m walks
+    them once through _graph_levels rather than calling this per level.
     """
     _check_int("m", m, 0)
     if max_vertices is not None:
@@ -795,8 +787,11 @@ def enumerate_graphs(m: int, max_vertices: int | None = None) -> Iterator[Graph]
     if m == 0:
         yield Graph(0)
         return
-    *_, last = _graph_levels(m, max_vertices)
-    yield from last
+    *_, last = _graph_levels(m)
+    if max_vertices is None:
+        yield from last
+    else:
+        yield from (g for g in last if g.n <= max_vertices)
 
 
 # -------------------------------------------------------------------- graph6

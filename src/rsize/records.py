@@ -1,6 +1,6 @@
 """The immutable base of rsize's result records.
 
-Each record (a verdict, a coloring, a witness, a command result) is a
+Each record (a verdict, a coloring, a witness, a value) is a
 class with `__slots__` naming its fields in order and a hand-written
 `__init__` that validates its arguments before it stores them through
 `_set`.  `Record` refuses every later assignment or deletion, compares

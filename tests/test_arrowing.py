@@ -30,7 +30,7 @@ from rsize.arrowing import (
     verify_graph_ramsey,
     verify_hyper_ramsey,
 )
-from rsize.errors import RequestError
+from rsize.errors import CapacityError, RequestError
 from rsize.graphs import (
     Graph,
     Hypergraph,
@@ -618,6 +618,23 @@ def test_verify_hyper_ramsey_reduced_case():
     assert verify_hyper_ramsey(4, 3, 2)
 
 
+def test_verify_hyper_ramsey_refuses_an_over_budget_host_unbuilt(monkeypatch):
+    # K_22^11 has C(22,11) = 705,432 edges, and building it took seconds
+    # before the budget refused it
+    def unbuilt(k, r):
+        raise AssertionError(f"built complete_r({k}, {r})")
+
+    monkeypatch.setattr(rsize.arrowing, "complete_r", unbuilt)
+    with pytest.raises(UndecidedError, match="705432 edges"):
+        verify_hyper_ramsey(11, 11, 2)
+    with pytest.raises(RequestError, match="search must be"):
+        verify_hyper_ramsey(11, 11, 2, search="fast")
+    monkeypatch.undo()
+    # 34 vertices is past the hypergraph capacity, a bad request as before
+    with pytest.raises(CapacityError):
+        verify_hyper_ramsey(30, 2, 3)
+
+
 def test_min_size_bruteforce_matches_formula():
     assert min_size_ramsey_bruteforce(2, 2, 4) == 2 == g(2, 2).value
     assert min_size_ramsey_bruteforce(3, 1, 4) == 3 == g(3, 1).value
@@ -639,6 +656,16 @@ def test_min_size_bruteforce_matches_formula():
         (2, 3, 5, 5, None),
         (3, 2, 6, 6, 6),  # 2K_3 needs six vertices
         (3, 2, 6, 5, None),  # K_5 (10 edges) is past m_max
+        # m_max = 8 under vertex caps 2..6 and none
+        *(
+            (n, t, 8, cap, want)
+            for (n, t), wants in (
+                ((2, 3), (None,) * 4 + (3, 3)),
+                ((3, 2), (None,) * 4 + (6, 6)),
+                ((4, 1), (None,) * 2 + (6,) * 4),
+            )
+            for cap, want in zip((2, 3, 4, 5, 6, None), wants)
+        ),
     ],
 )
 def test_min_size_bruteforce_grid(n, t, m_max, max_vertices, expected):
@@ -655,8 +682,9 @@ def test_min_size_bruteforce_equals_searching_every_level():
     # searches every graph.  Levels 1..m_max of the all-graph walk do not
     # depend on m_max, so one walk to 8 edges gives the reference answer
     # for every m_max
+    walked = list(_graph_levels(8))
     for cap in (None, 5):
-        levels = list(_graph_levels(8, cap))
+        levels = [[h for h in level if cap is None or h.n <= cap] for level in walked]
         for n in (2, 3, 4, 5):
             for t in (1, 2, 3):
                 first = next(

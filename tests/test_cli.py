@@ -135,8 +135,10 @@ def test_value_usage_errors(capsys):
         # one cell, but g_values and limit_constant are linear in n
         ("table", "--n-range", "1000000", "--t-range", "1"),
         ("verify", "--suite", "limit", "--n", "5", "--T", "200000"),
+        # g_r is linear in r too: r = 400,000 took about 30 s
+        ("value", "--n", "400000", "--r", "400000", "--t", "2"),
     ],
-    ids=["value", "table", "verify-limit"],
+    ids=["value", "table", "verify-limit", "value-r"],
 )
 def test_over_scan_limit_is_refused_before_any_work(capsys, argv):
     start = time.perf_counter()
@@ -384,6 +386,20 @@ def test_verify_limit_small_n(capsys):
     assert set(payload["outputs"]["quotients"]) == {"1/1"}
 
 
+def test_verify_hyper_ramsey_over_budget_is_undecided_before_building(capsys):
+    # K_22^11 would have 705,432 edges; the budget refuses it unbuilt
+    start = time.perf_counter()
+    code, payload = run_json(capsys, "verify", "--suite", "hyper-ramsey", "--n", "11", "--r", "11", "--t", "2")
+    assert time.perf_counter() - start < 1.0
+    assert code == 3
+    assert payload["status"] == "undecided"
+    assert "705432 edges" in payload["outputs"]["message"]
+    # 34 vertices is past the hypergraph capacity: still a bad request
+    code, payload = run_json(capsys, "verify", "--suite", "hyper-ramsey", "--n", "30", "--r", "2", "--t", "3")
+    assert code == 2
+    assert "34" in payload["outputs"]["message"]
+
+
 def test_verify_missing_scoped_flags(capsys):
     code, payload = run_json(capsys, "verify", "--suite", "ramsey", "--n", "3")
     assert code == 2
@@ -478,6 +494,15 @@ def test_decolor_missed_bound_is_exit_4(capsys, monkeypatch, tmp_path):
     code, payload = run_json(capsys, "decolor", "--host", path, "--n", "3", "--t", "1", "--matching")
     assert code == 4
     assert payload["outputs"]["exception"] == "CertificationError"
+
+
+def test_decolor_past_the_vertex_bound_is_undecided(capsys, tmp_path):
+    path = write_graph6(tmp_path, "big.g6", complete(decolor.DECOLOR_MAX_VERTICES + 1))
+    for extra in ((), ("--matching",)):
+        code, payload = run_json(capsys, "decolor", "--host", path, "--n", "4", "--t", "200", *extra)
+        assert code == 3
+        assert payload["status"] == "undecided"
+        assert str(decolor.DECOLOR_MAX_VERTICES) in payload["outputs"]["message"]
 
 
 def test_decolor_hypothesis_violation_names_both_numbers(capsys, tmp_path):

@@ -115,6 +115,29 @@ def test_argument_validation():
         find_decolor_set_matching(complete(3), 3, 0)
 
 
+def test_decolor_is_undecided_past_the_vertex_bound(monkeypatch):
+    # the construction's exact searches are exponential in the vertex count,
+    # so a host past the bound is refused before any of them runs, and
+    # only once the hypothesis holds
+    def unsearched(graph):
+        raise AssertionError("searched a host past the bound")
+
+    monkeypatch.setattr(D, "max_potential_coloring", unsearched)
+    monkeypatch.setattr(D, "min_vertex_cover", unsearched)
+    big = complete(D.DECOLOR_MAX_VERTICES + 1)
+    for n in (3, 4):
+        for find in (find_decolor_set, find_decolor_set_matching, witness_good_coloring):
+            with pytest.raises(UndecidedError, match="capped"):
+                find(big, n, 200)
+    with pytest.raises(HypothesisError):
+        find_decolor_set(big, 4, 1)
+    monkeypatch.undo()
+    k = D.DECOLOR_MAX_VERTICES
+    cycle = Graph(k, [(v, (v + 1) % k) for v in range(k)])
+    for find in (find_decolor_set, find_decolor_set_matching):
+        assert find(cycle, 4, 12).residual_coloring.num_colors <= 2
+
+
 def test_exact_scan_oracle_is_deterministic_smallest_first():
     k4 = complete(4).edges()
     assert exact_decolor_scan(4, k4, 4, 3) == (0, 1)  # first size-2 subset in order

@@ -443,7 +443,7 @@ def test_enumerate_graphs_count_at_eight_edges():
 def test_connected_level_sizes():
     # the walk grows connected graphs only and assembles the rest; its
     # connected graphs per edge count are OEIS A002905
-    connected = [sum(len(graphs._components(g)) == 1 for g in level) for level in _graph_levels(8, None)]
+    connected = [sum(len(graphs._components(g)) == 1 for g in level) for level in _graph_levels(8)]
     assert connected == [1, 1, 3, 5, 12, 30, 79, 227]
 
 
@@ -484,16 +484,22 @@ def test_enumerate_graphs_vertex_cap():
         for cap in range(2, 9):
             assert list(enumerate_graphs(m, max_vertices=cap)) == [g for g in full if g.n <= cap], (m, cap)
     assert list(enumerate_graphs(3, max_vertices=1)) == []
+    # the graphs with 8 edges on at most 1..10 vertices
+    counts = [len(list(enumerate_graphs(8, max_vertices=cap))) for cap in range(1, 11)]
+    assert counts == [0, 0, 0, 0, 2, 24, 97, 221, 345, 428]
 
 
 def test_orbit_pruned_walk_equals_unpruned_walk():
     # the walk canonicalizes one child per orbit of its parent's
     # automorphisms, and only children whose new edge has the largest edge
-    # key; the oracle canonicalizes every child
+    # key; the oracle canonicalizes every child, and stops growing at the
+    # vertex cap that enumerate_graphs applies as a filter
     canon = lambda n, edges: canonical_form(Graph(n, edges))
-    for m, cap in ((8, None), *((7, cap) for cap in range(2, 9))):
-        want = unpruned_graph_levels(m, cap, canon)
-        got = [[(g.n, tuple(g.edges())) for g in level] for level in _graph_levels(m, cap)]
+    want = unpruned_graph_levels(8, None, canon)
+    assert [[(g.n, tuple(g.edges())) for g in level] for level in _graph_levels(8)] == want
+    for cap in range(2, 9):
+        want = unpruned_graph_levels(7, cap, canon)
+        got = [[(g.n, tuple(g.edges())) for g in enumerate_graphs(m, max_vertices=cap)] for m in range(1, 8)]
         assert got == want, cap
 
 
@@ -522,7 +528,7 @@ def test_walk_canonicalization_count(monkeypatch):
         return real(g)
 
     monkeypatch.setattr(graphs, "_canon_connected", counting)
-    assert [len(level) for level in _graph_levels(7, None)] == [1, 2, 5, 11, 26, 68, 177]
+    assert [len(level) for level in _graph_levels(7)] == [1, 2, 5, 11, 26, 68, 177]
     assert len(calls) == 141
     assert all(len(graphs._components(g)) == 1 for g in calls)
 
@@ -542,7 +548,7 @@ def test_walk_labels_are_pinned(monkeypatch):
         return real(g)
 
     monkeypatch.setattr(graphs, "_canon_connected", counting)
-    levels = [[(g.n, tuple(g.edges())) for g in level] for level in _graph_levels(8, None)]
+    levels = [[(g.n, tuple(g.edges())) for g in level] for level in _graph_levels(8)]
     assert sum(map(len, levels)) == 787 and calls == 402
     digest = hashlib.sha256(repr(levels).encode()).hexdigest()
     assert digest == "e13d7441c04c46e0c982a31e089e9c2bd09194a728e41f5b250389e0975b85d2"
@@ -598,7 +604,7 @@ def test_walk_rejects_a_bogus_generator(monkeypatch):
             return edges, gens
 
         monkeypatch.setattr(graphs, "_canon_connected", labeling)
-        list(_graph_levels(3, 4))
+        list(_graph_levels(3))
         return children
 
     def good(middle, end):
@@ -633,15 +639,14 @@ def test_clique_union_walk_is_complete():
     # levels are compared, so the connected unions and their assembly both
     # count.  Every graph is a K_2-union
     for n, m in ((2, 6), (3, 8), (4, 8)):
-        for cap in (None, 5):
-            got = [[(g.n, tuple(g.edges())) for g in level] for level in _clique_union_levels(n, m, cap)]
-            want = [
-                [(g.n, tuple(g.edges())) for g in level if every_edge_in_a_clique(g, n)]
-                for level in _graph_levels(m, cap)
-            ]
-            assert got == want, (n, cap)
+        got = [[(g.n, tuple(g.edges())) for g in level] for level in _clique_union_levels(n, m)]
+        want = [
+            [(g.n, tuple(g.edges())) for g in level if every_edge_in_a_clique(g, n)]
+            for level in _graph_levels(m)
+        ]
+        assert got == want, n
     # the K_3-unions with 1..8 edges, per edge count
-    assert [len(level) for level in _clique_union_levels(3, 8, None)] == [0, 0, 1, 0, 1, 3, 2, 5]
+    assert [len(level) for level in _clique_union_levels(3, 8)] == [0, 0, 1, 0, 1, 3, 2, 5]
 
 
 def test_clique_union_labels_are_pinned(monkeypatch):
@@ -657,14 +662,14 @@ def test_clique_union_labels_are_pinned(monkeypatch):
         return real(g)
 
     monkeypatch.setattr(graphs, "_canon_connected", counting)
-    levels = [[(g.n, tuple(g.edges())) for g in level] for level in _clique_union_levels(3, 12, None)]
+    levels = [[(g.n, tuple(g.edges())) for g in level] for level in _clique_union_levels(3, 12)]
     assert [len(level) for level in levels] == [0, 0, 1, 0, 1, 3, 2, 5, 12, 20, 40, 91]
     assert calls == 631
     digest = hashlib.sha256(repr(levels).encode()).hexdigest()
     assert digest == "76297452e1bd8613c6019f3b3926a950f23420b867cf9cb6b9da12d040370fd1"
     for n, m, want in ((4, 14, 24), (5, 16, 3)):
         calls = 0
-        list(_clique_union_levels(n, m, None))
+        list(_clique_union_levels(n, m))
         assert calls == want, n
 
 
@@ -687,14 +692,14 @@ def test_clique_union_walk_rejects_a_bogus_generator(monkeypatch):
         v = degree.index(max(degree))
         return tuple(v if w == u else u if w == v else w for w in range(n))
 
-    assert len(list(_clique_union_levels(3, 6, None))) == 6
+    assert len(list(_clique_union_levels(3, 6))) == 6
     monkeypatch.setattr(graphs, "_canon_connected", with_extra(lambda n, edges: (0,) * n))
     with pytest.raises(CertificationError):  # not a permutation
-        list(_clique_union_levels(3, 6, None))
+        list(_clique_union_levels(3, 6))
     monkeypatch.setattr(graphs, "_canon_connected", with_extra(swap_unequal_degrees))
     # on the regular K_3 the swap is the identity; the bowtie (6 edges) is not regular
     with pytest.raises(CertificationError):
-        list(_clique_union_levels(3, 8, None))
+        list(_clique_union_levels(3, 8))
 
 
 def test_enumerate_graphs_capacity():

@@ -52,6 +52,22 @@ def test_no_assert_in_the_package():
     assert offenders == []
 
 
+def test_only_the_public_walk_entries_take_a_vertex_cap():
+    # the walk grows every graph up to its edge budget; enumerate_graphs and
+    # min_size_ramsey_bruteforce apply a caller's vertex cap as one filter
+    # on the level they read, so no layer below them threads a cap
+    takers = set()
+    for path in sorted(Path(rsize.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                args = node.args
+                names = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
+                if names & {"max_vertices", "cap"}:
+                    takers.add(f"{path.name}:{getattr(node, 'name', node.lineno)}")
+    assert takers == {"graphs.py:enumerate_graphs", "arrowing.py:min_size_ramsey_bruteforce"}
+
+
 def test_only_the_walk_and_canonical_form_label_connected_graphs():
     # one isomorph-free walk: its growth rules yield unlabeled children and
     # graphs._walk labels them, so a second level loop cannot come back

@@ -1,4 +1,4 @@
-"""The seven result records: frozen, compared and hashed by value, named in repr."""
+"""The six result records: frozen, compared and hashed by value, named in repr."""
 
 import copy
 import pickle
@@ -6,7 +6,7 @@ import pickle
 import pytest
 
 from rsize.arrowing import ArrowVerdict, EdgeColoring
-from rsize.cli import CommandResult, _jsonify
+from rsize.cli import _jsonify
 from rsize.decolor import DecolorResult
 from rsize.graphs import VertexColoring, coloring_from_assignment, complete
 from rsize.values import Flavor, PartitionWitness, ValueResult, part_cost
@@ -34,7 +34,6 @@ RECORDS = [
     ),
     (PartitionWitness, _WITNESS),
     (ValueResult, dict(n=4, t=1, value=_WITNESS["objective"], witness=PartitionWitness(**_WITNESS), r=None)),
-    (CommandResult, dict(command="value", inputs={"n": 4}, outputs={"value": 6}, status="ok", elapsed_ms=1)),
 ]
 
 
@@ -44,12 +43,8 @@ def test_records_keep_their_value_semantics(cls, fields):
     by_position = cls(*fields.values())
     assert by_keyword == by_position
     assert not by_keyword != by_position
-    if cls is CommandResult:
-        with pytest.raises(TypeError):  # it holds dicts, so it has no hash
-            hash(by_keyword)
-    else:
-        assert hash(by_keyword) == hash(by_position)
-        assert len({by_keyword, by_position}) == 1
+    assert hash(by_keyword) == hash(by_position)
+    assert len({by_keyword, by_position}) == 1
     for name, value in fields.items():
         assert getattr(by_keyword, name) is value
         with pytest.raises(AttributeError):
@@ -82,7 +77,6 @@ CHANGES = {
     DecolorResult: ("matching_in_set", None),
     PartitionWitness: ("r", 3),
     ValueResult: ("t", 2),
-    CommandResult: ("status", "error"),
 }
 
 
