@@ -91,7 +91,7 @@ from .graphs import (
     hyper_matching,
     max_matching,
 )
-from .records import Record, _set
+from .records import Record, _rebuild, _set
 
 NAIVE_MAX_EDGES = {"graph": 20, "hyper": 24}
 REDUCED_MAX_EDGES = {"graph": 28, "hyper": 36}
@@ -125,6 +125,9 @@ class EdgeColoring(Record):
 
     def __init__(self, host: Graph | Hypergraph, blue: int) -> None:
         m = host.edge_count()
+        # bool is an int subclass: True would pass as the mask 1
+        if type(blue) is not int:
+            raise ValueError(f"blue mask must be an integer, got {blue!r}")
         if not 0 <= blue < 1 << m:
             raise ValueError(f"blue mask {blue:#x} out of range for {m} edges")
         _set(self, "host", host)
@@ -159,9 +162,8 @@ def is_good_coloring(coloring: EdgeColoring, n: int, t: int) -> bool:
         return max_matching(_graph_of(host.n, blue_masks)) <= t - 1
     if has_red_complete_r(host, red_masks, n):
         return False
-    blue_part = Hypergraph(host.n, host.r, ())
-    blue_part.edge_masks = tuple(blue_masks)
-    return hyper_matching(blue_part) <= t - 1
+    # a sub-sequence of the host's sorted masks is sorted too
+    return hyper_matching(_rebuild(Hypergraph, (host.n, host.r, tuple(blue_masks)))) <= t - 1
 
 
 class ArrowVerdict(Record):
@@ -562,9 +564,7 @@ def _graph_of(n: int, edge_masks: Sequence[int]) -> Graph:
         high = em ^ low
         adj[low.bit_length() - 1] |= high
         adj[high.bit_length() - 1] |= low
-    graph = Graph(n)
-    graph.adj = tuple(adj)
-    return graph
+    return _rebuild(Graph, (n, tuple(adj)))
 
 
 def _cliques_of_hypergraph(h: Hypergraph, n: int) -> list[int]:

@@ -28,7 +28,7 @@ from .errors import (
     RequestError,
     _check_int,
 )
-from .records import Record, _set
+from .records import Record, _rebuild, _set
 
 MAX_GRAPH_VERTICES = 64
 MAX_HYPER_VERTICES = 32
@@ -65,10 +65,12 @@ __all__ = [
 ]
 
 
-class Graph:
+class Graph(Record):
     """Undirected simple graph on vertices 0..n-1, adjacency as bitmasks."""
 
     __slots__ = ("n", "adj")
+    n: int
+    adj: tuple[int, ...]
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         _check_int("n", n, 0)
@@ -82,8 +84,8 @@ class Graph:
                 raise RequestError(f"self-loop at vertex {u}")
             adj[u] |= 1 << v
             adj[v] |= 1 << u
-        self.n = n
-        self.adj = tuple(adj)
+        _set(self, "n", n)
+        _set(self, "adj", tuple(adj))
 
     def edges(self) -> list[tuple[int, int]]:
         """Every edge (u, v) with u < v, sorted."""
@@ -107,10 +109,15 @@ class Graph:
 
     def induced(self, vertices: Sequence[int]) -> "Graph":
         """Subgraph induced on the given vertices, relabeled in given order."""
-        bit = {v: 1 << i for i, v in enumerate(vertices)}
+        bit = {}
+        keep = 0
+        for i, v in enumerate(vertices):
+            if type(v) is not int or not 0 <= v < self.n:
+                raise RequestError(f"vertex {v!r} out of range for {self.n} vertices")
+            bit[v] = 1 << i
+            keep |= 1 << v
         if len(bit) != len(vertices):
             raise RequestError(f"repeated vertex in {tuple(vertices)}")
-        keep = _vertices_mask(vertices)
         rows = []
         for v in vertices:
             nb = self.adj[v] & keep
@@ -120,19 +127,11 @@ class Graph:
                 nb ^= low
                 row |= bit[low.bit_length() - 1]
             rows.append(row)
-        sub = Graph(len(rows))
-        sub.adj = tuple(rows)
-        return sub
+        return _rebuild(Graph, (len(rows), tuple(rows)))
 
     def without_vertices(self, drop: Iterable[int]) -> "Graph":
         dropset = set(drop)
         return self.induced([v for v in range(self.n) if v not in dropset])
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Graph) and self.n == other.n and self.adj == other.adj
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.adj))
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, edges={self.edges()})"
@@ -868,10 +867,13 @@ def from_graph6(text: str) -> Graph:
 # --------------------------------------------------------------- hypergraphs
 
 
-class Hypergraph:
+class Hypergraph(Record):
     """r-uniform hypergraph on vertices 0..n-1; edges as vertex bitmasks."""
 
     __slots__ = ("n", "r", "edge_masks")
+    n: int
+    r: int
+    edge_masks: tuple[int, ...]
 
     def __init__(self, n: int, r: int, edges: Iterable[Iterable[int]]):
         _check_int("n", n, 0)
@@ -890,24 +892,15 @@ class Hypergraph:
             masks.append(_vertices_mask(vs))
         if len(set(masks)) != len(masks):
             raise RequestError("duplicate hyperedges")
-        self.n = n
-        self.r = r
-        self.edge_masks = tuple(sorted(masks, key=_mask_vertices))
+        _set(self, "n", n)
+        _set(self, "r", r)
+        _set(self, "edge_masks", tuple(sorted(masks, key=_mask_vertices)))
 
     def edge_tuples(self) -> list[tuple[int, ...]]:
         return [_mask_vertices(m) for m in self.edge_masks]
 
     def edge_count(self) -> int:
         return len(self.edge_masks)
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, Hypergraph)
-            and (self.n, self.r, self.edge_masks) == (other.n, other.r, other.edge_masks)
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.r, self.edge_masks))
 
     def __repr__(self) -> str:
         return f"Hypergraph(n={self.n}, r={self.r}, edges={self.edge_tuples()})"

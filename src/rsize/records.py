@@ -1,12 +1,13 @@
-"""The immutable base of rsize's result records.
+"""The immutable base of rsize's result records and hosts.
 
-Each record (a verdict, a coloring, a witness, a value) is a
-class with `__slots__` naming its fields in order and a hand-written
-`__init__` that validates its arguments before it stores them through
-`_set`.  `Record` refuses every later assignment or deletion, compares
-and hashes records of the same class by their field values, and names
-every field in its repr.  A record is not a tuple: it never equals one,
-and the command line's serializer refuses it like any other object.
+Each record (a verdict, a coloring, a witness, a value, and the hosts
+`Graph` and `Hypergraph`) is a class with `__slots__` naming its fields
+in order and a hand-written `__init__` that validates its arguments
+before it stores them through `_set`.  `Record` refuses every later
+assignment or deletion, compares and hashes records of the same class by
+their field values, and names every field in its repr (the hosts list
+their edges instead).  A record is not a tuple: it never equals one, and
+the command line's serializer refuses it like any other object.
 """
 
 from __future__ import annotations
@@ -19,7 +20,8 @@ _set = object.__setattr__
 
 
 def _rebuild(cls: type, values: tuple) -> Record:
-    """A record with these field values, already validated when first built."""
+    """A record with these field values, stored unchecked: those of a record
+    already validated (copy, pickle), or of a host derived from a valid one."""
     record = object.__new__(cls)
     for name, value in zip(cls.__slots__, values):
         _set(record, name, value)

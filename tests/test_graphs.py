@@ -117,6 +117,12 @@ def test_induced_and_without():
         complete(3).induced([0, 1, 0])
 
 
+@pytest.mark.parametrize("vertices", [[0, 7], [0, 3], [0, -1], [0, 1.0], [True], ["0"]], ids=repr)
+def test_induced_refuses_a_vertex_that_is_no_vertex(vertices):
+    with pytest.raises(RequestError, match="out of range for 3 vertices"):
+        complete(3).induced(vertices)
+
+
 # ------------------------------------------------------------ exact solvers
 
 def test_max_matching_known_values():

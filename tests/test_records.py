@@ -1,14 +1,17 @@
-"""The six result records: frozen, compared and hashed by value, named in repr."""
+"""The six result records and the two hosts: frozen, compared and hashed by value."""
 
 import copy
 import pickle
+import random
+from itertools import combinations
 
 import pytest
 
-from rsize.arrowing import ArrowVerdict, EdgeColoring
+from rsize import arrowing
+from rsize.arrowing import ArrowVerdict, EdgeColoring, is_good_coloring
 from rsize.cli import _jsonify
 from rsize.decolor import DecolorResult
-from rsize.graphs import VertexColoring, coloring_from_assignment, complete
+from rsize.graphs import Graph, Hypergraph, VertexColoring, coloring_from_assignment, complete, complete_r
 from rsize.values import Flavor, PartitionWitness, ValueResult, part_cost
 
 _WITNESS = dict(flavor=Flavor.G, n=4, parts=(1,), objective=part_cost(Flavor.G, 4, 1), target_sum=1, r=None)
@@ -112,3 +115,74 @@ def test_records_validate_before_they_store():
         PartitionWitness(Flavor.G, 4, (1, 2), part_cost(Flavor.G, 4, 1) + part_cost(Flavor.G, 4, 2), 3)
     with pytest.raises(ValueError, match="disagree"):
         ValueResult(4, 1, 7, PartitionWitness(**_WITNESS))
+
+
+@pytest.mark.parametrize("blue", [1.0, True, "1", None], ids=repr)
+def test_edge_coloring_refuses_a_mask_that_is_no_int(blue):
+    with pytest.raises(ValueError, match="must be an integer"):
+        EdgeColoring(complete(3), blue)
+
+
+def _rebuilt(host):
+    """The same host through its validating constructor, from its edges."""
+    if isinstance(host, Graph):
+        return Graph(host.n, host.edges())
+    return Hypergraph(host.n, host.r, host.edge_tuples())
+
+
+# a host's constructor takes edges, not its fields, so hosts are no rows of RECORDS
+HOSTS = [
+    Graph(0),
+    complete(4),
+    Graph(6, [(0, 3), (3, 5), (1, 2)]),
+    complete_r(5, 3),
+    Hypergraph(4, 2, [(2, 3), (0, 1)]),
+]
+
+
+@pytest.mark.parametrize("host", HOSTS, ids=lambda host: f"{type(host).__name__}{host.n}")
+def test_hosts_keep_value_semantics(host):
+    fields = tuple(getattr(host, name) for name in type(host).__slots__)
+    for name, value in zip(type(host).__slots__, fields):
+        with pytest.raises(AttributeError):
+            setattr(host, name, value)
+        with pytest.raises(AttributeError):
+            delattr(host, name)
+    with pytest.raises(AttributeError):
+        host.extra = 1
+    twin = _rebuilt(host)
+    assert twin == host and twin is not host
+    assert hash(twin) == hash(host) == hash(fields)
+    assert copy.copy(host) == host
+    assert pickle.loads(pickle.dumps(host)) == host
+    assert host != fields
+    assert host.__eq__(fields) is NotImplemented
+
+
+def test_hosts_built_from_masks_equal_the_validated_constructor(monkeypatch):
+    assert Graph(1) != Hypergraph(1, 2, ())
+    rng = random.Random(25)
+    for _ in range(40):
+        n = rng.randint(0, 10)
+        pairs = list(combinations(range(n), 2))
+        g = Graph(n, rng.sample(pairs, rng.randint(0, len(pairs))))
+        order = rng.sample(range(n), rng.randint(0, n))
+        sub = g.induced(order)
+        kept = [(i, j) for i, j in combinations(range(len(order)), 2) if g.has_edge(order[i], order[j])]
+        assert sub == Graph(len(order), kept)
+        assert arrowing._graph_of(n, [1 << u | 1 << v for u, v in g.edges()]) == g
+    # the blue side of a hypergraph coloring, as is_good_coloring hands it on
+    seen = []
+
+    def recording(h):
+        seen.append(h)
+        return real(h)
+
+    real = arrowing.hyper_matching
+    monkeypatch.setattr(arrowing, "hyper_matching", recording)
+    for host in (complete_r(6, 3), complete_r(7, 4), Hypergraph(6, 3, [(0, 1, 2), (3, 4, 5), (0, 3, 5)])):
+        for _ in range(10):
+            coloring = EdgeColoring(host, rng.randrange(1, 1 << host.edge_count()))
+            seen.clear()
+            is_good_coloring(coloring, host.n, 2)
+            assert seen == [Hypergraph(host.n, host.r, coloring.blue_edges())]
