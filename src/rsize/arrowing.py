@@ -45,11 +45,12 @@ in the test suite:
   window vertex masks.  It only refutes; when no family fits, reduced
   runs and proves every "arrows" verdict.
 
-`search` is "auto", "naive" or "reduced".  Routing looks at uniformity
-alone: a 2-uniform host, whether a Graph or a Hypergraph with r = 2, is a
-graph, and auto runs structural on it; when r >= 3, where no such
-structure theorem holds, auto tries the Frankl families first and then
-runs reduced.  The verdict's mode names the search that answered:
+`search` is "auto", "naive" or "reduced".  Both hosts answer n, r,
+edge_masks and edge_count() (a Graph is the 2-uniform host, r = 2), and
+the searches and re-checks read a host through these alone.  Routing
+reads host.r: a 2-uniform host, Graph or Hypergraph, is a graph, and auto
+runs structural on it; when r >= 3, where no such structure theorem
+holds, auto tries the Frankl families first and then runs reduced.  The verdict's mode names the search that answered:
 "structural", "frankl", "reduced" or "naive".  Each host's complete
 n-windows are listed once, as vertex masks; naive and reduced see each
 window as the mask of the edges inside it.  The reduced DFS is one plain
@@ -100,23 +101,11 @@ BUDGET_ENV_VAR = "RSIZE_BUDGET_EDGES"
 BRUTEFORCE_MAX_EDGES = 8
 
 
-def _edge_tuples(host: Graph | Hypergraph) -> list[tuple[int, ...]]:
-    """The host's edges in mask-bit order, each as ascending vertices."""
-    return host.edges() if isinstance(host, Graph) else host.edge_tuples()
-
-
-def _edge_masks(host: Graph | Hypergraph) -> list[int]:
-    """The host's edges in mask-bit order, each as a vertex bitmask."""
-    if isinstance(host, Graph):
-        return [1 << u | 1 << v for u, v in host.edges()]
-    return list(host.edge_masks)
-
-
 class EdgeColoring(Record):
     """A red/blue coloring of a host's edges.
 
-    `blue` is a bitmask over the host's sorted edge list; every edge not
-    in it is red.
+    `blue` is a bitmask over the host's sorted edge list (bit i is
+    host.edge_masks[i]); every edge not in it is red.
     """
 
     __slots__ = ("host", "blue")
@@ -134,10 +123,10 @@ class EdgeColoring(Record):
         _set(self, "blue", blue)
 
     def blue_edges(self) -> list[tuple[int, ...]]:
-        return [e for i, e in enumerate(_edge_tuples(self.host)) if self.blue >> i & 1]
+        return [_mask_vertices(em) for i, em in enumerate(self.host.edge_masks) if self.blue >> i & 1]
 
     def red_edges(self) -> list[tuple[int, ...]]:
-        return [e for i, e in enumerate(_edge_tuples(self.host)) if not self.blue >> i & 1]
+        return [_mask_vertices(em) for i, em in enumerate(self.host.edge_masks) if not self.blue >> i & 1]
 
 
 def is_good_coloring(coloring: EdgeColoring, n: int, t: int) -> bool:
@@ -145,7 +134,7 @@ def is_good_coloring(coloring: EdgeColoring, n: int, t: int) -> bool:
 
     One pass over the host's edge masks, in the host's own order, splits
     red from blue by the blue bit.  The two sides then go to the
-    standalone solvers, routed by uniformity as _decide routes: on a
+    standalone solvers, routed on host.r as _decide routes: on a
     2-uniform host, Graph or Hypergraph, has_clique and max_matching on
     the graph of each side; otherwise has_red_complete_r and
     hyper_matching.  Search internals never see them, so search results
@@ -154,9 +143,9 @@ def is_good_coloring(coloring: EdgeColoring, n: int, t: int) -> bool:
     host = coloring.host
     blue_bits = coloring.blue
     red_masks, blue_masks = [], []
-    for i, em in enumerate(_edge_masks(host)):
+    for i, em in enumerate(host.edge_masks):
         (blue_masks if blue_bits >> i & 1 else red_masks).append(em)
-    if isinstance(host, Graph) or host.r == 2:
+    if host.r == 2:
         if has_clique(_graph_of(host.n, red_masks), n):
             return False
         return max_matching(_graph_of(host.n, blue_masks)) <= t - 1
@@ -629,11 +618,12 @@ def _pick_mode(search: str, m: int, kind: str, r: int) -> str:
 
 def _decide(host: Graph | Hypergraph, n: int, t: int, search: str) -> ArrowVerdict:
     """The one decision path: a 2-uniform host is searched as a graph."""
+    # the budget is keyed by container, not by uniformity
     kind = "graph" if isinstance(host, Graph) else "hyper"
-    r = 2 if kind == "graph" else host.r
+    r = host.r
     _check_nt(n, t, n_min=r)
     mode = _pick_mode(search, host.edge_count(), kind, r)
-    edge_masks = _edge_masks(host)
+    edge_masks = host.edge_masks
     if r == 2:
         graph = host if kind == "graph" else _graph_of(host.n, edge_masks)
         windows = _cliques_of_graph(graph, n)
@@ -719,7 +709,7 @@ def _lower_bound(host: Graph | Hypergraph, X: int, i: int, n: int, t: int) -> Ed
     This is the Frankl family for X and i.  The threshold colorings take
     i = r and X = B; a decoloring witness takes i = 2 and X = its set.
     """
-    coloring = EdgeColoring(host, _frankl_blue(_edge_masks(host), X, i))
+    coloring = EdgeColoring(host, _frankl_blue(host.edge_masks, X, i))
     if not is_good_coloring(coloring, n, t):
         raise CertificationError(
             f"coloring blue on X = {X:#x} (i = {i}) for (n={n}, t={t}) failed re-verification"

@@ -66,20 +66,25 @@ __all__ = [
 
 
 class Graph(Record):
-    """Undirected simple graph on vertices 0..n-1, adjacency as bitmasks."""
+    """Undirected simple graph on vertices 0..n-1 as adjacency bitmasks: the 2-uniform host."""
 
     __slots__ = ("n", "adj")
     n: int
     adj: tuple[int, ...]
+    r = 2  # uniformity, read as Hypergraph.r is
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         _check_int("n", n, 0)
         if n > MAX_GRAPH_VERTICES:
             raise CapacityError(f"graphs must have 0..{MAX_GRAPH_VERTICES} vertices, got {n}")
         adj = [0] * n
-        for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise RequestError(f"edge ({u}, {v}) out of range for {n} vertices")
+        for edge in edges:
+            try:
+                u, v = edge
+            except (TypeError, ValueError):
+                raise RequestError(f"edge {edge!r} is not a pair of vertices") from None
+            if type(u) is not int or type(v) is not int or not (0 <= u < n and 0 <= v < n):
+                raise RequestError(f"edge ({u!r}, {v!r}) out of range for {n} vertices")
             if u == v:
                 raise RequestError(f"self-loop at vertex {u}")
             adj[u] |= 1 << v
@@ -97,6 +102,11 @@ class Graph(Record):
                 rest ^= low
                 out.append((u, low.bit_length() - 1))
         return out
+
+    @property
+    def edge_masks(self) -> list[int]:
+        """Every edge as a two-vertex mask, in edges() order."""
+        return [1 << u | 1 << v for u, v in self.edges()]
 
     def edge_count(self) -> int:
         return sum(a.bit_count() for a in self.adj) // 2
@@ -146,12 +156,7 @@ def disjoint_union(graphs: Sequence[Graph]) -> Graph:
     total = sum(g.n for g in graphs)
     if total > MAX_GRAPH_VERTICES:
         raise CapacityError(f"union would have {total} > {MAX_GRAPH_VERTICES} vertices")
-    edges = []
-    offset = 0
-    for g in graphs:
-        edges.extend((u + offset, v + offset) for u, v in g.edges())
-        offset += g.n
-    return Graph(total, edges)
+    return Graph(*_join([(g.n, g.edges()) for g in graphs]))
 
 
 # ------------------------------------------------------------ exact solvers
@@ -299,12 +304,8 @@ def coloring_from_assignment(g: Graph, assignment: Sequence[int]) -> VertexColor
         groups[c] |= 1 << v
     ordered = sorted(groups.values(), key=lambda m: (-m.bit_count(), m & -m))
     relabel = {mask: i for i, mask in enumerate(ordered)}
-    color_of = [0] * g.n
-    for mask, i in relabel.items():
-        for v in range(g.n):
-            if mask >> v & 1:
-                color_of[v] = i
-    return VertexColoring(color_of=tuple(color_of), classes=tuple(ordered))
+    color_of = tuple(relabel[groups[c]] for c in assignment)
+    return VertexColoring(color_of=color_of, classes=tuple(ordered))
 
 
 def is_k_colorable(g: Graph, k: int) -> VertexColoring | None:
@@ -533,11 +534,12 @@ def _twin_classes(g: Graph) -> list[int]:
     return list(classes.values())
 
 
-def _join(parts: Sequence[_Form]) -> _Form:
-    """The form of the disjoint union of connected forms, given in sorted order.
+def _join(parts: Sequence[tuple[int, Sequence[tuple[int, int]]]]) -> _Form:
+    """The disjoint union of (n, sorted edge list) parts, as (n, edge tuple).
 
     Each part is relabeled past the parts before it, so the concatenated
-    edge list is already sorted.
+    edge list is already sorted.  Parts join in any order; connected
+    forms joined in sorted order give the canonical form of their union.
     """
     edges: list[tuple[int, int]] = []
     offset = 0
@@ -868,7 +870,7 @@ def from_graph6(text: str) -> Graph:
 
 
 class Hypergraph(Record):
-    """r-uniform hypergraph on vertices 0..n-1; edges as vertex bitmasks."""
+    """r-uniform hypergraph on vertices 0..n-1; edges as vertex bitmasks, none repeated."""
 
     __slots__ = ("n", "r", "edge_masks")
     n: int
@@ -882,14 +884,7 @@ class Hypergraph(Record):
                 f"hypergraphs must have 0..{MAX_HYPER_VERTICES} vertices, got {n}"
             )
         _check_int("r", r, 2)
-        masks = []
-        for edge in edges:
-            vs = sorted(edge)
-            if len(vs) != r or len(set(vs)) != r:
-                raise RequestError(f"edge {tuple(edge)} is not a set of {r} vertices")
-            if vs[0] < 0 or vs[-1] >= n:
-                raise RequestError(f"edge {tuple(vs)} out of range for {n} vertices")
-            masks.append(_vertices_mask(vs))
+        masks = [_hyperedge_mask(edge, n, r) for edge in edges]
         if len(set(masks)) != len(masks):
             raise RequestError("duplicate hyperedges")
         _set(self, "n", n)
@@ -904,6 +899,19 @@ class Hypergraph(Record):
 
     def __repr__(self) -> str:
         return f"Hypergraph(n={self.n}, r={self.r}, edges={self.edge_tuples()})"
+
+
+def _hyperedge_mask(edge: Iterable[int], n: int, r: int) -> int:
+    """The vertex mask of an edge; RequestError unless it is r distinct int vertices in 0..n-1."""
+    vs = tuple(edge)
+    mask = 0
+    for v in vs:
+        if type(v) is not int or not 0 <= v < n:
+            raise RequestError(f"edge {vs} out of range for {n} vertices")
+        mask |= 1 << v
+    if len(vs) != r or mask.bit_count() != r:
+        raise RequestError(f"edge {vs} is not a set of {r} vertices")
+    return mask
 
 
 def _mask_vertices(mask: int) -> tuple[int, ...]:
@@ -982,13 +990,12 @@ def hypergraph_from_text(text: str) -> Hypergraph:
     lines = text.splitlines()
     if not lines or not lines[0].strip():
         raise HypergraphFormatError("missing 'n r' header", 1)
-    head = lines[0].split()
-    if len(head) != 2:
-        raise HypergraphFormatError(f"header must be 'n r', got {lines[0]!r}", 1)
     try:
-        n, r = int(head[0]), int(head[1])
-    except ValueError:
-        raise HypergraphFormatError(f"non-integer header {lines[0]!r}", 1) from None
+        n, r = map(int, lines[0].split())
+        # n and r pass the constructor's checks before any edge line is read
+        Hypergraph(n, r, ())
+    except ValueError as exc:
+        raise HypergraphFormatError(f"header {lines[0]!r} is no 'n r' pair: {exc}", 1) from None
     edges = []
     for i, line in enumerate(lines[1:], start=2):
         if not line.strip():
@@ -997,13 +1004,13 @@ def hypergraph_from_text(text: str) -> Hypergraph:
             edge = [int(tok) for tok in line.split()]
         except ValueError:
             raise HypergraphFormatError(f"non-integer vertex in {line!r}", i) from None
-        if len(edge) != r or len(set(edge)) != r:
-            raise HypergraphFormatError(f"edge {line!r} is not a set of {r} vertices", i)
-        if min(edge) < 0 or max(edge) >= n:
-            raise HypergraphFormatError(f"edge {line!r} out of range for {n} vertices", i)
+        try:
+            _hyperedge_mask(edge, n, r)
+        except RequestError as exc:
+            raise HypergraphFormatError(str(exc), i) from None
         edges.append(edge)
     try:
         return Hypergraph(n, r, edges)
     except ValueError as exc:
-        # remaining constructor failures (duplicates, caps) have no single line
+        # a repeated edge, the one constructor failure left, has no single line
         raise HypergraphFormatError(str(exc), 1) from None

@@ -89,6 +89,39 @@ def test_graph_rejects_bad_input():
         Graph(65)
 
 
+@pytest.mark.parametrize(
+    "container, args",
+    [
+        ("Graph", (3, [(True, 2)])),
+        ("Graph", (3, [(0.0, 1)])),
+        ("Graph", (3, [(0, 1, 2)])),
+        ("Graph", (3, [(0,)])),
+        ("Graph", (3, [5])),
+        ("Hypergraph", (4, 2, [(True, 2)])),
+        ("Hypergraph", (4, 2, [(0.5, 1)])),
+        ("Hypergraph", (4, 2, [(0, 1, 2)])),
+    ],
+    ids=repr,
+)
+def test_hosts_refuse_an_edge_that_is_no_edge(container, args):
+    # a bool or a float endpoint is no vertex, and an edge must have the host's size
+    with pytest.raises(RequestError):
+        getattr(graphs, container)(*args)
+
+
+def test_a_graph_reads_as_the_2_uniform_hypergraph_on_its_edges():
+    # the arrow layer reads n, r and edge_masks off either host, and
+    # EdgeColoring.blue indexes edge_masks, so the two orders must agree
+    rng = random.Random(67)
+    for _ in range(80):
+        n = rng.randint(0, 32)
+        g = random_graph(rng, n, rng.randint(0, min(60, n * (n - 1) // 2)))
+        h = Hypergraph(g.n, 2, g.edges())
+        assert g.r == h.r == 2
+        assert g.edge_masks == list(h.edge_masks), g
+        assert len(g.edge_masks) == g.edge_count() == h.edge_count()
+
+
 def test_constructions():
     k5 = complete(5)
     assert k5.edge_count() == 10
@@ -211,6 +244,21 @@ def test_coloring_factory_validates_and_sorts():
         coloring_from_assignment(g, [0, 0, 1, 1, 1])
     with pytest.raises(ValueError):
         coloring_from_assignment(g, [0, 1])
+
+
+def test_coloring_factory_labels_each_vertex_by_its_class_position():
+    rng = random.Random(71)
+    for _ in range(60):
+        n = rng.randint(0, 12)
+        assignment = [rng.randint(-2, 4) for _ in range(n)]
+        col = coloring_from_assignment(Graph(n), assignment)
+        assert sum(col.classes) == (1 << n) - 1
+        keys = [(-m.bit_count(), m & -m) for m in col.classes]
+        assert keys == sorted(keys)
+        for v, c in enumerate(assignment):
+            assert col.classes[col.color_of[v]] >> v & 1
+            same = {u for u, d in enumerate(assignment) if d == c}
+            assert set(col.class_vertices(col.color_of[v])) == same
 
 
 def test_cover_and_independent_set():

@@ -82,6 +82,27 @@ def test_only_the_walk_and_canonical_form_label_connected_graphs():
     assert users == {"graphs.py:canonical_form", "graphs.py:_walk"}
 
 
+def test_arrowing_reads_a_host_through_its_shared_fields():
+    # a Graph is the 2-uniform host: the arrow layer reads n, r, edge_masks
+    # and edge_count() off either container, so no second edge reader can
+    # come back, and the container is named only where the graph entry
+    # point checks its argument and where _decide picks the budget key
+    path = Path(rsize.__file__).parent / "arrowing.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    readers, namers = [], set()
+    for top in tree.body:
+        for node in ast.walk(top):
+            func = getattr(node, "func", None)
+            if isinstance(node, ast.Call) and isinstance(func, ast.Attribute):
+                if func.attr in ("edges", "edge_tuples"):
+                    readers.append(f"{getattr(top, 'name', '?')}:{node.lineno}")
+            if isinstance(node, ast.Call) and getattr(func, "id", None) == "isinstance":
+                if any(getattr(n, "id", None) == "Graph" for n in ast.walk(node.args[1])):
+                    namers.add(getattr(top, "name", str(node.lineno)))
+    assert readers == []
+    assert namers == {"arrows_pair", "_decide"}
+
+
 def test_bench_records_parse():
     # each performance change commits one BENCH_<topic>.json at the repo root
     records = sorted(Path(__file__).resolve().parent.parent.glob("BENCH_*.json"))
