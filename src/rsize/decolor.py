@@ -55,6 +55,11 @@ class DecolorResult(Record):
     G[S] for the matching variant, which checks it, and None otherwise.
     `method` is always "heuristic" (the paper's construction) and is not
     an argument.
+
+    The constructor is the coloring's certification: it re-derives G - S
+    from G and S, rebuilds the classes from `color_of` with every edge
+    checked for properness, requires them equal to the given classes and
+    at most n-2 of them, and raises CertificationError otherwise.
     """
 
     __slots__ = ("graph", "n", "t", "removed", "residual_coloring", "matching_in_set", "method")
@@ -186,8 +191,11 @@ def _decolor(graph: Graph, n: int, t: int, matching: bool) -> DecolorResult:
     against the hypothesis.
 
     A bound the construction misses would contradict the lemma, so it
-    raises CertificationError.  A host on more than DECOLOR_MAX_VERTICES
-    vertices that meets the hypothesis raises UndecidedError unsearched.
+    raises CertificationError.  The residual coloring is handed over
+    unchecked: DecolorResult's constructor re-derives G - S and checks it,
+    the one certification of the coloring.  A host on more than
+    DECOLOR_MAX_VERTICES vertices that meets the hypothesis raises
+    UndecidedError unsearched.
     """
     _check_shape(graph, n, t)
     bound = (g if matching else g_hat)(n, t).value
@@ -219,10 +227,19 @@ def _decolor(graph: Graph, n: int, t: int, matching: bool) -> DecolorResult:
         cap = 2 * t - 1
     if len(vertices) > cap:
         raise CertificationError(f"decoloring set of {len(vertices)} vertices exceeds {cap}")
-    kept = [color_of[v] for v in range(graph.n) if not removed >> v & 1]
-    residual = coloring_from_assignment(graph.without_vertices(vertices), kept)
+    # G - S keeps colors 0..n-3 whole, so their classes, relabeled onto the
+    # kept vertices, stay in VertexColoring's order
+    kept = tuple(color_of[v] for v in range(graph.n) if not removed >> v & 1)
+    classes = [0] * (max(kept, default=-1) + 1)
+    for i, c in enumerate(kept):
+        classes[c] |= 1 << i
     return DecolorResult(
-        graph=graph, n=n, t=t, removed=removed, residual_coloring=residual, matching_in_set=inside
+        graph=graph,
+        n=n,
+        t=t,
+        removed=removed,
+        residual_coloring=VertexColoring(color_of=kept, classes=tuple(classes)),
+        matching_in_set=inside,
     )
 
 

@@ -404,19 +404,49 @@ def _canon_connected(g: Graph) -> tuple[tuple[tuple[int, int], ...], list[_Perm]
     """Canonical edge list of a connected graph via individualization.
 
     Branches on the first non-singleton cell after refinement and takes
-    the minimum over leaf edge lists.  Two leaves with equal edge lists
-    reveal an automorphism; candidates related by an automorphism that
-    fixes every vertex individualized so far generate identical subtrees,
-    so only one per orbit is explored.  Without that prune the search is
+    the least leaf key, a leaf's edge list under its labeling.  The
+    generator list starts with the transposition of each pair of
+    consecutive twins (vertices with equal closed neighbourhoods, or with
+    equal open ones), and grows at leaves: a leaf whose key equals the best
+    leaf's reveals an automorphism.  Each is verified before it is stored,
+    and one that fails raises CertificationError.  A candidate in the orbit
+    of an explored one, under the stored generators that fix every vertex
+    individualized so far, is skipped; without that prune the search is
     factorial on vertex-transitive graphs.  A leaf that matches the best
     leaf ends its whole subtree below the depth where its path leaves the
-    best leaf's path (McKay's jump back): the automorphism it reveals fixes
-    the common prefix and maps the subtree onto one already searched, so
-    the search unwinds to that depth, where the orbit prune skips the rest.
-    The skipped leaves repeat keys already seen, so the first minimal leaf,
-    and with it the labeling, is the same as with no jump.  Returns the
-    edge list and the automorphisms found, relabeled into the canonical
-    labeling, where they are automorphisms of the canonical graph.
+    best leaf's path (McKay's jump back).  Returns the edge list and the
+    stored generators, relabeled into the canonical labeling, where they
+    are automorphisms of the canonical graph.
+
+    Two facts hold whatever verified automorphisms the list starts with,
+    so the twin seeding moves neither the form nor the group.
+
+    The least key is reached.  An automorphism fixing the prefix maps the
+    prefix's partition to itself (refinement commutes with relabeling)
+    and the subtree under candidate v onto the one under its image, leaf
+    to leaf with equal keys.  The orbit prune skips a subtree that one
+    maps onto a subtree already done; a jump back skips the rest of a
+    subtree that the revealed automorphism, which fixes the common prefix,
+    maps onto the best leaf's, done before it.  So at every point the least
+    key met equals the least key of every leaf done or skipped, and at the
+    end it is the least key of all.  The best leaf changes only on a
+    smaller key, so it ends as the first leaf met with the least key, and
+    the form is the one the search with no prune finds.
+
+    The generators generate the automorphism group.  Let beta be that
+    best leaf, nu_0, ..., nu_k the prefixes of its path, b_i the vertex it
+    individualizes after nu_i, and Gamma_i the automorphisms fixing nu_i
+    pointwise.  Gamma_k is trivial, as nu_k's partition is discrete; let
+    Gamma_{i+1} be generated by stored generators, and take gamma in
+    Gamma_i.  A candidate u at nu_i in b_i's orbit under Gamma_i has a
+    leaf with the least key below it, an image of beta.  So by the
+    invariant above u is met after b_i, as beta is the first such leaf.
+    If u is explored, its subtree has no jump back before a leaf with
+    beta's key, and that leaf stores a generator fixing nu_i that maps u
+    to b_i.  If u is skipped, stored generators fixing nu_i map it to an
+    explored candidate in the same orbit.  So a product h of them has
+    h(b_i) = gamma(b_i), h^-1 gamma lies in Gamma_{i+1}, and gamma is a
+    product of stored generators.
     """
     n, adj = g.n, g.adj
     edges = g.edges()
@@ -424,6 +454,25 @@ def _canon_connected(g: Graph) -> tuple[tuple[tuple[int, int], ...], list[_Perm]
     best_colors: list[int] = []  # empty until the first leaf
     best_path: tuple[int, ...] = ()
     gens: list[_Perm] = []
+
+    def store(auto: _Perm, source: str) -> None:
+        # the orbit prune trusts every stored generator
+        if not all(adj[auto[u]] >> auto[v] & 1 for u, v in edges):
+            raise CertificationError(f"{source} {auto} is not an automorphism")
+        gens.append(auto)
+
+    # a vertex's closed neighbourhood in the complement is the complement of
+    # its open one, so the complement's twin classes are g's open twins
+    full = (1 << n) - 1
+    complement = _rebuild(Graph, (n, tuple(full ^ row ^ 1 << v for v, row in enumerate(adj))))
+    for twins in _twin_classes(g) + _twin_classes(complement):
+        if not twins & (twins - 1):
+            continue
+        members = _mask_vertices(twins)
+        for u, w in zip(members, members[1:]):
+            swap = list(range(n))
+            swap[u], swap[w] = w, u
+            store(tuple(swap), "twin swap")
 
     def leaf(cells: list[int], path: tuple[int, ...]) -> int:
         # discrete partition: each vertex is labeled by its cell's position;
@@ -446,10 +495,7 @@ def _canon_connected(g: Graph) -> tuple[tuple[tuple[int, int], ...], list[_Perm]
                 inverse[best_colors[v]] = v
             auto = tuple(inverse[colors[v]] for v in range(n))
             if any(auto[v] != v for v in range(n)):
-                # the orbit prune trusts every stored generator
-                if not all(adj[auto[u]] >> auto[v] & 1 for u, v in edges):
-                    raise CertificationError(f"leaf relabeling {auto} is not an automorphism")
-                gens.append(auto)
+                store(auto, "leaf relabeling")
                 return next(d for d, (u, v) in enumerate(zip(path, best_path)) if u != v)
         return n
 
@@ -494,7 +540,6 @@ def _canon_connected(g: Graph) -> tuple[tuple[tuple[int, int], ...], list[_Perm]
                 return back
         return n
 
-    full = (1 << n) - 1
     search(_refine(adj, [full], [full]), (), [], 0)
     # vertex v has canonical label best_colors[v]
     inverse = [0] * n
@@ -631,9 +676,9 @@ def _edge_children(form: _Form, gens: Sequence[_Perm], room: int) -> Iterator[Gr
     new edge per orbit of gens on non-edges, and one pendant edge per
     orbit on vertices, is tried.  Of those, only a child whose new edge has
     the largest _edge_key among its removable edges (see _is_removable) is
-    yielded (McKay's cheap-invariant test); the rest are dropped unbuilt,
-    judged from the parent's adjacency plus the new edge.  That
-    loses nothing: every connected graph with k+1 >= 2 edges has a
+    yielded (McKay's cheap-invariant test), built from the adjacency rows
+    that test reads, as Graph.induced builds; the rest are dropped unbuilt.
+    That loses nothing: every connected graph with k+1 >= 2 edges has a
     removable edge (a cycle edge, or else a leaf edge of the tree).  So
     for such a graph G, delete a removable edge e with the largest key
     among the removable ones; the result P is connected and lies on
@@ -650,17 +695,17 @@ def _edge_children(form: _Form, gens: Sequence[_Perm], room: int) -> Iterator[Gr
         lambda p: [(a[p[0]], a[p[1]]) if a[p[0]] < a[p[1]] else (a[p[1]], a[p[0]]) for a in gens],
     )
     new += [(u, n) for u in _orbit_heads(range(n), lambda u: [a[u] for a in gens])]
-    adj = [0] * (n + 1)
+    adj = [0] * n
     for u, v in edges:
         adj[u] |= 1 << v
         adj[v] |= 1 << u
     for u, v in new:
-        child = adj.copy()
+        child = adj + [0] if v == n else adj.copy()
         child[u] |= 1 << v
         child[v] |= 1 << u
         key = _edge_key(child, u, v)
         if not any(_edge_key(child, a, b) > key and _is_removable(child, a, b) for a, b in edges):
-            yield Graph(max(n, v + 1), edges + ((u, v),))
+            yield _rebuild(Graph, (len(child), tuple(child)))
 
 
 def _clique_children(n: int, form: _Form, gens: Sequence[_Perm], room: int) -> Iterator[Graph]:
@@ -719,8 +764,8 @@ def _unions(connected: Sequence[Sequence[_Form]], m: int) -> Iterator[_Form]:
 
 def _walk(
     root: Graph, grow: Callable[[_Form, Sequence[_Perm], int], Iterator[Graph]], m: int
-) -> Iterator[list[Graph]]:
-    """Levels 1..m of an isomorph-free walk from a connected root, each sorted by canonical form.
+) -> Iterator[list[_Form]]:
+    """The connected forms of levels 1..m of an isomorph-free walk from a connected root, sorted.
 
     The walk labels connected graphs only.  grow(form, gens, room) yields
     the unlabeled connected children of a connected canonical form that
@@ -733,26 +778,21 @@ def _walk(
     that labeling returns go with the form, to prune its own children; a
     form reached twice keeps those of its last labeling.  found[k] holds
     the connected forms with k edges met so far; children only add edges,
-    so it is complete, and cleared, once level k has grown.  Level k is
-    then assembled, with no canonical labeling, from the multisets of
-    connected forms whose edge counts sum to k: a graph with no isolated
-    vertex is the disjoint union of its components, and the form of a
-    union is the join of its sorted component forms.  So level k holds
-    every graph of a family closed under components once grow reaches
-    each connected member.
+    so it is complete once levels 1..k-1 have grown.  Level k's forms are
+    yielded before level k grows, so a caller that stops reading grows no
+    level past the last one it read; found[k] is cleared once it has grown.
     """
     found: list[dict[_Form, list[_Perm]]] = [{} for _ in range(m + 1)]
     size = root.edge_count()
     if size <= m:
         edges, gens = _canon_connected(root)
         found[size][(root.n, edges)] = gens
-    connected: list[list[_Form]] = []
     for k in range(1, m + 1):
-        connected.append(sorted(found[k]))
-        yield [Graph(n, edges) for n, edges in sorted(_unions(connected, k))]
+        level = sorted(found[k])
+        yield level
         if k == m:
             return
-        for form in connected[-1]:
+        for form in level:
             gens = found[k][form]
             _check_automorphisms(form, gens)
             for child in grow(form, gens, m - k):
@@ -761,14 +801,35 @@ def _walk(
         found[k].clear()
 
 
+def _assemble(connected: Sequence[Sequence[_Form]], k: int) -> list[Graph]:
+    """Level k, every graph whose components' forms are in connected, sorted by canonical form.
+
+    connected[j - 1] lists the connected forms with j edges, as _walk
+    yields them.  No canonical labeling is needed: a graph with no isolated
+    vertex is the disjoint union of its components, and the form of a
+    union is the join of its sorted component forms.  So level k holds
+    every graph with k edges of a family closed under components once the
+    walk's rule reaches each connected member.
+    """
+    return [Graph(n, edges) for n, edges in sorted(_unions(connected, k))]
+
+
+def _levels(walk: Iterator[list[_Form]]) -> Iterator[list[Graph]]:
+    """The walk's levels 1, 2, ..., each assembled when the caller reads it."""
+    connected: list[list[_Form]] = []
+    for level in walk:
+        connected.append(level)
+        yield _assemble(connected, len(connected))
+
+
 def _graph_levels(m: int) -> Iterator[list[Graph]]:
     """Levels 1..m of all graphs with no isolated vertex: _walk from K_2 by _edge_children."""
-    return _walk(complete(2), _edge_children, m)
+    return _levels(_walk(complete(2), _edge_children, m))
 
 
 def _clique_union_levels(n: int, m: int) -> Iterator[list[Graph]]:
     """Levels 1..m of the K_n-unions, empty below C(n,2): _walk from K_n by _clique_children."""
-    return _walk(complete(n), partial(_clique_children, n), m)
+    return _levels(_walk(complete(n), partial(_clique_children, n), m))
 
 
 def enumerate_graphs(m: int, max_vertices: int | None = None) -> Iterator[Graph]:
@@ -776,9 +837,11 @@ def enumerate_graphs(m: int, max_vertices: int | None = None) -> Iterator[Graph]
 
     Yields level m of _walk from K_2 by the edge rule (_edge_children),
     in sorted canonical-form order, each graph labeled by its canonical
-    form.  max_vertices, when given, keeps only the graphs on at most
-    that many vertices.  A caller that needs every level up to m walks
-    them once through _graph_levels rather than calling this per level.
+    form.  The walk grows levels 1..m-1 for their connected forms, and
+    only level m is assembled.  max_vertices, when given, keeps only the
+    graphs on at most that many vertices.  A caller that needs every level
+    up to m walks them once through _graph_levels rather than calling this
+    per level.
     """
     _check_int("m", m, 0)
     if max_vertices is not None:
@@ -788,7 +851,7 @@ def enumerate_graphs(m: int, max_vertices: int | None = None) -> Iterator[Graph]
     if m == 0:
         yield Graph(0)
         return
-    *_, last = _graph_levels(m)
+    last = _assemble(list(_walk(complete(2), _edge_children, m)), m)
     if max_vertices is None:
         yield from last
     else:

@@ -512,8 +512,13 @@ def test_certification_survives_optimized_mode():
         "A._run_structural = lambda *args: (0, 0)\n"
         "print(outcome(lambda: A.arrows_pair(complete(4), 3, 2)))\n"
         "print(outcome(lambda: A.arrows_hyper(complete_r(4, 2), 3, 2)))\n"
-        # the walk's one generator check: a rotation is no automorphism of P_3
+        # the labeling's twin-swap check: P_3's centre and an end are no twins
         "import rsize.graphs as G\n"
+        "twins = G._twin_classes\n"
+        "G._twin_classes = lambda g: [0b011, 0b100]\n"
+        "print(outcome(lambda: G.canonical_form(Graph(3, [(0, 1), (1, 2)]))))\n"
+        "G._twin_classes = twins\n"
+        # the walk's one generator check: a rotation is no automorphism of P_3
         "real = G._canon_connected\n"
         "def forged(g):\n"
         "    edges, gens = real(g)\n"
@@ -523,7 +528,7 @@ def test_certification_survives_optimized_mode():
     )
     proc = run_python("-O", "-c", script)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["raised"] * 8
+    assert proc.stdout.split() == ["raised"] * 9
 
 
 def test_import_leaves_the_process_pool_unloaded():

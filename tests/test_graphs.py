@@ -461,11 +461,12 @@ def test_canonical_generators_give_the_full_vertex_orbits():
 def test_canonical_form_keeps_every_leaf_automorphism(monkeypatch):
     # the orbit prune merges candidates by every verified leaf automorphism;
     # with 64 kept at most, K_16 took 154,635 refinements and K_{10,10}
-    # 11,090, against 696 and 772 with all of them kept, and 136 and 208
-    # once a leaf that matches the best leaf jumps back
+    # 11,090, against 696 and 772 with all of them kept, 136 and 208 once a
+    # leaf that matches the best leaf jumps back, and 16 and 37 once twin
+    # swaps seed the generators
     real = _refine
     bipartite = Graph(20, [(u, v) for u in range(10) for v in range(10, 20)])
-    for g, limit in ((complete(16), 136), (bipartite, 208)):
+    for g, limit in ((complete(16), 16), (bipartite, 37)):
         calls = 0
 
         def counting(*args):
@@ -573,18 +574,71 @@ def test_edge_key_is_relabel_invariant():
 def test_walk_canonicalization_count(monkeypatch):
     # the walk canonicalizes 140 connected children of connected levels
     # 1..6, plus the root K_2, and assembles the disconnected graphs from
-    # their components
+    # their components.  Twin swaps seeding each labeling's generators cut
+    # its refinements from 751 to 464
     calls = []
+    refinements = 0
     real = graphs._canon_connected
 
     def counting(g):
         calls.append(g)
         return real(g)
 
+    def counting_refine(*args):
+        nonlocal refinements
+        refinements += 1
+        return _refine(*args)
+
     monkeypatch.setattr(graphs, "_canon_connected", counting)
+    monkeypatch.setattr(graphs, "_refine", counting_refine)
     assert [len(level) for level in _graph_levels(7)] == [1, 2, 5, 11, 26, 68, 177]
     assert len(calls) == 141
     assert all(len(graphs._components(g)) == 1 for g in calls)
+    assert refinements <= 464
+
+
+def test_labeling_verifies_each_twin_swap(monkeypatch):
+    # the twin swaps join the generators the orbit prune trusts, so each is
+    # checked as a leaf automorphism is; a forged class pairing P_3's centre
+    # with an end must raise, here and through the walk, before any prune
+    real = graphs._twin_classes
+
+    def forged(g):
+        if g.n == 3 and g.edge_count() == 2:
+            centre = next(v for v in range(3) if g.degree(v) == 2)
+            end = (centre + 1) % 3
+            return [1 << centre | 1 << end, 7 ^ (1 << centre | 1 << end)]
+        return real(g)
+
+    p3 = Graph(3, [(0, 1), (1, 2)])
+    edges, gens = _canon_connected(p3)
+    (centre,) = set(edges[0]) & set(edges[1])
+    assert _orbits(3, gens) == {frozenset({centre}), frozenset({0, 1, 2} - {centre})}
+    monkeypatch.setattr(graphs, "_twin_classes", forged)
+    with pytest.raises(CertificationError):
+        _canon_connected(p3)
+    with pytest.raises(CertificationError):
+        list(_graph_levels(3))
+    assert canonical_form(complete(3)) == (3, ((0, 1), (0, 2), (1, 2)))
+
+
+def test_walk_assembles_only_the_levels_read(monkeypatch):
+    # the walk yields each level's connected forms, and a level's graphs are
+    # assembled from them only when a caller reads that level
+    assembled = []
+    real = graphs._unions
+
+    def counting(connected, m):
+        assembled.append(m)
+        return real(connected, m)
+
+    monkeypatch.setattr(graphs, "_unions", counting)
+    assert sum(1 for _ in enumerate_graphs(7)) == 177
+    assert assembled == [7]
+    assembled.clear()
+    # g(3,2) = 6, met by two disjoint triangles; levels 7 and 8 stay unread
+    assert min_size_ramsey_bruteforce(3, 2, 8) == 6
+    assert assembled == [1, 2, 3, 4, 5, 6]
 
 
 def test_walk_labels_are_pinned(monkeypatch):
