@@ -83,6 +83,8 @@ from .graphs import (
     Hypergraph,
     _clique_union_levels,
     _graph_levels,
+    _graph_of,
+    _hypergraph_of,
     _mask_vertices,
     _twin_classes,
     complete,
@@ -92,7 +94,7 @@ from .graphs import (
     hyper_matching,
     max_matching,
 )
-from .records import Record, _rebuild, _set
+from .records import Record, _set
 
 NAIVE_MAX_EDGES = {"graph": 20, "hyper": 24}
 REDUCED_MAX_EDGES = {"graph": 28, "hyper": 36}
@@ -152,14 +154,17 @@ def is_good_coloring(coloring: EdgeColoring, n: int, t: int) -> bool:
     if has_red_complete_r(host, red_masks, n):
         return False
     # a sub-sequence of the host's sorted masks is sorted too
-    return hyper_matching(_rebuild(Hypergraph, (host.n, host.r, tuple(blue_masks)))) <= t - 1
+    return hyper_matching(_hypergraph_of(host.n, host.r, blue_masks)) <= t - 1
 
 
 class ArrowVerdict(Record):
-    """Outcome of an arrowing search, counterexample re-verified on build."""
+    """Outcome of an arrowing search, counterexample re-verified on build.
 
-    __slots__ = ("arrows", "counterexample", "n", "t", "mode", "nodes")
-    arrows: bool
+    The host arrows exactly when no counterexample was found, so `arrows`
+    is read off `counterexample` and is not a field.
+    """
+
+    __slots__ = ("counterexample", "n", "t", "mode", "nodes")
     counterexample: EdgeColoring | None
     n: int
     t: int
@@ -167,24 +172,19 @@ class ArrowVerdict(Record):
     nodes: int
 
     def __init__(
-        self,
-        arrows: bool,
-        counterexample: EdgeColoring | None,
-        n: int,
-        t: int,
-        mode: str,
-        nodes: int,
+        self, counterexample: EdgeColoring | None, n: int, t: int, mode: str, nodes: int
     ) -> None:
-        if arrows != (counterexample is None):
-            raise ValueError("counterexample must be present exactly when arrows is false")
         if counterexample is not None and not is_good_coloring(counterexample, n, t):
             raise CertificationError("counterexample failed re-verification")
-        _set(self, "arrows", arrows)
         _set(self, "counterexample", counterexample)
         _set(self, "n", n)
         _set(self, "t", t)
         _set(self, "mode", mode)
         _set(self, "nodes", nodes)
+
+    @property
+    def arrows(self) -> bool:
+        return self.counterexample is None
 
 
 # ----------------------------------------------------------------- searches
@@ -545,17 +545,6 @@ def _cliques_of_graph(g: Graph, n: int) -> list[int]:
     return out
 
 
-def _graph_of(n: int, edge_masks: Sequence[int]) -> Graph:
-    """The graph on n vertices whose edges are the given two-vertex masks."""
-    adj = [0] * n
-    for em in edge_masks:
-        low = em & -em
-        high = em ^ low
-        adj[low.bit_length() - 1] |= high
-        adj[high.bit_length() - 1] |= low
-    return _rebuild(Graph, (n, tuple(adj)))
-
-
 def _cliques_of_hypergraph(h: Hypergraph, n: int) -> list[int]:
     """Vertex bitmask of every complete n-window of h.
 
@@ -586,15 +575,6 @@ def _window_edges(edge_masks: Sequence[int], windows: Sequence[int]) -> list[int
     return out
 
 
-def _reduced_budget(kind: str) -> int:
-    raw = os.environ.get(BUDGET_ENV_VAR)
-    if raw is None:
-        return REDUCED_MAX_EDGES[kind]
-    if not raw.strip().isdecimal() or int(raw) < 1:
-        raise RequestError(f"{BUDGET_ENV_VAR} must be a positive integer, got {raw!r}")
-    return int(raw)
-
-
 def _pick_mode(search: str, m: int, kind: str, r: int) -> str:
     if search not in ("auto", "naive", "reduced"):
         raise RequestError(f"search must be auto, naive, or reduced, got {search!r}")
@@ -605,7 +585,10 @@ def _pick_mode(search: str, m: int, kind: str, r: int) -> str:
                 f"(cap {NAIVE_MAX_EDGES[kind]})"
             )
         return "naive"
-    budget = _reduced_budget(kind)
+    raw = os.environ.get(BUDGET_ENV_VAR)
+    if raw is not None and (not raw.strip().isdecimal() or int(raw) < 1):
+        raise RequestError(f"{BUDGET_ENV_VAR} must be a positive integer, got {raw!r}")
+    budget = REDUCED_MAX_EDGES[kind] if raw is None else int(raw)
     if m > budget:
         raise UndecidedError(
             f"undecided: {m} edges is too large (budget {budget}; "
@@ -643,7 +626,6 @@ def _decide(host: Graph | Hypergraph, n: int, t: int, search: str) -> ArrowVerdi
             found, more = _run_reduced(edge_masks, _window_edges(edge_masks, windows), t)
             nodes += more
     return ArrowVerdict(
-        arrows=found is None,
         counterexample=None if found is None else EdgeColoring(host, found),
         n=n,
         t=t,

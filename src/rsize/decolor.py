@@ -53,23 +53,23 @@ class DecolorResult(Record):
     G.without_vertices(removed), whose vertices are the kept vertices of
     G in ascending order.  `matching_in_set` is the matching number of
     G[S] for the matching variant, which checks it, and None otherwise.
-    `method` is always "heuristic" (the paper's construction) and is not
-    an argument.
+    `method` is a class constant, "heuristic" (the paper's construction),
+    and no field.
 
     The constructor is the coloring's certification: it re-derives G - S
-    from G and S, rebuilds the classes from `color_of` with every edge
-    checked for properness, requires them equal to the given classes and
-    at most n-2 of them, and raises CertificationError otherwise.
+    from G and S, regroups `color_of` with every edge checked for
+    properness, requires the regrouped colors equal to the given ones and
+    at most n-2 classes, and raises CertificationError otherwise.
     """
 
-    __slots__ = ("graph", "n", "t", "removed", "residual_coloring", "matching_in_set", "method")
+    __slots__ = ("graph", "n", "t", "removed", "residual_coloring", "matching_in_set")
     graph: Graph
     n: int
     t: int
     removed: int
     residual_coloring: VertexColoring
     matching_in_set: int | None
-    method: str
+    method = "heuristic"
 
     def __init__(
         self,
@@ -88,7 +88,7 @@ class DecolorResult(Record):
             check = coloring_from_assignment(residual, residual_coloring.color_of)
         except ValueError as exc:
             raise CertificationError(f"residual coloring does not match G - S: {exc}") from None
-        if check.classes != residual_coloring.classes:
+        if check.color_of != residual_coloring.color_of:
             raise CertificationError("residual coloring does not match G - S")
         if residual_coloring.num_colors > n - 2:
             raise CertificationError(
@@ -101,7 +101,6 @@ class DecolorResult(Record):
         _set(self, "removed", removed)
         _set(self, "residual_coloring", residual_coloring)
         _set(self, "matching_in_set", matching_in_set)
-        _set(self, "method", "heuristic")
 
     def removed_vertices(self) -> tuple[int, ...]:
         return _mask_vertices(self.removed)
@@ -164,12 +163,6 @@ def max_potential_coloring(graph: Graph) -> VertexColoring:
     return coloring
 
 
-def _check_shape(graph: Graph, n: int, t: int) -> None:
-    if not isinstance(graph, Graph):
-        raise TypeError("expected a Graph")
-    _check_nt(n, t, n_min=3)
-
-
 def _decolor(graph: Graph, n: int, t: int, matching: bool) -> DecolorResult:
     """The paper's decoloring construction, behind both public variants.
 
@@ -197,7 +190,9 @@ def _decolor(graph: Graph, n: int, t: int, matching: bool) -> DecolorResult:
     DECOLOR_MAX_VERTICES vertices that meets the hypothesis raises
     UndecidedError unsearched.
     """
-    _check_shape(graph, n, t)
+    if not isinstance(graph, Graph):
+        raise TypeError("expected a Graph")
+    _check_nt(n, t, n_min=3)
     bound = (g if matching else g_hat)(n, t).value
     if graph.edge_count() >= bound:
         raise HypothesisError(
@@ -228,17 +223,14 @@ def _decolor(graph: Graph, n: int, t: int, matching: bool) -> DecolorResult:
     if len(vertices) > cap:
         raise CertificationError(f"decoloring set of {len(vertices)} vertices exceeds {cap}")
     # G - S keeps colors 0..n-3 whole, so their classes, relabeled onto the
-    # kept vertices, stay in VertexColoring's order
+    # kept vertices, keep coloring_from_assignment's order
     kept = tuple(color_of[v] for v in range(graph.n) if not removed >> v & 1)
-    classes = [0] * (max(kept, default=-1) + 1)
-    for i, c in enumerate(kept):
-        classes[c] |= 1 << i
     return DecolorResult(
         graph=graph,
         n=n,
         t=t,
         removed=removed,
-        residual_coloring=VertexColoring(color_of=kept, classes=tuple(classes)),
+        residual_coloring=VertexColoring(kept),
         matching_in_set=inside,
     )
 

@@ -147,6 +147,17 @@ class Graph(Record):
         return f"Graph(n={self.n}, edges={self.edges()})"
 
 
+def _graph_of(n: int, edge_masks: Sequence[int]) -> Graph:
+    """The graph on n vertices whose edges are the given two-vertex masks, stored unchecked."""
+    adj = [0] * n
+    for em in edge_masks:
+        low = em & -em
+        high = em ^ low
+        adj[low.bit_length() - 1] |= high
+        adj[high.bit_length() - 1] |= low
+    return _rebuild(Graph, (n, tuple(adj)))
+
+
 def complete(k: int) -> Graph:
     _check_int("k", k, 0)
     return Graph(k, combinations(range(k), 2))
@@ -206,10 +217,6 @@ def max_matching(g: Graph) -> int:
 def has_clique(g: Graph, k: int) -> bool:
     """Whether the graph contains a clique on k vertices."""
     _check_int("k", k, 0)
-    if k == 0:
-        return True
-    if k == 1:
-        return g.n >= 1
     adj = g.adj
 
     def extend(cand: int, need: int) -> bool:
@@ -269,19 +276,26 @@ def min_vertex_cover(g: Graph) -> tuple[int, ...]:
 
 
 class VertexColoring(Record):
-    """A proper coloring: per-vertex colors plus classes as vertex bitmasks.
+    """A coloring: per-vertex colors, and the classes they give as vertex bitmasks.
 
-    Classes are ordered by nonincreasing size (ties by smallest member) and
-    color_of refers to positions in that order.
+    The constructor takes color_of alone and builds classes[c], the mask of
+    the vertices of color c.  coloring_from_assignment numbers the classes
+    by nonincreasing size (ties by smallest member) and checks properness.
     """
 
     __slots__ = ("color_of", "classes")
     color_of: tuple[int, ...]
     classes: tuple[int, ...]
 
-    def __init__(self, color_of: tuple[int, ...], classes: tuple[int, ...]) -> None:
+    def __init__(self, color_of: tuple[int, ...]) -> None:
+        # a negative color would index classes from the end
+        if min(color_of, default=0) < 0:
+            raise ValueError(f"colors must be nonnegative, got {color_of}")
+        classes = [0] * (max(color_of, default=-1) + 1)
+        for v, c in enumerate(color_of):
+            classes[c] |= 1 << v
         _set(self, "color_of", color_of)
-        _set(self, "classes", classes)
+        _set(self, "classes", tuple(classes))
 
     @property
     def num_colors(self) -> int:
@@ -305,7 +319,8 @@ def coloring_from_assignment(g: Graph, assignment: Sequence[int]) -> VertexColor
     ordered = sorted(groups.values(), key=lambda m: (-m.bit_count(), m & -m))
     relabel = {mask: i for i, mask in enumerate(ordered)}
     color_of = tuple(relabel[groups[c]] for c in assignment)
-    return VertexColoring(color_of=color_of, classes=tuple(ordered))
+    # the classes are already grouped: hand them over rather than regroup
+    return _rebuild(VertexColoring, (color_of, tuple(ordered)))
 
 
 def is_k_colorable(g: Graph, k: int) -> VertexColoring | None:
@@ -315,10 +330,6 @@ def is_k_colorable(g: Graph, k: int) -> VertexColoring | None:
     standard symmetry break: a vertex may open at most one new color.
     """
     _check_int("k", k, 0)
-    if g.n == 0:
-        return VertexColoring(color_of=(), classes=())
-    if k == 0:
-        return None
     adj = g.adj
     order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
     class_masks = [0] * k
@@ -848,9 +859,6 @@ def enumerate_graphs(m: int, max_vertices: int | None = None) -> Iterator[Graph]
         _check_int("max_vertices", max_vertices, 0)
     if m > ENUMERATION_MAX_EDGES:
         raise CapacityError(f"enumeration capped at {ENUMERATION_MAX_EDGES} edges, got {m}")
-    if m == 0:
-        yield Graph(0)
-        return
     last = _assemble(list(_walk(complete(2), _edge_children, m)), m)
     if max_vertices is None:
         yield from last
@@ -964,6 +972,11 @@ class Hypergraph(Record):
         return f"Hypergraph(n={self.n}, r={self.r}, edges={self.edge_tuples()})"
 
 
+def _hypergraph_of(n: int, r: int, edge_masks: Sequence[int]) -> Hypergraph:
+    """The hypergraph with these edge masks, stored unchecked: distinct, sorted r-vertex masks."""
+    return _rebuild(Hypergraph, (n, r, tuple(edge_masks)))
+
+
 def _hyperedge_mask(edge: Iterable[int], n: int, r: int) -> int:
     """The vertex mask of an edge; RequestError unless it is r distinct int vertices in 0..n-1."""
     vs = tuple(edge)
@@ -1059,7 +1072,7 @@ def hypergraph_from_text(text: str) -> Hypergraph:
         Hypergraph(n, r, ())
     except ValueError as exc:
         raise HypergraphFormatError(f"header {lines[0]!r} is no 'n r' pair: {exc}", 1) from None
-    edges = []
+    edges, seen = [], set()
     for i, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
@@ -1068,12 +1081,11 @@ def hypergraph_from_text(text: str) -> Hypergraph:
         except ValueError:
             raise HypergraphFormatError(f"non-integer vertex in {line!r}", i) from None
         try:
-            _hyperedge_mask(edge, n, r)
+            mask = _hyperedge_mask(edge, n, r)
         except RequestError as exc:
             raise HypergraphFormatError(str(exc), i) from None
+        if mask in seen:
+            raise HypergraphFormatError(f"duplicate hyperedge {tuple(edge)}", i)
+        seen.add(mask)
         edges.append(edge)
-    try:
-        return Hypergraph(n, r, edges)
-    except ValueError as exc:
-        # a repeated edge, the one constructor failure left, has no single line
-        raise HypergraphFormatError(str(exc), 1) from None
+    return Hypergraph(n, r, edges)

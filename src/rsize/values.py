@@ -113,25 +113,23 @@ class PartitionWitness(Record):
 
 
 class ValueResult(Record):
-    """A computed value together with its witness."""
+    """A computed value together with its witness.
 
-    __slots__ = ("n", "t", "value", "witness", "r")
-    n: int
+    The witness carries n, r and the objective, so `value` reads
+    `witness.objective` and none of them is a second field.
+    """
+
+    __slots__ = ("t", "witness")
     t: int
-    value: int
     witness: PartitionWitness
-    r: int | None
 
-    def __init__(
-        self, n: int, t: int, value: int, witness: PartitionWitness, r: int | None = None
-    ) -> None:
-        if value != witness.objective:
-            raise ValueError("value and witness objective disagree")
-        _set(self, "n", n)
+    def __init__(self, t: int, witness: PartitionWitness) -> None:
         _set(self, "t", t)
-        _set(self, "value", value)
         _set(self, "witness", witness)
-        _set(self, "r", r)
+
+    @property
+    def value(self) -> int:
+        return self.witness.objective
 
 
 def _near_equal(total: int, parts: int) -> tuple[int, ...]:
@@ -162,7 +160,7 @@ def _solve(flavor: Flavor, n: int, t: int, total: int, r: int | None) -> ValueRe
     parts = _fewest_parts(cost_of, total)
     objective = _split_cost(cost_of, total, parts)
     witness = PartitionWitness(flavor, n, _near_equal(total, parts), objective, total, r)
-    return ValueResult(n=n, t=t, value=objective, witness=witness, r=r)
+    return ValueResult(t, witness)
 
 
 def _row(cost_of: Callable[[int], int], total: int) -> list[int]:

@@ -109,15 +109,12 @@ def test_verdict_reverifies_counterexample():
     star = sum(1 << i for i, (u, v) in enumerate(host.edges()) if u == 0)
     with pytest.raises(CertificationError):
         ArrowVerdict(
-            arrows=False,
             counterexample=EdgeColoring(host, star),
             n=3,
             t=2,
             mode="naive",
             nodes=1,
         )
-    with pytest.raises(ValueError):
-        ArrowVerdict(arrows=True, counterexample=EdgeColoring(host, 0), n=3, t=2, mode="naive", nodes=1)
 
 
 # ------------------------------------------------------- matching-number DP

@@ -486,7 +486,8 @@ def test_canonical_form_keeps_every_leaf_automorphism(monkeypatch):
 
 def test_enumerate_graphs_counts():
     # 1, 2, 5, 11 by hand; 26 pinned after a full labeled brute-force count;
-    # 68 and 177 are OEIS A000664
+    # 68 and 177 are OEIS A000664, whose first term is the empty graph
+    assert list(enumerate_graphs(0)) == [Graph(0)]
     counts = [sum(1 for _ in enumerate_graphs(m)) for m in (1, 2, 3, 4, 5, 6, 7)]
     assert counts == [1, 2, 5, 11, 26, 68, 177]
 
@@ -949,3 +950,7 @@ def test_hypergraph_text_errors_carry_line_numbers():
     assert exc.value.line == 2
     with pytest.raises(HypergraphFormatError):
         hypergraph_from_text("5\n0 1 2\n")
+    # a repeated edge is named at the line that repeats it
+    with pytest.raises(HypergraphFormatError) as exc:
+        hypergraph_from_text("4 3\n0 1 2\n1 2 3\n2 1 0\n")
+    assert exc.value.line == 4

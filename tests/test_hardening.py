@@ -101,6 +101,15 @@ def test_arrowing_reads_a_host_through_its_shared_fields():
                     namers.add(getattr(top, "name", str(node.lineno)))
     assert readers == []
     assert namers == {"arrows_pair", "_decide"}
+    # only graphs.py stores a host's fields unchecked: every other module
+    # builds a record through its validating constructor
+    unchecked = set()
+    for module in path.parent.glob("*.py"):
+        for node in ast.walk(ast.parse(module.read_text(), filename=str(module))):
+            names = (getattr(node, "id", None), getattr(node, "name", None), getattr(node, "attr", None))
+            if "_rebuild" in names:
+                unchecked.add(module.name)
+    assert unchecked == {"records.py", "graphs.py"}
 
 
 def test_bench_records_parse():

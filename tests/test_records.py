@@ -21,9 +21,9 @@ RECORDS = [
     (EdgeColoring, dict(host=complete(3), blue=0b101)),
     (
         ArrowVerdict,
-        dict(arrows=False, counterexample=EdgeColoring(complete(3), 0), n=4, t=1, mode="structural", nodes=3),
+        dict(counterexample=EdgeColoring(complete(3), 0), n=4, t=1, mode="structural", nodes=3),
     ),
-    (VertexColoring, dict(color_of=(0, 1, 0), classes=(0b101, 0b010))),
+    (VertexColoring, dict(color_of=(0, 1, 0))),
     (
         DecolorResult,
         dict(
@@ -36,7 +36,7 @@ RECORDS = [
         ),
     ),
     (PartitionWitness, _WITNESS),
-    (ValueResult, dict(n=4, t=1, value=_WITNESS["objective"], witness=PartitionWitness(**_WITNESS), r=None)),
+    (ValueResult, dict(t=1, witness=PartitionWitness(**_WITNESS))),
 ]
 
 
@@ -93,7 +93,7 @@ def test_decolor_method_is_fixed():
     fields = dict(RECORDS[3][1])
     result = DecolorResult(**fields)
     assert result.method == "heuristic"
-    assert "method='heuristic'" in repr(result)
+    assert "method" not in DecolorResult.__slots__
     with pytest.raises(TypeError):
         DecolorResult(**fields, method="exact")
 
@@ -103,18 +103,37 @@ def test_defaults_are_kept():
     del fields["matching_in_set"]
     assert DecolorResult(**fields).matching_in_set is None
     assert PartitionWitness(Flavor.G, 4, (1,), 6, 1).r is None
-    assert ValueResult(4, 1, 6, PartitionWitness(Flavor.G, 4, (1,), 6, 1)).r is None
 
 
 def test_records_validate_before_they_store():
     with pytest.raises(ValueError, match="out of range"):
         EdgeColoring(complete(3), 1 << 3)
-    with pytest.raises(ValueError, match="exactly when arrows is false"):
-        ArrowVerdict(True, EdgeColoring(complete(3), 0), 4, 1, "structural", 1)
+    with pytest.raises(ValueError, match="nonnegative"):
+        VertexColoring((0, -1))
     with pytest.raises(ValueError, match="nonincreasing"):
         PartitionWitness(Flavor.G, 4, (1, 2), part_cost(Flavor.G, 4, 1) + part_cost(Flavor.G, 4, 2), 3)
-    with pytest.raises(ValueError, match="disagree"):
-        ValueResult(4, 1, 7, PartitionWitness(**_WITNESS))
+
+
+def test_records_store_no_fact_they_can_compute():
+    # each fact another field gives is read through that field, not stored
+    assert ArrowVerdict.__slots__ == ("counterexample", "n", "t", "mode", "nodes")
+    assert ValueResult.__slots__ == ("t", "witness")
+    assert VertexColoring.__slots__ == ("color_of", "classes")
+    assert DecolorResult.__slots__ == ("graph", "n", "t", "removed", "residual_coloring", "matching_in_set")
+    assert ArrowVerdict(None, 3, 1, "structural", 0).arrows is True
+    assert ArrowVerdict(**RECORDS[1][1]).arrows is False
+    assert ValueResult(1, PartitionWitness(**_WITNESS)).value == 6
+    assert VertexColoring(()).classes == ()
+    assert VertexColoring((0, 1, 0)).classes == (0b101, 0b010)
+    assert DecolorResult(**RECORDS[3][1]).method == DecolorResult.method == "heuristic"
+    # coloring_from_assignment hands over the classes it grouped: the same
+    # record the constructor builds from color_of
+    rng = random.Random(28)
+    for _ in range(60):
+        n = rng.randint(0, 9)
+        g = Graph(n)
+        coloring = coloring_from_assignment(g, [rng.randrange(4) for _ in range(n)])
+        assert VertexColoring(coloring.color_of) == coloring
 
 
 @pytest.mark.parametrize("blue", [1.0, True, "1", None], ids=repr)
