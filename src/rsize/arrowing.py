@@ -585,10 +585,13 @@ def _pick_mode(search: str, m: int, kind: str, r: int) -> str:
                 f"(cap {NAIVE_MAX_EDGES[kind]})"
             )
         return "naive"
-    raw = os.environ.get(BUDGET_ENV_VAR)
-    if raw is not None and (not raw.strip().isdecimal() or int(raw) < 1):
+    raw = os.environ.get(BUDGET_ENV_VAR, str(REDUCED_MAX_EDGES[kind]))
+    try:  # int() raises ValueError past sys.get_int_max_str_digits() digits
+        budget = int(raw) if raw.strip().isdecimal() else 0
+    except ValueError:
+        budget = 0
+    if budget < 1:
         raise RequestError(f"{BUDGET_ENV_VAR} must be a positive integer, got {raw!r}")
-    budget = REDUCED_MAX_EDGES[kind] if raw is None else int(raw)
     if m > budget:
         raise UndecidedError(
             f"undecided: {m} edges is too large (budget {budget}; "

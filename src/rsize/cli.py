@@ -10,9 +10,9 @@ run can end:
   1  a verification ran to completion and the property failed
   2  the request was unusable (bad flags, unreadable or malformed
      input, hypothesis violation, an n, r or t over the scan limit of
-     value, table and the limit suite): argparse refused it, a file
-     could not be read (OSError), or parsing or validation raised
-     RequestError
+     value, table, decolor and the limit and minimality suites): argparse
+     refused it, a file could not be read (OSError), or parsing or
+     validation raised RequestError
   3  a search hit its budget and the question is genuinely undecided
   4  an internal fault: a certificate failed its own re-check
      (CertificationError) or some other exception escaped, a ValueError
@@ -65,8 +65,8 @@ _SUITE_FLAGS = {
 }
 _INT_JSON_LIMIT = 1 << 53  # doubles hold integers exactly up to here
 _TABLE_CELL_LIMIT = 200
-# value's witness, a table row's g_values and limit_constant, and the limit
-# suite's quotients all grow linearly in n or t; above this they take seconds
+# the witness that value, minimality and decolor compute, table's g_values and limit_constant,
+# and the limit suite's quotients all grow linearly in n or t; past this they take seconds
 _SCAN_LIMIT = 100_000
 
 _TABLE_COLUMNS = (
@@ -288,6 +288,7 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
         from .values import g
 
         _require(args, "n", "t")
+        _within_scan_limit("t", args.t)
         expected = g(args.n, args.t).value
         m_max = args.m_max if args.m_max is not None else min(BRUTEFORCE_MAX_EDGES, expected)
         found = min_size_ramsey_bruteforce(args.n, args.t, m_max)
@@ -348,6 +349,7 @@ def _verify_limit(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
 def _cmd_decolor(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
     from .decolor import _witness_coloring, find_decolor_set, find_decolor_set_matching
 
+    _within_scan_limit("t", args.t)
     host = _read_graph6_file(args.host)
     find = find_decolor_set_matching if args.matching else find_decolor_set
     result = find(host, args.n, args.t)

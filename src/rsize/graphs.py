@@ -65,8 +65,16 @@ __all__ = [
 ]
 
 
+def _check_order(name: str, n: int, most: int, kind: str) -> None:
+    """Refuse a vertex count that is not an int in 0..most."""
+    _check_int(name, n, 0)
+    if n > most:
+        raise CapacityError(f"{kind} must have 0..{most} vertices, got {n}")
+
+
 class Graph(Record):
-    """Undirected simple graph on vertices 0..n-1 as adjacency bitmasks: the 2-uniform host."""
+    """Undirected simple graph on vertices 0..n-1 as adjacency bitmasks: the 2-uniform host.
+    _hyperedge_mask checks each edge a caller passes; a graph derived from valid ones is not."""
 
     __slots__ = ("n", "adj")
     n: int
@@ -74,23 +82,9 @@ class Graph(Record):
     r = 2  # uniformity, read as Hypergraph.r is
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
-        _check_int("n", n, 0)
-        if n > MAX_GRAPH_VERTICES:
-            raise CapacityError(f"graphs must have 0..{MAX_GRAPH_VERTICES} vertices, got {n}")
-        adj = [0] * n
-        for edge in edges:
-            try:
-                u, v = edge
-            except (TypeError, ValueError):
-                raise RequestError(f"edge {edge!r} is not a pair of vertices") from None
-            if type(u) is not int or type(v) is not int or not (0 <= u < n and 0 <= v < n):
-                raise RequestError(f"edge ({u!r}, {v!r}) out of range for {n} vertices")
-            if u == v:
-                raise RequestError(f"self-loop at vertex {u}")
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
+        _check_order("n", n, MAX_GRAPH_VERTICES, "graphs")
         _set(self, "n", n)
-        _set(self, "adj", tuple(adj))
+        _set(self, "adj", _rows(n, [_hyperedge_mask(edge, n, 2) for edge in edges]))
 
     def edges(self) -> list[tuple[int, int]]:
         """Every edge (u, v) with u < v, sorted."""
@@ -147,27 +141,37 @@ class Graph(Record):
         return f"Graph(n={self.n}, edges={self.edges()})"
 
 
-def _graph_of(n: int, edge_masks: Sequence[int]) -> Graph:
-    """The graph on n vertices whose edges are the given two-vertex masks, stored unchecked."""
+def _rows(n: int, edge_masks: Iterable[int]) -> tuple[int, ...]:
+    """The adjacency rows of the graph on n vertices with these two-vertex masks as edges."""
     adj = [0] * n
     for em in edge_masks:
         low = em & -em
         high = em ^ low
         adj[low.bit_length() - 1] |= high
         adj[high.bit_length() - 1] |= low
-    return _rebuild(Graph, (n, tuple(adj)))
+    return tuple(adj)
+
+
+def _graph_of(n: int, edge_masks: Iterable[int]) -> Graph:
+    """The n-vertex graph with these two-vertex masks as edges, made by the package: unchecked."""
+    return _rebuild(Graph, (n, _rows(n, edge_masks)))
+
+
+def _form_graph(form: _Form) -> Graph:
+    """The graph of an (n, edge tuple) pair the package built, such as a form, stored unchecked."""
+    n, edges = form
+    return _graph_of(n, [1 << u | 1 << v for u, v in edges])
 
 
 def complete(k: int) -> Graph:
-    _check_int("k", k, 0)
-    return Graph(k, combinations(range(k), 2))
+    """K_k, built from its rows with no edge check: each vertex's row holds every other vertex."""
+    _check_order("k", k, MAX_GRAPH_VERTICES, "graphs")
+    return _rebuild(Graph, (k, tuple((1 << k) - 1 ^ 1 << v for v in range(k))))
 
 
 def disjoint_union(graphs: Sequence[Graph]) -> Graph:
-    total = sum(g.n for g in graphs)
-    if total > MAX_GRAPH_VERTICES:
-        raise CapacityError(f"union would have {total} > {MAX_GRAPH_VERTICES} vertices")
-    return Graph(*_join([(g.n, g.edges()) for g in graphs]))
+    _check_order("n", sum(g.n for g in graphs), MAX_GRAPH_VERTICES, "graphs")
+    return _form_graph(_join([(g.n, g.edges()) for g in graphs]))
 
 
 # ------------------------------------------------------------ exact solvers
@@ -706,10 +710,7 @@ def _edge_children(form: _Form, gens: Sequence[_Perm], room: int) -> Iterator[Gr
         lambda p: [(a[p[0]], a[p[1]]) if a[p[0]] < a[p[1]] else (a[p[1]], a[p[0]]) for a in gens],
     )
     new += [(u, n) for u in _orbit_heads(range(n), lambda u: [a[u] for a in gens])]
-    adj = [0] * n
-    for u, v in edges:
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
+    adj = list(_form_graph(form).adj)
     for u, v in new:
         child = adj + [0] if v == n else adj.copy()
         child[u] |= 1 << v
@@ -732,7 +733,7 @@ def _clique_children(n: int, form: _Form, gens: Sequence[_Perm], room: int) -> I
     connected union one step from the one before.  Edge counts only grow
     along the way, so stopping at the edge budget loses nothing.  A
     union's components are unions, so the levels _walk assembles hold
-    every K_n-union.
+    every K_n-union.  A child is built from form edges, never checked.
     """
     p, edges = form
     present = set(edges)
@@ -747,7 +748,7 @@ def _clique_children(n: int, form: _Form, gens: Sequence[_Perm], room: int) -> I
         ):
             new = [e for e in combinations(shared + fresh, 2) if e not in present]
             if new and len(new) <= room:
-                yield Graph(p + n - j, edges + tuple(new))
+                yield _form_graph((p + n - j, edges + tuple(new)))
 
 
 def _unions(connected: Sequence[Sequence[_Form]], m: int) -> Iterator[_Form]:
@@ -820,9 +821,9 @@ def _assemble(connected: Sequence[Sequence[_Form]], k: int) -> list[Graph]:
     vertex is the disjoint union of its components, and the form of a
     union is the join of its sorted component forms.  So level k holds
     every graph with k edges of a family closed under components once the
-    walk's rule reaches each connected member.
+    walk's rule reaches each connected member.  Built from forms, never checked.
     """
-    return [Graph(n, edges) for n, edges in sorted(_unions(connected, k))]
+    return [_form_graph(form) for form in sorted(_unions(connected, k))]
 
 
 def _levels(walk: Iterator[list[_Form]]) -> Iterator[list[Graph]]:
@@ -915,26 +916,20 @@ def from_graph6(text: str) -> Graph:
         body_start = 1
     if n > MAX_GRAPH_VERTICES:
         raise CapacityError(f"graph6 declares {n} > {MAX_GRAPH_VERTICES} vertices")
-    pairs = n * (n - 1) // 2
-    need = (pairs + 5) // 6
+    # body bit i is pair i in graph6 order; the padding bits after them must be zero
+    order = [1 << u | 1 << v for v in range(1, n) for u in range(v)]
+    need = (len(order) + 5) // 6
     if len(codes) - body_start < need:
         raise Graph6Error(f"body needs {need} bytes, found {len(codes) - body_start}", len(text))
     if len(codes) - body_start > need:
         raise Graph6Error("trailing bytes after graph body", body_start + need)
-    edges = []
-    idx = 0
-    for v in range(1, n):
-        for u in range(v):
-            value = codes[body_start + idx // 6]
-            if value >> (5 - idx % 6) & 1:
-                edges.append((u, v))
-            idx += 1
-    # padding bits must be zero in well-formed graph6
-    while idx < need * 6:
-        if codes[body_start + idx // 6] >> (5 - idx % 6) & 1:
-            raise Graph6Error("nonzero padding bits", body_start + idx // 6)
-        idx += 1
-    return Graph(n, edges)
+    masks = []
+    for i in range(need * 6):
+        if codes[body_start + i // 6] >> (5 - i % 6) & 1:
+            if i >= len(order):
+                raise Graph6Error("nonzero padding bits", body_start + i // 6)
+            masks.append(order[i])
+    return _graph_of(n, masks)
 
 
 # --------------------------------------------------------------- hypergraphs
@@ -949,11 +944,7 @@ class Hypergraph(Record):
     edge_masks: tuple[int, ...]
 
     def __init__(self, n: int, r: int, edges: Iterable[Iterable[int]]):
-        _check_int("n", n, 0)
-        if n > MAX_HYPER_VERTICES:
-            raise CapacityError(
-                f"hypergraphs must have 0..{MAX_HYPER_VERTICES} vertices, got {n}"
-            )
+        _check_order("n", n, MAX_HYPER_VERTICES, "hypergraphs")
         _check_int("r", r, 2)
         masks = [_hyperedge_mask(edge, n, r) for edge in edges]
         if len(set(masks)) != len(masks):
@@ -972,14 +963,17 @@ class Hypergraph(Record):
         return f"Hypergraph(n={self.n}, r={self.r}, edges={self.edge_tuples()})"
 
 
-def _hypergraph_of(n: int, r: int, edge_masks: Sequence[int]) -> Hypergraph:
+def _hypergraph_of(n: int, r: int, edge_masks: Iterable[int]) -> Hypergraph:
     """The hypergraph with these edge masks, stored unchecked: distinct, sorted r-vertex masks."""
     return _rebuild(Hypergraph, (n, r, tuple(edge_masks)))
 
 
 def _hyperedge_mask(edge: Iterable[int], n: int, r: int) -> int:
     """The vertex mask of an edge; RequestError unless it is r distinct int vertices in 0..n-1."""
-    vs = tuple(edge)
+    try:
+        vs = tuple(edge)
+    except TypeError:
+        raise RequestError(f"edge {edge!r} is not a set of {r} vertices") from None
     mask = 0
     for v in vs:
         if type(v) is not int or not 0 <= v < n:
@@ -1007,10 +1001,10 @@ def _vertices_mask(vertices: Iterable[int]) -> int:
 
 
 def complete_r(k: int, r: int) -> Hypergraph:
-    """The complete r-uniform hypergraph on k vertices."""
-    _check_int("k", k, 0)
+    """The complete r-uniform hypergraph on k vertices; combinations give the sorted edge order."""
+    _check_order("k", k, MAX_HYPER_VERTICES, "hypergraphs")
     _check_int("r", r, 2)
-    return Hypergraph(k, r, combinations(range(k), r))
+    return _hypergraph_of(k, r, [_vertices_mask(e) for e in combinations(range(k), r)])
 
 
 def hyper_matching(h: Hypergraph) -> int:
@@ -1072,7 +1066,7 @@ def hypergraph_from_text(text: str) -> Hypergraph:
         Hypergraph(n, r, ())
     except ValueError as exc:
         raise HypergraphFormatError(f"header {lines[0]!r} is no 'n r' pair: {exc}", 1) from None
-    edges, seen = [], set()
+    seen = set()
     for i, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
@@ -1087,5 +1081,4 @@ def hypergraph_from_text(text: str) -> Hypergraph:
         if mask in seen:
             raise HypergraphFormatError(f"duplicate hyperedge {tuple(edge)}", i)
         seen.add(mask)
-        edges.append(edge)
-    return Hypergraph(n, r, edges)
+    return _hypergraph_of(n, r, sorted(seen, key=_mask_vertices))

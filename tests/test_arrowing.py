@@ -735,7 +735,8 @@ def test_over_budget_is_undecided_not_guessed():
 def test_budget_env_override(monkeypatch):
     monkeypatch.setenv(BUDGET_ENV_VAR, "40")
     assert arrows_pair(complete(9), 3, 1, search="reduced").arrows
-    for bad in ("ten", "0", "-5"):
+    # a 5,000-digit value is past int()'s digit limit: still a refused request
+    for bad in ("ten", "0", "-5", "9" * 5000):
         monkeypatch.setenv(BUDGET_ENV_VAR, bad)
         with pytest.raises(ValueError, match=BUDGET_ENV_VAR):
             arrows_pair(complete(9), 3, 1, search="reduced")

@@ -137,10 +137,14 @@ def test_value_usage_errors(capsys):
         ("verify", "--suite", "limit", "--n", "5", "--T", "200000"),
         # g_r is linear in r too: r = 400,000 took about 30 s
         ("value", "--n", "400000", "--r", "400000", "--t", "2"),
+        # both build a witness of about t or 2t parts before any other work
+        ("verify", "--suite", "minimality", "--n", "3", "--t", "200000"),
+        ("decolor", "--host", "{k4}", "--n", "3", "--t", "200000"),
     ],
-    ids=["value", "table", "verify-limit", "value-r"],
+    ids=["value", "table", "verify-limit", "value-r", "verify-minimality", "decolor"],
 )
-def test_over_scan_limit_is_refused_before_any_work(capsys, argv):
+def test_over_scan_limit_is_refused_before_any_work(capsys, tmp_path, argv):
+    argv = [arg.format(k4=write_graph6(tmp_path, "k4.g6", complete(4))) for arg in argv]
     start = time.perf_counter()
     code, payload = run_json(capsys, *argv)
     assert time.perf_counter() - start < 1.0
@@ -305,7 +309,8 @@ def test_check_arrow_budget_and_override(capsys, tmp_path, monkeypatch):
 
 def test_check_arrow_rejects_nonpositive_budget(capsys, tmp_path, monkeypatch):
     path = write_graph6(tmp_path, "k4.g6", complete(4))
-    for bad in ("0", "-3"):
+    # past int()'s 4,300-digit limit
+    for bad in ("0", "-3", "9" * 5000):
         monkeypatch.setenv("RSIZE_BUDGET_EDGES", bad)
         code, payload = run_json(capsys, "check-arrow", "--host", path, "--n", "3", "--t", "2")
         assert code == 2

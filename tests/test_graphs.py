@@ -87,6 +87,8 @@ def test_graph_rejects_bad_input():
         Graph(3, [(0, 5)])
     with pytest.raises(CapacityError):
         Graph(65)
+    with pytest.raises(CapacityError):
+        disjoint_union([complete(40), complete(25)])
 
 
 @pytest.mark.parametrize(
@@ -100,6 +102,7 @@ def test_graph_rejects_bad_input():
         ("Hypergraph", (4, 2, [(True, 2)])),
         ("Hypergraph", (4, 2, [(0.5, 1)])),
         ("Hypergraph", (4, 2, [(0, 1, 2)])),
+        ("Hypergraph", (4, 3, [5])),
     ],
     ids=repr,
 )
@@ -107,6 +110,31 @@ def test_hosts_refuse_an_edge_that_is_no_edge(container, args):
     # a bool or a float endpoint is no vertex, and an edge must have the host's size
     with pytest.raises(RequestError):
         getattr(graphs, container)(*args)
+
+
+def test_each_edge_is_checked_once_where_it_enters(monkeypatch):
+    # the one edge check runs on edges from a caller or a file, and never on
+    # a host the package derives from valid ones
+    calls = []
+    real = graphs._hyperedge_mask
+
+    def counting(edge, n, r):
+        calls.append(edge)
+        return real(edge, n, r)
+
+    monkeypatch.setattr(graphs, "_hyperedge_mask", counting)
+    assert hypergraph_from_text("6 3\n0 1 2\n3 4 5\n0 3 5\n1 2 4\n0 4 5\n").edge_count() == 5
+    assert len(calls) == 5
+    Graph(4, [(0, 1), (1, 2), (0, 1)])
+    assert len(calls) == 8
+    calls.clear()
+    for _ in range(20):
+        assert sum(1 for _ in enumerate_graphs(7)) == 177
+    assert sum(map(len, _clique_union_levels(4, 14))) == 13
+    union = disjoint_union([complete(5), complete(3)])
+    assert from_graph6(to_graph6(union)) == union
+    assert complete_r(8, 3).edge_count() == 56
+    assert calls == []
 
 
 def test_a_graph_reads_as_the_2_uniform_hypergraph_on_its_edges():

@@ -112,6 +112,28 @@ def test_arrowing_reads_a_host_through_its_shared_fields():
     assert unchecked == {"records.py", "graphs.py"}
 
 
+def test_no_host_the_package_builds_passes_its_edges_through_a_constructor():
+    # edges are checked once, where they enter: a host the package derives
+    # is built from rows or masks, so no call inside it hands Graph or
+    # Hypergraph an edge argument (an empty literal, as the hypergraph
+    # parser's header check passes, is no edge)
+    takers = {"Graph": 1, "Hypergraph": 2}  # positional index of the edges argument
+    offenders = []
+    for path in sorted(Path(rsize.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            if name not in takers:
+                continue
+            # a starred argument or a ** mapping may carry edges too
+            edges = node.args[takers[name] :] + [a for a in node.args if isinstance(a, ast.Starred)]
+            edges += [k.value for k in node.keywords if k.arg in ("edges", None)]
+            if any(not (isinstance(e, (ast.Tuple, ast.List)) and not e.elts) for e in edges):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []
+
+
 def test_bench_records_parse():
     # each performance change commits one BENCH_<topic>.json at the repo root
     records = sorted(Path(__file__).resolve().parent.parent.glob("BENCH_*.json"))

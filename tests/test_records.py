@@ -11,7 +11,19 @@ from rsize import arrowing
 from rsize.arrowing import ArrowVerdict, EdgeColoring, is_good_coloring
 from rsize.cli import _jsonify
 from rsize.decolor import DecolorResult
-from rsize.graphs import Graph, Hypergraph, VertexColoring, coloring_from_assignment, complete, complete_r
+from rsize.graphs import (
+    Graph,
+    Hypergraph,
+    VertexColoring,
+    coloring_from_assignment,
+    complete,
+    complete_r,
+    disjoint_union,
+    from_graph6,
+    hypergraph_from_text,
+    hypergraph_to_text,
+    to_graph6,
+)
 from rsize.values import Flavor, PartitionWitness, ValueResult, part_cost
 
 _WITNESS = dict(flavor=Flavor.G, n=4, parts=(1,), objective=part_cost(Flavor.G, 4, 1), target_sum=1, r=None)
@@ -190,6 +202,32 @@ def test_hosts_built_from_masks_equal_the_validated_constructor(monkeypatch):
         kept = [(i, j) for i, j in combinations(range(len(order)), 2) if g.has_edge(order[i], order[j])]
         assert sub == Graph(len(order), kept)
         assert arrowing._graph_of(n, [1 << u | 1 << v for u, v in g.edges()]) == g
+        assert from_graph6(to_graph6(g)) == g
+    # the builders that skip the edge check, against the constructors that run it
+    for k in range(65):
+        assert complete(k) == Graph(k, combinations(range(k), 2))
+    for k in range(9):
+        for r in range(2, 6):
+            assert complete_r(k, r) == Hypergraph(k, r, combinations(range(k), r))
+    for _ in range(20):
+        parts, edges, offset = [], [], 0
+        for _ in range(rng.randint(0, 4)):
+            n = rng.randint(0, 8)
+            pairs = list(combinations(range(n), 2))
+            part = rng.sample(pairs, rng.randint(0, len(pairs)))
+            parts.append(Graph(n, part))
+            edges += [(u + offset, v + offset) for u, v in part]
+            offset += n
+        assert disjoint_union(parts) == Graph(offset, edges)
+    for _ in range(20):
+        n, r = rng.randint(2, 9), rng.randint(2, 4)
+        subsets = list(combinations(range(n), r))
+        edges = rng.sample(subsets, rng.randint(0, len(subsets)))
+        h = Hypergraph(n, r, edges)
+        assert hypergraph_from_text(hypergraph_to_text(h)) == h
+        # edge lines in any order parse to the constructor's sorted masks
+        lines = [f"{n} {r}"] + [" ".join(map(str, edge)) for edge in edges]
+        assert hypergraph_from_text("\n".join(lines)) == h
     # the blue side of a hypergraph coloring, as is_good_coloring hands it on
     seen = []
 
