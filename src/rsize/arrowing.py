@@ -82,6 +82,7 @@ from .graphs import (
     Graph,
     Hypergraph,
     _clique_union_levels,
+    _form_graph,
     _graph_levels,
     _graph_of,
     _hypergraph_of,
@@ -755,12 +756,13 @@ def min_size_ramsey_bruteforce(
     (graphs._clique_union_levels; levels below C(n,2) are empty), and
     since every graph is a K_2-union, from K_2 by the edge rule for n = 2
     (graphs._graph_levels).  Exact because both rules are complete up to
-    isomorphism and arrowing ignores isolated vertices.  max_vertices,
-    when given, keeps only the graphs on at most that many vertices in
-    each level; deleting e adds no vertex, so the argument holds among
-    them.  None means every graph with at most m_max edges fails, i.e. the
-    answer is > m_max.  No level is walked when C(n,2) > m_max: such a
-    graph has no K_n, so its all-red coloring is good.
+    isomorphism and arrowing ignores isolated vertices.  The levels are
+    canonical forms, and a graph is built only when it is searched.
+    max_vertices, when given, keeps only the forms on at most that many
+    vertices in each level; deleting e adds no vertex, so the argument
+    holds among them.  None means every graph with at most m_max edges
+    fails, i.e. the answer is > m_max.  No level is walked when C(n,2) >
+    m_max: such a graph has no K_n, so its all-red coloring is good.
     """
     _check_int("m_max", m_max, 1)
     if m_max > BRUTEFORCE_MAX_EDGES:
@@ -772,8 +774,7 @@ def min_size_ramsey_bruteforce(
         return None
     levels = _graph_levels(m_max) if n == 2 else _clique_union_levels(n, m_max)
     for m, level in enumerate(levels, start=1):
-        if max_vertices is not None:
-            level = [g for g in level if g.n <= max_vertices]
-        if any(arrows_pair(g, n, t).arrows for g in level):
+        kept = (form for form in level if max_vertices is None or form[0] <= max_vertices)
+        if any(arrows_pair(_form_graph(form), n, t).arrows for form in kept):
             return m
     return None

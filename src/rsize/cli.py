@@ -183,7 +183,9 @@ def _cmd_value(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
 
     _within_scan_limit("t", args.t)
     if args.r is not None:
+        # g_r evaluates C(n + r(s-1), r), whose size grows like r log n
         _within_scan_limit("r", args.r)
+        _within_scan_limit("n", args.n)
     if args.hat:
         result = g_hat(args.n, args.t)
     elif args.r is not None:

@@ -813,33 +813,29 @@ def _walk(
         found[k].clear()
 
 
-def _assemble(connected: Sequence[Sequence[_Form]], k: int) -> list[Graph]:
-    """Level k, every graph whose components' forms are in connected, sorted by canonical form.
+def _levels(walk: Iterator[list[_Form]]) -> Iterator[list[_Form]]:
+    """The walk's levels 1, 2, ..., each the sorted forms of its graphs, assembled when read.
 
-    connected[j - 1] lists the connected forms with j edges, as _walk
-    yields them.  No canonical labeling is needed: a graph with no isolated
-    vertex is the disjoint union of its components, and the form of a
-    union is the join of its sorted component forms.  So level k holds
-    every graph with k edges of a family closed under components once the
-    walk's rule reaches each connected member.  Built from forms, never checked.
+    Level k holds the form of every graph with k edges whose components'
+    forms the walk yields.  No canonical labeling is needed: a graph with
+    no isolated vertex is the disjoint union of its components, and the
+    form of a union is the join of its sorted component forms.  So level k
+    holds every graph with k edges of a family closed under components
+    once the walk's rule reaches each connected member.  A caller builds a
+    graph only for a form it keeps (_form_graph, unchecked).
     """
-    return [_form_graph(form) for form in sorted(_unions(connected, k))]
-
-
-def _levels(walk: Iterator[list[_Form]]) -> Iterator[list[Graph]]:
-    """The walk's levels 1, 2, ..., each assembled when the caller reads it."""
     connected: list[list[_Form]] = []
     for level in walk:
         connected.append(level)
-        yield _assemble(connected, len(connected))
+        yield sorted(_unions(connected, len(connected)))
 
 
-def _graph_levels(m: int) -> Iterator[list[Graph]]:
+def _graph_levels(m: int) -> Iterator[list[_Form]]:
     """Levels 1..m of all graphs with no isolated vertex: _walk from K_2 by _edge_children."""
     return _levels(_walk(complete(2), _edge_children, m))
 
 
-def _clique_union_levels(n: int, m: int) -> Iterator[list[Graph]]:
+def _clique_union_levels(n: int, m: int) -> Iterator[list[_Form]]:
     """Levels 1..m of the K_n-unions, empty below C(n,2): _walk from K_n by _clique_children."""
     return _levels(_walk(complete(n), partial(_clique_children, n), m))
 
@@ -850,21 +846,19 @@ def enumerate_graphs(m: int, max_vertices: int | None = None) -> Iterator[Graph]
     Yields level m of _walk from K_2 by the edge rule (_edge_children),
     in sorted canonical-form order, each graph labeled by its canonical
     form.  The walk grows levels 1..m-1 for their connected forms, and
-    only level m is assembled.  max_vertices, when given, keeps only the
-    graphs on at most that many vertices.  A caller that needs every level
-    up to m walks them once through _graph_levels rather than calling this
-    per level.
+    only level m is assembled, as forms.  max_vertices, when given, keeps
+    only the forms on at most that many vertices, and only the kept forms
+    are built into graphs.  A caller that needs every level up to m walks
+    them once through _graph_levels rather than calling this per level.
     """
     _check_int("m", m, 0)
     if max_vertices is not None:
         _check_int("max_vertices", max_vertices, 0)
     if m > ENUMERATION_MAX_EDGES:
         raise CapacityError(f"enumeration capped at {ENUMERATION_MAX_EDGES} edges, got {m}")
-    last = _assemble(list(_walk(complete(2), _edge_children, m)), m)
-    if max_vertices is None:
-        yield from last
-    else:
-        yield from (g for g in last if g.n <= max_vertices)
+    for form in sorted(_unions(list(_walk(complete(2), _edge_children, m)), m)):
+        if max_vertices is None or form[0] <= max_vertices:
+            yield _form_graph(form)
 
 
 # -------------------------------------------------------------------- graph6

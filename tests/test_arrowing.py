@@ -670,8 +670,40 @@ def test_min_size_bruteforce_matches_formula():
         ),
     ],
 )
-def test_min_size_bruteforce_grid(n, t, m_max, max_vertices, expected):
+def test_min_size_bruteforce_grid(n, t, m_max, max_vertices, expected, monkeypatch):
+    # a level's forms are filtered by the cap before any is built, and no
+    # graph is built past the first arrowing level
+    built = []
+    real = rsize.arrowing._form_graph
+
+    def recording(form):
+        built.append(form)
+        return real(form)
+
+    monkeypatch.setattr(rsize.arrowing, "_form_graph", recording)
     assert min_size_ramsey_bruteforce(n, t, m_max, max_vertices=max_vertices) == expected
+    assert all(max_vertices is None or p <= max_vertices for p, _ in built)
+    assert all(len(edges) <= (expected or m_max) for _, edges in built)
+
+
+def test_min_size_bruteforce_builds_only_the_kept_forms(monkeypatch):
+    # uncapped, 3K_2 arrows on level 3, after the 1 + 2 + 5 graphs of
+    # levels 1..3 are built.  No 5-vertex graph has a 3-edge matching, so
+    # under that cap all 8 levels are read, and only 31 of their 787 forms
+    # (OEIS A000664) are built
+    calls = 0
+    real = rsize.arrowing._form_graph
+
+    def counting(form):
+        nonlocal calls
+        calls += 1
+        return real(form)
+
+    monkeypatch.setattr(rsize.arrowing, "_form_graph", counting)
+    for cap, want in ((None, 8), (5, 31)):
+        calls = 0
+        assert min_size_ramsey_bruteforce(2, 3, 8, max_vertices=cap) == (3 if cap is None else None)
+        assert calls == want, cap
 
 
 def test_min_size_bruteforce_rejects_large_budget():
@@ -686,7 +718,7 @@ def test_min_size_bruteforce_equals_searching_every_level():
     # for every m_max
     walked = list(_graph_levels(8))
     for cap in (None, 5):
-        levels = [[h for h in level if cap is None or h.n <= cap] for level in walked]
+        levels = [[Graph(*form) for form in level if cap is None or form[0] <= cap] for level in walked]
         for n in (2, 3, 4, 5):
             for t in (1, 2, 3):
                 first = next(

@@ -137,11 +137,13 @@ def test_value_usage_errors(capsys):
         ("verify", "--suite", "limit", "--n", "5", "--T", "200000"),
         # g_r is linear in r too: r = 400,000 took about 30 s
         ("value", "--n", "400000", "--r", "400000", "--t", "2"),
+        # and its binomials grow like r log n: this took about 1.5 s
+        ("value", "--n", "200000", "--r", "100000", "--t", "1"),
         # both build a witness of about t or 2t parts before any other work
         ("verify", "--suite", "minimality", "--n", "3", "--t", "200000"),
         ("decolor", "--host", "{k4}", "--n", "3", "--t", "200000"),
     ],
-    ids=["value", "table", "verify-limit", "value-r", "verify-minimality", "decolor"],
+    ids=["value", "table", "verify-limit", "value-r", "value-r-n", "verify-minimality", "decolor"],
 )
 def test_over_scan_limit_is_refused_before_any_work(capsys, tmp_path, argv):
     argv = [arg.format(k4=write_graph6(tmp_path, "k4.g6", complete(4))) for arg in argv]

@@ -527,7 +527,7 @@ def test_enumerate_graphs_count_at_eight_edges():
 def test_connected_level_sizes():
     # the walk grows connected graphs only and assembles the rest; its
     # connected graphs per edge count are OEIS A002905
-    connected = [sum(len(graphs._components(g)) == 1 for g in level) for level in _graph_levels(8)]
+    connected = [sum(len(graphs._components(Graph(*form))) == 1 for form in level) for level in _graph_levels(8)]
     assert connected == [1, 1, 3, 5, 12, 30, 79, 227]
 
 
@@ -561,7 +561,7 @@ def test_enumerate_graphs_properties():
         assert len(forms) == sum(1 for _ in enumerate_graphs(m))
 
 
-def test_enumerate_graphs_vertex_cap():
+def test_enumerate_graphs_vertex_cap(monkeypatch):
     # the capped walk yields exactly the uncapped level with n <= cap, in order
     for m in range(1, 7):
         full = list(enumerate_graphs(m))
@@ -571,6 +571,23 @@ def test_enumerate_graphs_vertex_cap():
     # the graphs with 8 edges on at most 1..10 vertices
     counts = [len(list(enumerate_graphs(8, max_vertices=cap))) for cap in range(1, 11)]
     assert counts == [0, 0, 0, 0, 2, 24, 97, 221, 345, 428]
+    # level 10's forms are filtered before any is built: the walk builds
+    # only parents from levels 1..9, so every build with 10 edges is a graph
+    # the caller keeps, 148 of the level's 4,613 (OEIS A000664)
+    built = []
+    real = graphs._form_graph
+
+    def counting(form):
+        if len(form[1]) == 10:
+            built.append(form)
+        return real(form)
+
+    monkeypatch.setattr(graphs, "_form_graph", counting)
+    full = list(enumerate_graphs(10))
+    assert len(built) == len(full) == 4613
+    built.clear()
+    assert list(enumerate_graphs(10, max_vertices=7)) == [g for g in full if g.n <= 7]
+    assert len(built) == 148
 
 
 def test_orbit_pruned_walk_equals_unpruned_walk():
@@ -580,7 +597,7 @@ def test_orbit_pruned_walk_equals_unpruned_walk():
     # vertex cap that enumerate_graphs applies as a filter
     canon = lambda n, edges: canonical_form(Graph(n, edges))
     want = unpruned_graph_levels(8, None, canon)
-    assert [[(g.n, tuple(g.edges())) for g in level] for level in _graph_levels(8)] == want
+    assert list(_graph_levels(8)) == want
     for cap in range(2, 9):
         want = unpruned_graph_levels(7, cap, canon)
         got = [[(g.n, tuple(g.edges())) for g in enumerate_graphs(m, max_vertices=cap)] for m in range(1, 8)]
@@ -685,7 +702,7 @@ def test_walk_labels_are_pinned(monkeypatch):
         return real(g)
 
     monkeypatch.setattr(graphs, "_canon_connected", counting)
-    levels = [[(g.n, tuple(g.edges())) for g in level] for level in _graph_levels(8)]
+    levels = list(_graph_levels(8))
     assert sum(map(len, levels)) == 787 and calls == 402
     digest = hashlib.sha256(repr(levels).encode()).hexdigest()
     assert digest == "e13d7441c04c46e0c982a31e089e9c2bd09194a728e41f5b250389e0975b85d2"
@@ -776,11 +793,8 @@ def test_clique_union_walk_is_complete():
     # levels are compared, so the connected unions and their assembly both
     # count.  Every graph is a K_2-union
     for n, m in ((2, 6), (3, 8), (4, 8)):
-        got = [[(g.n, tuple(g.edges())) for g in level] for level in _clique_union_levels(n, m)]
-        want = [
-            [(g.n, tuple(g.edges())) for g in level if every_edge_in_a_clique(g, n)]
-            for level in _graph_levels(m)
-        ]
+        got = list(_clique_union_levels(n, m))
+        want = [[form for form in level if every_edge_in_a_clique(Graph(*form), n)] for level in _graph_levels(m)]
         assert got == want, n
     # the K_3-unions with 1..8 edges, per edge count
     assert [len(level) for level in _clique_union_levels(3, 8)] == [0, 0, 1, 0, 1, 3, 2, 5]
@@ -799,7 +813,7 @@ def test_clique_union_labels_are_pinned(monkeypatch):
         return real(g)
 
     monkeypatch.setattr(graphs, "_canon_connected", counting)
-    levels = [[(g.n, tuple(g.edges())) for g in level] for level in _clique_union_levels(3, 12)]
+    levels = list(_clique_union_levels(3, 12))
     assert [len(level) for level in levels] == [0, 0, 1, 0, 1, 3, 2, 5, 12, 20, 40, 91]
     assert calls == 631
     digest = hashlib.sha256(repr(levels).encode()).hexdigest()

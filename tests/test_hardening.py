@@ -136,14 +136,22 @@ def test_no_host_the_package_builds_passes_its_edges_through_a_constructor():
 
 def test_bench_records_parse():
     # each performance change commits one BENCH_<topic>.json at the repo root
-    records = sorted(Path(__file__).resolve().parent.parent.glob("BENCH_*.json"))
+    root = Path(__file__).resolve().parent.parent
+    records = sorted(root.glob("BENCH_*.json"))
     assert records
+    benchmark = json.loads((root / "BENCHMARK.json").read_text())
+    workloads = {w["name"] for w in benchmark["workloads"]}
+    metrics = {m["name"] for m in benchmark["end_to_end"]}
     for path in records:
         record = json.loads(path.read_text())
         assert {"topic", "command", "parent", "claim"} <= record.keys(), path.name
-        # a change that claims no gain writes "claim": null
+        # a change that claims no gain writes "claim": null; a claim names a
+        # workload and an end-to-end metric that BENCHMARK.json declares
         claim = record["claim"]
-        assert claim is None or {"workload", "metric", "rule"} <= claim.keys(), path.name
+        if claim is not None:
+            assert "rule" in claim, path.name
+            assert claim.get("workload") in workloads, path.name
+            assert claim.get("metric") in metrics, path.name
 
 
 def test_benchmark_tracer_names_resolve():
