@@ -308,11 +308,21 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
 
 
 def _verify_limit(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
-    """Normalized values against their limit: the whole sequence up to T.
+    """Normalized values against their limit, with an explicit rate at every t.
 
-    Every quotient g(n,t)/(t*C(n,2)) must sit at or above the limit
-    constant, and once T reaches n the running minimum must have landed
-    on it exactly.
+    With c(s) = C(n + 2s - 2, 2), B = C(n, 2) and s* the first minimiser of
+    c(s)/s (limit_constant's argmin), the limit constant is
+    q* = c(s*)/(s* B).  Every t <= T must satisfy
+    0 <= g(n,t)/(t B) - q* <= rate_bound/t, rate_bound = c(s*)/B:
+    - below: c(s)/s is convex, so its first minimiser is global
+      (limit_constant's proof) and optimal parts s_1, ..., s_l with
+      sum >= t cost sum c(s_i) >= sum s_i c(s*)/s* >= t q* B;
+    - above: ceil(t/s*) disjoint copies of K_{n+2s*-2} absorb at least t
+      stripes with ceil(t/s*) c(s*) <= (t/s* + 1) c(s*) edges.
+    So the quotients reach q*, the Erdős–Faudree limit, within rate_bound/t.
+    Times t s* B the check is 0 <= s* g(n,t) - t c(s*) <= s* c(s*), in
+    integers.  Once T reaches n the running minimum must also have landed
+    on q* exactly.
     """
     from fractions import Fraction  # only this suite and table make rationals
 
@@ -324,8 +334,9 @@ def _verify_limit(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
     _within_scan_limit("max(n, T)", max(n, t_cap))
     if t_cap < 1:
         raise RequestError(f"need --T >= 1, got {t_cap}")
-    m_n, _ = limit_constant(n, max(n, t_cap))
+    m_n, s_star = limit_constant(n, max(n, t_cap))
     base = binomial(n, 2)
+    c_star = binomial(n + 2 * s_star - 2, 2)
     by_t = g_values(n, t_cap)
     quotients = [Fraction(by_t[t], t * base) for t in range(1, t_cap + 1)]
     running = []
@@ -335,7 +346,10 @@ def _verify_limit(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
         running.append(best)
     min_q = running[-1]
     attains = min_q == m_n
-    ok = all(q >= m_n for q in quotients) and (attains or t_cap < n)
+    within_rate = all(
+        0 <= s_star * by_t[t] - t * c_star <= s_star * c_star for t in range(1, t_cap + 1)
+    )
+    ok = within_rate and (attains or t_cap < n)
     outputs = {
         "limit_constant": m_n,
         "quotients": quotients,
@@ -343,6 +357,7 @@ def _verify_limit(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
         "min_quotient": min_q,
         "attained_at": 1 + quotients.index(min_q) if attains else None,
         "approach_gap": float(quotients[-1] - m_n),
+        "rate_bound": Fraction(c_star, base),
         "pass": ok,
     }
     return outputs, 0 if ok else 1

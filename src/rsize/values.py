@@ -16,10 +16,13 @@ near-equal parts are optimal, at cost h(l) = (l-e)*c(q) + e*c(q+1) with
 q, e = divmod(total, l).  h(l) is l times the piecewise-linear
 interpolation of c at total/l, the perspective of a convex function, so
 h is convex in l.  The fewest-part optimum is the first l with
-h(l+1) >= h(l): a binary search finds it in O(log total) cost
-evaluations.  The witness check costs one evaluation per distinct part
-(at most two) plus C-level O(total) passes over the parts tuple.  A
-whole row of totals takes O(total) steps (see _row).
+h(l+1) >= h(l): a binary search finds it, and a memo local to the solve
+evaluates each part cost it reads once, O(log total) evaluations in all.
+The witness check costs one evaluation per distinct part (at most two)
+plus C-level O(total) passes over the parts tuple.  A whole row of
+totals takes O(total) steps, each adding one cost difference to h(l)
+and one to h(l+1); only a move of the part count recomputes a split
+(see _row).
 """
 
 from __future__ import annotations
@@ -156,7 +159,16 @@ def _fewest_parts(cost_of: Callable[[int], int], total: int) -> int:
 
 
 def _solve(flavor: Flavor, n: int, t: int, total: int, r: int | None) -> ValueResult:
-    cost_of = lambda s: part_cost(flavor, n, s, r)
+    # neighbouring part counts split into mostly the same sizes, so the
+    # bisection asks for each cost many times; the witness below still
+    # calls part_cost itself and stays an independent check
+    memo: dict[int, int] = {}
+
+    def cost_of(s: int) -> int:
+        if s not in memo:
+            memo[s] = part_cost(flavor, n, s, r)
+        return memo[s]
+
     parts = _fewest_parts(cost_of, total)
     objective = _split_cost(cost_of, total, parts)
     witness = PartitionWitness(flavor, n, _near_equal(total, parts), objective, total, r)
@@ -168,21 +180,36 @@ def _row(cost_of: Callable[[int], int], total: int) -> list[int]:
 
     The fewest-part count never falls as m grows (h_m(l+1) - h_m(l) is
     nonincreasing in m), so one pointer on l walks forward across the row.
-    Step m reads costs up to index m // l + 1 (l + 1 parts read less), so
-    the cost table grows only that far, not to total + 1.
+
+    Each step carries h(l) and h(l+1) forward by one cost difference.  The
+    near-equal split of m into l parts has l - e >= 1 parts of the smaller
+    size q = m // l (e = m % l); growing one of them to q + 1 keeps every
+    size within one of the others, so it is the near-equal split of m + 1,
+    and h_{m+1}(l) = h_m(l) + c(q+1) - c(q).  The same holds for l + 1
+    parts.  With table[0] = 0 a zero-size part costs nothing, so the
+    identity holds while m < l too, both sums start at h_0 = 0, and
+    h_m(l+1) = h_m(l) once l >= m keeps the pointer at or below m.  Only a
+    pointer move computes h(l+1) afresh with _split_cost.
+
+    The step from m to m + 1 reads costs up to index m // l + 1, so the
+    cost table grows only that far, not to total + 1.  A pointer move to
+    l' > l reads up to (m + 1) // (l' + 1) + 1, no further: no move happens
+    at sum 1, and otherwise l <= m, where (m + 1) / (l + 2) <= m / l.
     """
-    table = [0]
+    table: list[int] = [0]
+    step: list[int] = []  # step[q] = c(q + 1) - c(q)
     cost = table.__getitem__
-    row, parts = [0], 1
-    for m in range(1, total + 1):
-        while len(table) <= m // parts + 1:
+    row, parts, best, more = [0], 1, 0, 0
+    for m in range(total):  # from sum m to sum m + 1
+        q = m // parts
+        while len(step) <= q:
             table.append(cost_of(len(table)))
-        best = _split_cost(cost, m, parts)
-        while parts < m:
-            more = _split_cost(cost, m, parts + 1)
-            if more >= best:
-                break
+            step.append(table[-1] - table[-2])
+        best += step[q]
+        more += step[m // (parts + 1)]
+        while more < best:
             parts, best = parts + 1, more
+            more = _split_cost(cost, m + 1, parts + 1)
         row.append(best)
     return row
 

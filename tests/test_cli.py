@@ -12,7 +12,7 @@ from importlib.resources import files
 import jsonschema
 import pytest
 
-from rsize import cli, decolor, errors
+from rsize import cli, decolor, errors, values
 from rsize.arrowing import CertificationError
 from rsize.cli import _jsonify, main
 from rsize.errors import RequestError
@@ -382,7 +382,28 @@ def test_verify_limit_pinned_quotients(capsys):
     running = [parse_fraction(q) for q in out["running_min"]]
     assert all(q >= m_n for q in quotients)
     assert running == [min(quotients[: i + 1]) for i in range(len(quotients))]
+    # C(8, 2)/C(6, 2) at s* = 2, and every quotient within it over t
+    assert out["rate_bound"] == "28/15"
+    rate = parse_fraction(out["rate_bound"])
+    assert all(0 <= q - m_n <= rate / t for t, q in enumerate(quotients, 1))
     assert out["pass"] is True
+
+
+def test_verify_limit_fails_a_row_past_the_rate(capsys, monkeypatch):
+    # g(6, 12) = 168 = 12 * 14; 197 sits above q* = 14/15 and leaves the
+    # running minimum alone, but breaks g <= t q* C(6,2) + C(8,2) = 196
+    real = values.g_values
+
+    def forged(n, t_max):
+        row = real(n, t_max)
+        row[12] = 197
+        return row
+
+    monkeypatch.setattr(values, "g_values", forged)
+    code, payload = run_json(capsys, "verify", "--suite", "limit", "--n", "6", "--T", "12")
+    out = payload["outputs"]
+    assert out["attained_at"] == 2 and out["quotients"][11] == "197/180"
+    assert code == 1 and out["pass"] is False
 
 
 def test_verify_limit_small_n(capsys):
@@ -391,6 +412,7 @@ def test_verify_limit_small_n(capsys):
     assert code == 0
     assert payload["outputs"]["limit_constant"] == "1/1"
     assert set(payload["outputs"]["quotients"]) == {"1/1"}
+    assert payload["outputs"]["rate_bound"] == "1/1"
 
 
 def test_verify_hyper_ramsey_over_budget_is_undecided_before_building(capsys):

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -91,6 +92,16 @@ def test_row_helpers_match_dp_oracle():
         assert g_values(n, 150) == value, n
         value, _ = _dp(Flavor.GHAT, n, 300)
         assert g_hat_values(n, 150) == value[::2], n
+
+
+@pytest.mark.parametrize("flavor, r", [(Flavor.G, None), (Flavor.GHAT, None), (Flavor.GR, 3), (Flavor.GR, 4)])
+def test_row_steps_match_dp_oracle(flavor, r):
+    # the per-step update against the quadratic DP; n = 2 and 3 read the
+    # zero-size part c(0) = 0, and at 300 the part count has moved many times
+    for n in range(r or 2, 13):
+        value, parts = _dp(flavor, n, 300, r)
+        assert values._row(lambda s: part_cost(flavor, n, s, r), 300) == value, (flavor, n, r)
+        assert len(parts[300]) >= 20, (flavor, n, r)
 
 
 def test_row_helpers_refuse_a_bad_t_max():
@@ -325,13 +336,41 @@ def _counted(monkeypatch, module, name):
     return calls
 
 
+def test_solve_evaluates_each_part_cost_once(monkeypatch):
+    # the solver's memo asks part_cost once per size; the witness check
+    # asks again for each distinct part, independently of that memo
+    asked = []
+    inner = values.part_cost
+
+    def recording(*args):
+        asked.append(args[2])
+        return inner(*args)
+
+    monkeypatch.setattr(values, "part_cost", recording)
+    calls = [
+        lambda: g(4, 1179),
+        lambda: g(7, 2002),
+        lambda: g(6, 5000),
+        lambda: g_hat(9, 601),
+        lambda: g_r(8, 4, 1007),
+        lambda: g_r(1000, 1000, 1000),
+    ]
+    for call in calls:
+        asked.clear()
+        distinct = set(call().witness.parts)
+        counts = Counter(asked)
+        assert all(counts[s] == 2 for s in distinct), counts
+        assert all(k == 1 for s, k in counts.items() if s not in distinct), counts
+
+
 def test_value_makes_logarithmically_many_cost_calls(monkeypatch):
-    # the bisection, plus one cost per distinct part in the witness check
+    # each size the bisection reads once, plus one cost per distinct part
+    # in the witness check
     calls = _counted(monkeypatch, values, "part_cost")
     t = 100_000
     res = g(4, t)
     assert res.value == 6 * t and len(res.witness.parts) == t
-    assert calls[0] <= 4 * math.ceil(math.log2(t)) + 8
+    assert calls[0] <= math.ceil(math.log2(t)) + 4
 
 
 def test_row_fills_its_cost_table_only_as_far_as_it_reads(monkeypatch):
@@ -339,6 +378,14 @@ def test_row_fills_its_cost_table_only_as_far_as_it_reads(monkeypatch):
     row = g_values(6, 5000)
     assert calls[0] <= 40
     assert row[5000] == g(6, 5000).value
+
+
+def test_row_recomputes_a_split_only_when_the_part_count_moves(monkeypatch):
+    # the row's pointer ends on the fewest-part count of its last sum
+    moves = len(g(6, 5000).witness.parts) - 1
+    calls = _counted(monkeypatch, values, "_split_cost")
+    g_values(6, 5000)
+    assert calls[0] <= moves + 1
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 9, 40, 201])
