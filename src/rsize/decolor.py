@@ -27,13 +27,14 @@ from .errors import CertificationError, HypothesisError, RequestError, Undecided
 from .graphs import (
     Graph,
     VertexColoring,
+    _degree_order,
+    _k_coloring,
     _mask_vertices,
     _twin_classes,
     _vertices_mask,
     coloring_from_assignment,
     complete,
     disjoint_union,
-    is_k_colorable,
     max_matching,
     min_vertex_cover,
 )
@@ -132,12 +133,15 @@ def max_potential_coloring(graph: Graph) -> VertexColoring:
     result is re-checked (chi classes, satisfies_claim_one) and a failure
     raises CertificationError.
     """
-    # deepen k: the first coloring found is chromatic
-    base = next(filter(None, (is_k_colorable(graph, k) for k in count(1))))
-    chi = base.num_colors
-    classes = list(base.classes)
+    # deepen k over one order: the first coloring found is chromatic, and
+    # its classes are numbered as coloring_from_assignment numbers them
+    order = _degree_order(graph.adj)
+    base = next(c for k in count(1) if (c := _k_coloring(graph.adj, order, k)) is not None)
+    classes = list(VertexColoring(tuple(base)).classes)
+    chi = len(classes)
     moved = True
     while moved:
+        classes.sort(key=lambda m: (-m.bit_count(), m & -m))
         moved = False
         for v in range(graph.n):
             bit = 1 << v
@@ -151,7 +155,6 @@ def max_potential_coloring(graph: Graph) -> VertexColoring:
                     classes[i] |= bit
                     moved = True
                     break
-        classes.sort(key=lambda m: (-m.bit_count(), m & -m))
     # an emptied class would leave fewer than chi colors: caught below
     assignment = [0] * graph.n
     for color, mask in enumerate(classes):
@@ -322,8 +325,8 @@ def check_tightness_remark(n: int, t: int, flavor: Flavor) -> bool:
             raise CertificationError(f"parts {parts} give {example.edge_count()} edges, not {value}")
         for k in range(cap + 1):
             for subset in _twin_prefixes(example, k):
-                residual = example.without_vertices(subset)
-                if is_k_colorable(residual, n - 2) is None:
+                residual = example.without_vertices(subset).adj
+                if _k_coloring(residual, _degree_order(residual), n - 2) is None:
                     continue
                 if flavor is Flavor.GHAT:
                     return False

@@ -327,37 +327,41 @@ def coloring_from_assignment(g: Graph, assignment: Sequence[int]) -> VertexColor
     return _rebuild(VertexColoring, (color_of, tuple(ordered)))
 
 
-def is_k_colorable(g: Graph, k: int) -> VertexColoring | None:
-    """A proper coloring with at most k colors, or None.
+def _degree_order(adj: Sequence[int]) -> list[int]:
+    """The vertices by nonincreasing degree, ties by index: _k_coloring's order."""
+    return sorted(range(len(adj)), key=lambda v: (-adj[v].bit_count(), v))
 
-    Backtracking over vertices in nonincreasing degree order, with the
-    standard symmetry break: a vertex may open at most one new color.
-    """
-    _check_int("k", k, 0)
-    adj = g.adj
-    order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
+
+def _k_coloring(adj: Sequence[int], order: Sequence[int], k: int) -> list[int] | None:
+    """Per-vertex colors of a proper k-coloring, or None, by backtracking over the vertices
+    in the given order; the symmetry break lets a vertex open at most one new color."""
+    n = len(adj)
     class_masks = [0] * k
-    colors = [-1] * g.n
+    colors = [-1] * n
 
     def rec(idx: int, used: int) -> bool:
-        if idx == g.n:
+        if idx == n:
             return True
         v = order[idx]
-        bit = 1 << v
-        for c in range(min(k, used + 1)):
-            if class_masks[c] & adj[v]:
+        bit, row = 1 << v, adj[v]
+        for c in range(used + 1 if used < k else k):
+            if class_masks[c] & row:
                 continue
             class_masks[c] |= bit
             colors[v] = c
-            if rec(idx + 1, max(used, c + 1)):
+            if rec(idx + 1, used if c < used else c + 1):
                 return True
-            class_masks[c] &= ~bit
-            colors[v] = -1
+            class_masks[c] ^= bit
         return False
 
-    if not rec(0, 0):
-        return None
-    return coloring_from_assignment(g, colors)
+    return colors if rec(0, 0) else None
+
+
+def is_k_colorable(g: Graph, k: int) -> VertexColoring | None:
+    """A proper coloring with at most k colors, or None, by _k_coloring in _degree_order."""
+    _check_int("k", k, 0)
+    colors = _k_coloring(g.adj, _degree_order(g.adj), k)
+    return None if colors is None else coloring_from_assignment(g, colors)
 
 
 def chromatic_number(g: Graph) -> int:
@@ -376,37 +380,49 @@ def _refine(adj: Sequence[int], cells: list[int], queue: list[int]) -> list[int]
     replace the cell in place, ordered by that count, and every fragment
     joins the queue.  Stops when the queue is empty or every cell is a
     singleton.  The result depends on cell positions and counts only, so
-    it commutes with relabeling.
+    it commutes with relabeling.  A two-vertex cell is split by its two
+    counts, with no grouping.
     """
     n = len(adj)
     while queue and len(cells) < n:
         w = queue.pop()
         out = []
         for cell in cells:
-            if cell & (cell - 1):
+            rest = cell & (cell - 1)
+            if not rest:
+                out.append(cell)
+                continue
+            if rest & (rest - 1):
                 groups: dict[int, int] = {}
-                rest = cell
-                while rest:
-                    low = rest & -rest
-                    rest ^= low
+                while cell:
+                    low = cell & -cell
+                    cell ^= low
                     k = (adj[low.bit_length() - 1] & w).bit_count()
                     groups[k] = groups.get(k, 0) | low
-                if len(groups) > 1:
-                    fragments = [groups[k] for k in sorted(groups)]
-                    out += fragments
-                    queue += fragments
-                    continue
-            out.append(cell)
+                fragments = [groups[k] for k in sorted(groups)]
+            else:
+                a = (adj[(cell ^ rest).bit_length() - 1] & w).bit_count()
+                b = (adj[rest.bit_length() - 1] & w).bit_count()
+                fragments = [cell] if a == b else [cell ^ rest, rest] if a < b else [rest, cell ^ rest]
+            out += fragments
+            if len(fragments) > 1:
+                queue += fragments
         cells = out
     return cells
 
 
-def _find(parent: list[int], x: int) -> int:
-    """The root of x in a union-find forest, halving the path on the way."""
-    while parent[x] != x:
-        parent[x] = parent[parent[x]]
-        x = parent[x]
-    return x
+def _orbit_mask(mask: int, perms: Sequence[_Perm]) -> int:
+    """The union of the orbits of mask's vertices under the group perms generate: images
+    suffice, as the inverse of each permutation is one of its powers."""
+    frontier = mask
+    while frontier:
+        u = (frontier & -frontier).bit_length() - 1
+        frontier &= frontier - 1
+        for perm in perms:
+            if not mask >> perm[u] & 1:
+                mask |= 1 << perm[u]
+                frontier |= 1 << perm[u]
+    return mask
 
 
 # a permutation of 0..n-1, as the tuple of images
@@ -419,19 +435,24 @@ def _canon_connected(g: Graph) -> tuple[tuple[tuple[int, int], ...], list[_Perm]
     """Canonical edge list of a connected graph via individualization.
 
     Branches on the first non-singleton cell after refinement and takes
-    the least leaf key, a leaf's edge list under its labeling.  The
-    generator list starts with the transposition of each pair of
-    consecutive twins (vertices with equal closed neighbourhoods, or with
-    equal open ones), and grows at leaves: a leaf whose key equals the best
-    leaf's reveals an automorphism.  Each is verified before it is stored,
-    and one that fails raises CertificationError.  A candidate in the orbit
-    of an explored one, under the stored generators that fix every vertex
-    individualized so far, is skipped; without that prune the search is
-    factorial on vertex-transitive graphs.  A leaf that matches the best
-    leaf ends its whole subtree below the depth where its path leaves the
-    best leaf's path (McKay's jump back).  Returns the edge list and the
-    stored generators, relabeled into the canonical labeling, where they
-    are automorphisms of the canonical graph.
+    the least leaf key, the sorted a * n + b over the leaf's relabeled
+    edges a < b: it orders as the sorted edge list does, which is decoded
+    for the best leaf alone.  The generator list starts with the
+    transposition of each pair of consecutive twins (vertices with equal
+    closed neighbourhoods, or with equal open ones), and grows at leaves:
+    a leaf whose key equals the best leaf's reveals an automorphism.  Each
+    is verified before it is stored, and one that fails raises
+    CertificationError: a leaf's edge by edge, a twin swap (u w) by the
+    transposition test N(u) - {w} = N(w) - {u}.  The swap fixes uw and
+    each edge missing u and w, and trades ux for wx (x != u, w); so it
+    maps the edge set onto itself iff that equality holds.  A candidate in
+    the orbit of an explored one, under the stored generators that fix
+    every vertex individualized so far, is skipped; without that prune the
+    search is factorial on vertex-transitive graphs.  A leaf that matches
+    the best leaf ends its whole subtree below the depth where its path
+    leaves the best leaf's path (McKay's jump back).  Returns the edge list
+    and the stored generators, relabeled into the canonical labeling, where
+    they are automorphisms of the canonical graph.
 
     Two facts hold whatever verified automorphisms the list starts with,
     so the twin seeding moves neither the form nor the group.
@@ -465,53 +486,45 @@ def _canon_connected(g: Graph) -> tuple[tuple[tuple[int, int], ...], list[_Perm]
     """
     n, adj = g.n, g.adj
     edges = g.edges()
-    best: tuple[tuple[int, int], ...] = ()
+    best: list[int] = []  # the best leaf's key: a * n + b over its edges a < b, sorted
     best_colors: list[int] = []  # empty until the first leaf
+    best_inverse: list[int] = []  # the vertex at each position of the best leaf
     best_path: tuple[int, ...] = ()
     gens: list[_Perm] = []
-
-    def store(auto: _Perm, source: str) -> None:
-        # the orbit prune trusts every stored generator
-        if not all(adj[auto[u]] >> auto[v] & 1 for u, v in edges):
-            raise CertificationError(f"{source} {auto} is not an automorphism")
-        gens.append(auto)
 
     # a vertex's closed neighbourhood in the complement is the complement of
     # its open one, so the complement's twin classes are g's open twins
     full = (1 << n) - 1
-    complement = _rebuild(Graph, (n, tuple(full ^ row ^ 1 << v for v, row in enumerate(adj))))
-    for twins in _twin_classes(g) + _twin_classes(complement):
-        if not twins & (twins - 1):
-            continue
-        members = _mask_vertices(twins)
-        for u, w in zip(members, members[1:]):
-            swap = list(range(n))
-            swap[u], swap[w] = w, u
-            store(tuple(swap), "twin swap")
+    complement = _rebuild(Graph, (n, tuple([full ^ row ^ 1 << v for v, row in enumerate(adj)])))
+    classes = _twin_classes(g) + _twin_classes(complement)
+    for twins in classes if len(classes) < 2 * n else ():
+        if twins & (twins - 1):
+            members = _mask_vertices(twins)
+            for u, w in zip(members, members[1:]):
+                # the orbit prune trusts every stored generator: the transposition test
+                if adj[u] & ~(1 << w) != adj[w] & ~(1 << u):
+                    raise CertificationError(f"twin swap ({u} {w}) is not an automorphism")
+                swap = list(range(n))
+                swap[u], swap[w] = w, u
+                gens.append(tuple(swap))
 
     def leaf(cells: list[int], path: tuple[int, ...]) -> int:
         # discrete partition: each vertex is labeled by its cell's position;
         # returns the depth to unwind to, n for none
-        nonlocal best, best_colors, best_path
+        nonlocal best, best_colors, best_inverse, best_path
         colors = [0] * n
         for i, cell in enumerate(cells):
             colors[cell.bit_length() - 1] = i
-        key = tuple(
-            sorted(
-                (colors[u], colors[v]) if colors[u] < colors[v] else (colors[v], colors[u])
-                for u, v in edges
-            )
-        )
+        key = sorted([a * n + b if (a := colors[u]) < (b := colors[v]) else b * n + a for u, v in edges])
         if not best_colors or key < best:
             best, best_colors, best_path = key, colors, path
-        elif key == best:
-            inverse = [0] * n
-            for v in range(n):
-                inverse[best_colors[v]] = v
-            auto = tuple(inverse[colors[v]] for v in range(n))
-            if any(auto[v] != v for v in range(n)):
-                store(auto, "leaf relabeling")
-                return next(d for d, (u, v) in enumerate(zip(path, best_path)) if u != v)
+            best_inverse = [cell.bit_length() - 1 for cell in cells]
+        elif key == best and colors != best_colors:
+            auto = tuple([best_inverse[c] for c in colors])
+            if not all(adj[auto[u]] >> auto[v] & 1 for u, v in edges):
+                raise CertificationError(f"leaf relabeling {auto} is not an automorphism")
+            gens.append(auto)
+            return next(d for d, (u, v) in enumerate(zip(path, best_path)) if u != v)
         return n
 
     def search(cells: list[int], fixed: tuple[int, ...], fixing: list[_Perm], seen: int) -> int:
@@ -519,48 +532,35 @@ def _canon_connected(g: Graph) -> tuple[tuple[tuple[int, int], ...], list[_Perm]
         # returns the depth to unwind to, n for none
         if len(cells) == n:
             return leaf(cells, fixed)
-        i = next(i for i, cell in enumerate(cells) if cell & (cell - 1))
-        target = cells[i]
-        members = _mask_vertices(target)
-        explored: list[int] = []
-        # union-find of their orbits on the target cell, which each of them
-        # maps to itself: refinement commutes with an automorphism that
-        # fixes every individualized vertex
-        orbits = list(range(n))
-        merged = 0
-        for v in members:
-            if explored:
+        for i, target in enumerate(cells):
+            if target & (target - 1):
+                break
+        # the orbits of the explored candidates under `fixing`, as a mask:
+        # each generator maps the target cell to itself, as refinement
+        # commutes with an automorphism that fixes every individualized vertex
+        done = 0
+        for v in _mask_vertices(target):
+            if done:
                 # gens only grows, at leaves: take in those stored since the last look
-                fixing += [auto for auto in gens[seen:] if all(auto[u] == u for u in fixed)]
-                seen = len(gens)
-                for auto in fixing[merged:]:
-                    for u in members:
-                        if auto[u] != u:
-                            orbits[_find(orbits, u)] = _find(orbits, auto[u])
-                merged = len(fixing)
-                root = _find(orbits, v)
-                if any(_find(orbits, u) == root for u in explored):
+                if len(gens) > seen:
+                    fixing += [a for a in gens[seen:] if not fixed or all(a[u] == u for u in fixed)]
+                    seen = len(gens)
+                    done = _orbit_mask(done, fixing)
+                if done >> v & 1:
                     continue
-            explored.append(v)
-            # the parent partition is equitable, so {v} is the only splitter needed
             bit = 1 << v
-            split = cells[:i] + [bit, target ^ bit] + cells[i + 1 :]
-            back = search(
-                _refine(adj, split, [bit]),
-                fixed + (v,),
-                [auto for auto in fixing if auto[v] == v],
-                seen,
-            )
+            done = _orbit_mask(done | bit, fixing) if fixing else done | bit
+            # the parent partition is equitable, so {v} is the only splitter needed
+            child = _refine(adj, cells[:i] + [bit, target ^ bit] + cells[i + 1 :], [bit])
+            back = search(child, fixed + (v,), [auto for auto in fixing if auto[v] == v], seen)
             if back < len(fixed):
                 return back
         return n
 
     search(_refine(adj, [full], [full]), (), [], 0)
     # vertex v has canonical label best_colors[v]
-    inverse = [0] * n
-    for v in range(n):
-        inverse[best_colors[v]] = v
-    return best, [tuple(best_colors[auto[inverse[i]]] for i in range(n)) for auto in gens]
+    relabeled = [tuple([best_colors[auto[v]] for v in best_inverse]) for auto in gens]
+    return tuple([divmod(k, n) for k in best]), relabeled
 
 
 def _components(g: Graph) -> list[int]:
@@ -657,8 +657,8 @@ def _orbit_heads(points: Iterable, images: Callable[[object], list]) -> list:
 
 def _edge_key(adj: Sequence[int], u: int, v: int) -> tuple[int, int, int]:
     """An isomorphism invariant of the edge uv: common neighbours, larger and smaller degree."""
-    du, dv = adj[u].bit_count(), adj[v].bit_count()
-    return (adj[u] & adj[v]).bit_count(), max(du, dv), min(du, dv)
+    du, dv, common = adj[u].bit_count(), adj[v].bit_count(), (adj[u] & adj[v]).bit_count()
+    return (common, du, dv) if du > dv else (common, dv, du)
 
 
 def _is_removable(adj: Sequence[int], u: int, v: int) -> bool:
@@ -700,7 +700,11 @@ def _edge_children(form: _Form, gens: Sequence[_Perm], room: int) -> Iterator[Gr
     level k, and the orbit head for e's place in P's canonical form gives
     a child isomorphic to G by a map that sends the new edge to e, so the
     new edge is removable with the largest key.  The levels are therefore
-    those of the one-edge walk over all graphs with neither prune.
+    those of the one-edge walk over all graphs with neither prune.  The
+    parent's edges are keyed once: an edge ab missing both ends of the new
+    edge uv keeps its key in the child, as the key reads rows a and b only
+    (their degrees and common neighbours) and the new edge changes rows u
+    and v only.  Removability is still tested in the child.
     """
     n, edges = form
     present = set(edges)
@@ -711,12 +715,18 @@ def _edge_children(form: _Form, gens: Sequence[_Perm], room: int) -> Iterator[Gr
     )
     new += [(u, n) for u in _orbit_heads(range(n), lambda u: [a[u] for a in gens])]
     adj = list(_form_graph(form).adj)
+    keyed = [(_edge_key(adj, a, b), a, b) for a, b in edges]
     for u, v in new:
         child = adj + [0] if v == n else adj.copy()
         child[u] |= 1 << v
         child[v] |= 1 << u
         key = _edge_key(child, u, v)
-        if not any(_edge_key(child, a, b) > key and _is_removable(child, a, b) for a, b in edges):
+        for k, a, b in keyed:
+            if a == u or a == v or b == u or b == v:  # the only keys the new edge moves
+                k = _edge_key(child, a, b)
+            if k > key and _is_removable(child, a, b):
+                break
+        else:
             yield _rebuild(Graph, (len(child), tuple(child)))
 
 

@@ -8,7 +8,10 @@ scanned subset by subset, partitions are checked for equitability vertex
 by vertex and automorphism groups are found by trying every permutation.
 Slow on purpose; only run at oracle scale.  Graphs are vertex counts plus
 edge lists, so nothing here imports the package; the unpruned enumeration
-walk takes its canonical form as an argument.
+walk takes its canonical form as an argument.  One exception:
+reference_refine is the package's former equitable refinement, which
+grouped every cell's vertices in a dict, kept verbatim so that the
+refinement's faster paths can be checked against it cell for cell.
 """
 
 from __future__ import annotations
@@ -294,3 +297,36 @@ def brute_automorphisms(n_vertices: int, edges: Sequence[tuple[int, int]]) -> li
         for perm in permutations(range(n_vertices))
         if all(frozenset((perm[u], perm[v])) in present for u, v in edges)
     ]
+
+
+def reference_refine(adj: Sequence[int], cells: list[int], queue: list[int]) -> list[int]:
+    """Equitable refinement of an ordered partition of vertex masks.
+
+    Pops a splitter mask w and splits every non-singleton cell by the
+    number of neighbours each of its vertices has in w.  The fragments
+    replace the cell in place, ordered by that count, and every fragment
+    joins the queue.  Stops when the queue is empty or every cell is a
+    singleton.  The result depends on cell positions and counts only, so
+    it commutes with relabeling.
+    """
+    n = len(adj)
+    while queue and len(cells) < n:
+        w = queue.pop()
+        out = []
+        for cell in cells:
+            if cell & (cell - 1):
+                groups: dict[int, int] = {}
+                rest = cell
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    k = (adj[low.bit_length() - 1] & w).bit_count()
+                    groups[k] = groups.get(k, 0) | low
+                if len(groups) > 1:
+                    fragments = [groups[k] for k in sorted(groups)]
+                    out += fragments
+                    queue += fragments
+                    continue
+            out.append(cell)
+        cells = out
+    return cells

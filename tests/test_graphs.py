@@ -48,6 +48,7 @@ from oracles import (
     brute_hyper_matching,
     brute_max_matching,
     is_equitable,
+    reference_refine,
     unpruned_graph_levels,
 )
 
@@ -413,6 +414,39 @@ def test_refine_gives_an_equitable_ordered_partition():
             assert is_equitable(n, g.edges(), cells), (g, cells)
 
 
+def test_refine_equals_the_reference_refinement(monkeypatch):
+    # the two-count split of a two-vertex cell must give the ordered cells
+    # the dict grouping gives: from the unit partition, and after
+    # individualizing each vertex of its first non-singleton cell, on random
+    # graphs and on the graphs the walk labels on level 7
+    rng = random.Random(53)
+    hosts = []
+    for _ in range(300):
+        n = rng.randint(1, 24)
+        hosts.append(random_graph(rng, n, rng.randint(0, n * (n - 1) // 2)))
+    real = graphs._canon_connected
+    labeled = []
+    monkeypatch.setattr(graphs, "_canon_connected", lambda g: labeled.append(g) or real(g))
+    list(_graph_levels(7))
+    monkeypatch.undo()
+    children = [g for g in labeled if g.edge_count() == 7]
+    assert len(children) == 88
+    splits = 0
+    for g in hosts + children:
+        full = (1 << g.n) - 1
+        root = _refine(g.adj, [full], [full])
+        assert root == reference_refine(g.adj, [full], [full]), g
+        cell = next((c for c in root if c & (c - 1)), 0)
+        i = root.index(cell) if cell else 0
+        for v in range(g.n):
+            if cell >> v & 1:
+                split = root[:i] + [1 << v, cell ^ 1 << v] + root[i + 1 :]
+                got = _refine(g.adj, list(split), [1 << v])
+                assert got == reference_refine(g.adj, list(split), [1 << v]), (g, v)
+                splits += 1
+    assert splits == 746
+
+
 def _check_regular_family(graphs: list[Graph], seed: int) -> None:
     rng = random.Random(seed)
     forms = [canonical_form(g) for g in graphs]
@@ -645,27 +679,33 @@ def test_walk_canonicalization_count(monkeypatch):
 
 def test_labeling_verifies_each_twin_swap(monkeypatch):
     # the twin swaps join the generators the orbit prune trusts, so each is
-    # checked as a leaf automorphism is; a forged class pairing P_3's centre
-    # with an end must raise, here and through the walk, before any prune
+    # checked, by the transposition test; a forged class pairing P_3's centre
+    # with an end must raise, here and through the walk, before any prune,
+    # whether it is forged on the closed-twin call (P_3, two edges) or on the
+    # open-twin call (its complement: one edge between the ends)
     real = graphs._twin_classes
-
-    def forged(g):
-        if g.n == 3 and g.edge_count() == 2:
-            centre = next(v for v in range(3) if g.degree(v) == 2)
-            end = (centre + 1) % 3
-            return [1 << centre | 1 << end, 7 ^ (1 << centre | 1 << end)]
-        return real(g)
-
     p3 = Graph(3, [(0, 1), (1, 2)])
     edges, gens = _canon_connected(p3)
     (centre,) = set(edges[0]) & set(edges[1])
     assert _orbits(3, gens) == {frozenset({centre}), frozenset({0, 1, 2} - {centre})}
-    monkeypatch.setattr(graphs, "_twin_classes", forged)
-    with pytest.raises(CertificationError):
-        _canon_connected(p3)
-    with pytest.raises(CertificationError):
-        list(_graph_levels(3))
-    assert canonical_form(complete(3)) == (3, ((0, 1), (0, 2), (1, 2)))
+    # P_3's ends are open twins only, so their swap comes from the complement's call
+    assert real(p3) == [1, 2, 4]
+    for forged_edges in (2, 1):
+
+        def forged(g):
+            if g.n == 3 and g.edge_count() == forged_edges:
+                centre = next(v for v in range(3) if g.degree(v) != 1)
+                end = (centre + 1) % 3
+                return [1 << centre | 1 << end, 7 ^ (1 << centre | 1 << end)]
+            return real(g)
+
+        monkeypatch.setattr(graphs, "_twin_classes", forged)
+        with pytest.raises(CertificationError):
+            _canon_connected(p3)
+        with pytest.raises(CertificationError):
+            list(_graph_levels(3))
+        assert canonical_form(complete(3)) == (3, ((0, 1), (0, 2), (1, 2)))
+        monkeypatch.undo()
 
 
 def test_walk_assembles_only_the_levels_read(monkeypatch):
