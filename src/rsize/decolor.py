@@ -10,17 +10,16 @@ reads off a good coloring of any under-sized host: color the edges inside
 S blue and the rest red — no red n-clique fits (it would need n-1 mutually
 adjacent vertices outside S) and the blue side has no t disjoint edges.
 
-Both variants run the paper's construction (a minimum vertex cover for
-n = 3, else the classes past n-2 of a max-potential coloring) and check
-the lemma's bounds on its result.  Existence is a theorem, so a missed
-bound is an implementation bug and raises CertificationError, which
-survives `python -O`.
+Both variants run the paper's construction (the classes past n-2 of a
+max-potential coloring) and check the lemma's bounds on its result.
+Existence is a theorem, so a missed bound is an implementation bug and
+raises CertificationError, which survives `python -O`.
 """
 
 from __future__ import annotations
 
 from itertools import count, product
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from .arrowing import EdgeColoring, _lower_bound
 from .errors import CertificationError, HypothesisError, RequestError, UndecidedError, _check_nt
@@ -31,17 +30,15 @@ from .graphs import (
     _k_coloring,
     _mask_vertices,
     _twin_classes,
-    _vertices_mask,
     coloring_from_assignment,
     complete,
     disjoint_union,
     max_matching,
-    min_vertex_cover,
 )
 from .records import Record, _set
 from .values import Flavor, g, g_hat, iter_partitions, part_cost
 
-# the construction runs exact coloring, cover and matching searches, each
+# the construction runs exact coloring and matching searches, each
 # exponential in the vertex count; on dense hosts under the hypothesis the
 # slowest took 0.4 s at 24 vertices, 0.8 s at 26, 2 s at 28 and 7.5 s at 32
 DECOLOR_MAX_VERTICES = 24
@@ -137,7 +134,7 @@ def max_potential_coloring(graph: Graph) -> VertexColoring:
     # its classes are numbered as coloring_from_assignment numbers them
     order = _degree_order(graph.adj)
     base = next(c for k in count(1) if (c := _k_coloring(graph.adj, order, k)) is not None)
-    classes = list(VertexColoring(tuple(base)).classes)
+    classes = list(VertexColoring(base).classes)
     chi = len(classes)
     moved = True
     while moved:
@@ -179,12 +176,12 @@ def _decolor(graph: Graph, n: int, t: int, matching: bool) -> DecolorResult:
     neighbor in each earlier class, so a larger S, or t disjoint edges
     inside it, would give at least the threshold number of edges.
 
-    For n = 3 one color is left, so S must be a vertex cover; take a
-    minimum one.  It has at most |E| < g_hat(3,t) <= 2t vertices.  And each
-    of its vertices has a private edge leaving the cover, or dropping the
-    vertex would leave a smaller cover; so t disjoint edges inside it,
-    with the private edges of their 2t ends, make 3t >= g(3,t) edges,
-    against the hypothesis.
+    At n = 3 one class is kept, so S is a vertex cover.  By Claim 1 every
+    vertex of S has a neighbor in class 0; those edges are distinct, one
+    per vertex of S, so |S| <= e(G).  Plain variant: e(G) < g_hat(3,t) = 2t,
+    so |S| <= 2t-1.  Matching variant: t disjoint edges inside S, with the
+    2t edges from their ends into class 0, make 3t = g(3,t) edges, which
+    the hypothesis forbids.
 
     A bound the construction misses would contradict the lemma, so it
     raises CertificationError.  The residual coloring is handed over
@@ -205,15 +202,10 @@ def _decolor(graph: Graph, n: int, t: int, matching: bool) -> DecolorResult:
         raise UndecidedError(
             f"undecided: decoloring capped at {DECOLOR_MAX_VERTICES} vertices, got {graph.n}"
         )
-    if n == 3:
-        removed = _vertices_mask(min_vertex_cover(graph))
-        color_of: Sequence[int] = [0] * graph.n
-    else:
-        coloring = max_potential_coloring(graph)
-        removed = 0
-        for mask in coloring.classes[n - 2 :]:
-            removed |= mask
-        color_of = coloring.color_of
+    coloring = max_potential_coloring(graph)
+    removed = 0
+    for mask in coloring.classes[n - 2 :]:
+        removed |= mask
     vertices = _mask_vertices(removed)
     inside = None
     if matching:
@@ -227,7 +219,7 @@ def _decolor(graph: Graph, n: int, t: int, matching: bool) -> DecolorResult:
         raise CertificationError(f"decoloring set of {len(vertices)} vertices exceeds {cap}")
     # G - S keeps colors 0..n-3 whole, so their classes, relabeled onto the
     # kept vertices, keep coloring_from_assignment's order
-    kept = tuple(color_of[v] for v in range(graph.n) if not removed >> v & 1)
+    kept = tuple(coloring.color_of[v] for v in range(graph.n) if not removed >> v & 1)
     return DecolorResult(
         graph=graph,
         n=n,

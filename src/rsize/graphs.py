@@ -2,7 +2,7 @@
 
 Graphs live on at most 64 vertices as per-vertex adjacency bitmasks,
 hypergraphs on at most 32 vertices as per-edge vertex bitmasks.  All
-solvers here (matching, clique, coloring, cover) are exact branch-and-bound
+solvers here (matching, clique, coloring) are exact branch-and-bound
 searches; no heuristic ever stands in for an answer.  One isomorph-free
 walk labels connected graphs only, by individualization and refinement
 (partitions are ordered lists of vertex masks, refined to equitable ones
@@ -47,8 +47,6 @@ __all__ = [
     "disjoint_union",
     "max_matching",
     "has_clique",
-    "max_independent_set",
-    "min_vertex_cover",
     "is_k_colorable",
     "chromatic_number",
     "coloring_from_assignment",
@@ -70,6 +68,12 @@ def _check_order(name: str, n: int, most: int, kind: str) -> None:
     _check_int(name, n, 0)
     if n > most:
         raise CapacityError(f"{kind} must have 0..{most} vertices, got {n}")
+
+
+def _check_vertex(v: object, n: int) -> None:
+    """Refuse anything but an int in 0..n-1 as a vertex; a bool is no vertex."""
+    if type(v) is not int or not 0 <= v < n:
+        raise RequestError(f"vertex {v!r} out of range for {n} vertices")
 
 
 class Graph(Record):
@@ -116,8 +120,7 @@ class Graph(Record):
         bit = {}
         keep = 0
         for i, v in enumerate(vertices):
-            if type(v) is not int or not 0 <= v < self.n:
-                raise RequestError(f"vertex {v!r} out of range for {self.n} vertices")
+            _check_vertex(v, self.n)
             bit[v] = 1 << i
             keep |= 1 << v
         if len(bit) != len(vertices):
@@ -134,7 +137,11 @@ class Graph(Record):
         return _rebuild(Graph, (len(rows), tuple(rows)))
 
     def without_vertices(self, drop: Iterable[int]) -> "Graph":
-        dropset = set(drop)
+        """Subgraph induced on the vertices not in `drop`, in ascending order."""
+        dropset = set()
+        for v in drop:
+            _check_vertex(v, self.n)  # before hashing: a list is refused, not a TypeError
+            dropset.add(v)
         return self.induced([v for v in range(self.n) if v not in dropset])
 
     def __repr__(self) -> str:
@@ -240,42 +247,6 @@ def has_clique(g: Graph, k: int) -> bool:
     return extend((1 << g.n) - 1, k)
 
 
-def max_independent_set(g: Graph) -> int:
-    """A maximum independent set, returned as a vertex bitmask."""
-    adj = g.adj
-    memo: dict[int, tuple[int, int]] = {}
-
-    def rec(avail: int) -> tuple[int, int]:
-        if avail == 0:
-            return 0, 0
-        cached = memo.get(avail)
-        if cached is not None:
-            return cached
-        v = (avail & -avail).bit_length() - 1
-        bit = 1 << v
-        if not adj[v] & avail:
-            size, mask = rec(avail & ~bit)
-            result = size + 1, mask | bit
-        else:
-            take_size, take_mask = rec(avail & ~bit & ~adj[v])
-            skip_size, skip_mask = rec(avail & ~bit)
-            if take_size + 1 >= skip_size:
-                result = take_size + 1, take_mask | bit
-            else:
-                result = skip_size, skip_mask
-        memo[avail] = result
-        return result
-
-    _, mask = rec((1 << g.n) - 1)
-    return mask
-
-
-def min_vertex_cover(g: Graph) -> tuple[int, ...]:
-    """A minimum vertex cover, as a sorted vertex tuple."""
-    independent = max_independent_set(g)
-    return tuple(v for v in range(g.n) if not independent >> v & 1)
-
-
 # ------------------------------------------------------------------ coloring
 
 
@@ -291,7 +262,8 @@ class VertexColoring(Record):
     color_of: tuple[int, ...]
     classes: tuple[int, ...]
 
-    def __init__(self, color_of: tuple[int, ...]) -> None:
+    def __init__(self, color_of: Sequence[int]) -> None:
+        color_of = tuple(color_of)  # a list would leave the record mutable and unhashable
         # a negative color would index classes from the end
         if min(color_of, default=0) < 0:
             raise ValueError(f"colors must be nonnegative, got {color_of}")

@@ -487,7 +487,7 @@ def test_certification_survives_optimized_mode():
     # asserts vanish under -O; a forced-bad certificate must still raise
     script = (
         "import rsize.arrowing as A, rsize.decolor as D\n"
-        "from rsize.graphs import Graph, complete, complete_r\n"
+        "from rsize.graphs import Graph, VertexColoring, complete, complete_r\n"
         "def outcome(call):\n"
         "    try:\n"
         "        call()\n"
@@ -501,11 +501,14 @@ def test_certification_survives_optimized_mode():
         "A.is_good_coloring = good\n"
         "A._frankl_blue = lambda *args: 0\n"
         "print(outcome(lambda: A.arrows_hyper(complete_r(7, 3), 5, 2)))\n"
+        "claim = D.satisfies_claim_one\n"
         "D.satisfies_claim_one = lambda *args: False\n"
         "print(outcome(lambda: D.max_potential_coloring(complete(3))))\n"
-        "D.min_vertex_cover = lambda g: tuple(range(g.n))\n"
-        "star = Graph(4, [(0, 1), (0, 2), (0, 3)])\n"
-        "print(outcome(lambda: D.find_decolor_set(star, 3, 2)))\n"
+        # restored, so only _decolor's own size check can raise: singletons
+        # put vertices 1 and 2 past class 0, beyond 2t-1 = 1
+        "D.satisfies_claim_one = claim\n"
+        "D.max_potential_coloring = lambda g: VertexColoring(range(g.n))\n"
+        "print(outcome(lambda: D.find_decolor_set(Graph(3, [(0, 1)]), 3, 1)))\n"
         "A._run_structural = lambda *args: (0, 0)\n"
         "print(outcome(lambda: A.arrows_pair(complete(4), 3, 2)))\n"
         "print(outcome(lambda: A.arrows_hyper(complete_r(4, 2), 3, 2)))\n"

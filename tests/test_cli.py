@@ -21,6 +21,7 @@ from rsize.graphs import (
     Graph,
     Graph6Error,
     HypergraphFormatError,
+    VertexColoring,
     complete,
     complete_r,
     disjoint_union,
@@ -518,7 +519,8 @@ def test_decolor_matching_runs_the_construction_once(capsys, monkeypatch, tmp_pa
 
 
 def test_decolor_missed_bound_is_exit_4(capsys, monkeypatch, tmp_path):
-    monkeypatch.setattr(decolor, "min_vertex_cover", lambda graph: tuple(range(graph.n)))
+    # all-singleton classes: the ones past class 0 span the edge (1, 2)
+    monkeypatch.setattr(decolor, "max_potential_coloring", lambda graph: VertexColoring(range(graph.n)))
     path = write_graph6(tmp_path, "p3.g6", Graph(3, [(0, 1), (1, 2)]))
     code, payload = run_json(capsys, "decolor", "--host", path, "--n", "3", "--t", "1", "--matching")
     assert code == 4

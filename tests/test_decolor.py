@@ -18,6 +18,7 @@ from rsize.decolor import (
 )
 from rsize.graphs import (
     Graph,
+    VertexColoring,
     canonical_form,
     chromatic_number,
     coloring_from_assignment,
@@ -123,7 +124,6 @@ def test_decolor_is_undecided_past_the_vertex_bound(monkeypatch):
         raise AssertionError("searched a host past the bound")
 
     monkeypatch.setattr(D, "max_potential_coloring", unsearched)
-    monkeypatch.setattr(D, "min_vertex_cover", unsearched)
     big = complete(D.DECOLOR_MAX_VERTICES + 1)
     for n in (3, 4):
         for find in (find_decolor_set, find_decolor_set_matching, witness_good_coloring):
@@ -147,8 +147,9 @@ def test_exact_scan_oracle_is_deterministic_smallest_first():
 
 def test_a_missed_matching_bound_is_a_certification_error(monkeypatch):
     path = Graph(3, [(0, 1), (1, 2)])
-    # the whole vertex set covers the path but spans an edge: beyond t-1 = 0
-    monkeypatch.setattr(D, "min_vertex_cover", lambda graph: tuple(range(graph.n)))
+    # all-singleton classes are proper, but the ones past class 0 span the
+    # edge (1, 2): beyond t-1 = 0
+    monkeypatch.setattr(D, "max_potential_coloring", lambda graph: VertexColoring(range(graph.n)))
     with pytest.raises(CertificationError):
         find_decolor_set_matching(path, 3, 1)
 

@@ -26,9 +26,7 @@ from rsize.graphs import (
     hypergraph_from_text,
     hypergraph_to_text,
     is_k_colorable,
-    max_independent_set,
     max_matching,
-    min_vertex_cover,
     to_graph6,
 )
 from rsize import graphs
@@ -179,10 +177,13 @@ def test_induced_and_without():
         complete(3).induced([0, 1, 0])
 
 
-@pytest.mark.parametrize("vertices", [[0, 7], [0, 3], [0, -1], [0, 1.0], [True], ["0"]], ids=repr)
+@pytest.mark.parametrize("vertices", [[0, 7], [0, 3], [0, -1], [0, 1.0], [True], ["0"], [99], [[0]]], ids=repr)
 def test_induced_refuses_a_vertex_that_is_no_vertex(vertices):
     with pytest.raises(RequestError, match="out of range for 3 vertices"):
         complete(3).induced(vertices)
+    # without_vertices refuses the same: True is no vertex 1, and 99 no vertex to ignore
+    with pytest.raises(RequestError, match="out of range for 3 vertices"):
+        complete(3).without_vertices(vertices)
 
 
 # ------------------------------------------------------------ exact solvers
@@ -288,31 +289,6 @@ def test_coloring_factory_labels_each_vertex_by_its_class_position():
             assert col.classes[col.color_of[v]] >> v & 1
             same = {u for u, d in enumerate(assignment) if d == c}
             assert set(col.class_vertices(col.color_of[v])) == same
-
-
-def test_cover_and_independent_set():
-    rng = random.Random(17)
-    for _ in range(60):
-        n = rng.randint(1, 9)
-        m = rng.randint(0, n * (n - 1) // 2)
-        g = random_graph(rng, n, m)
-        cover = min_vertex_cover(g)
-        cover_set = set(cover)
-        assert all(u in cover_set or v in cover_set for u, v in g.edges())
-        # minimality against direct subset enumeration
-        best = next(
-            size
-            for size in range(n + 1)
-            if any(
-                all(u in set(sub) or v in set(sub) for u, v in g.edges())
-                for sub in combinations(range(n), size)
-            )
-        )
-        assert len(cover) == best
-        ind = max_independent_set(g)
-        assert g.n - ind.bit_count() == len(cover)
-        for u, v in g.edges():
-            assert not (ind >> u & 1 and ind >> v & 1)
 
 
 # --------------------------------------------------- canonical form, counting

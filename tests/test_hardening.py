@@ -174,6 +174,16 @@ def test_benchmark_tracer_names_resolve():
     assert arrows_pair(complete(3), 3, 1, jobs=2).arrows
 
 
+@pytest.mark.parametrize(
+    "name", sorted(p.stem for p in Path(rsize.__file__).parent.glob("*.py") if not p.stem.startswith("__"))
+)
+def test_every_exported_name_resolves(name):
+    # a deleted function left in __all__ breaks `from rsize.<module> import *`
+    module = importlib.import_module(f"rsize.{name}")
+    missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
+    assert missing == []
+
+
 def test_non_integer_n_and_t_are_refused():
     # a float is no clique order, and True is no stripe count; each size is
     # checked before any range or comb sees it

@@ -126,6 +126,13 @@ def test_records_validate_before_they_store():
         PartitionWitness(Flavor.G, 4, (1, 2), part_cost(Flavor.G, 4, 1) + part_cost(Flavor.G, 4, 2), 3)
 
 
+def test_a_coloring_built_from_a_list_is_frozen_and_hashable():
+    listed = VertexColoring([0, 1])
+    assert listed.color_of == (0, 1)
+    assert listed == VertexColoring((0, 1))
+    assert hash(listed) == hash(VertexColoring((0, 1)))
+
+
 def test_records_store_no_fact_they_can_compute():
     # each fact another field gives is read through that field, not stored
     assert ArrowVerdict.__slots__ == ("counterexample", "n", "t", "mode", "nodes")
