@@ -438,6 +438,11 @@ def _run_structural(
     # at the root it often decides alone
     if _odd_packing(cliques, ()) > budget:
         return None, 0
+    if not cliques:
+        # the one structure entered, empty S and singleton parts, has no
+        # blue edge.  Any window makes the root merge build a memo key or
+        # choose look to grow S, and both read the twins below
+        return 0, 1
     twins = [c for c in _twin_classes(graph) if c & (c - 1)]
     # profile: a part's memo key: its vertices in singleton classes, plus
     # its count in each twin class packed above the vertex bits, so a
@@ -506,9 +511,14 @@ def _run_structural(
     if found is None:
         return None, nodes
     S, parts = found
+    # an edge avoiding S is blue when the part of its lower end holds it
+    part_of = [0] * graph.n
+    for p in parts:
+        for v in _mask_vertices(p):
+            part_of[v] = p
     blue = 0
     for i, em in enumerate(edge_masks):
-        if em & S or any(em & p == em for p in parts):
+        if em & S or part_of[(em & -em).bit_length() - 1] & em == em:
             blue |= 1 << i
     return blue, nodes
 
@@ -533,15 +543,17 @@ def _cliques_of_graph(g: Graph, n: int) -> list[int]:
     out: list[int] = []
 
     def extend(members: int, cand: int, need: int) -> None:
-        if need == 0:
-            out.append(members)
-            return
         # a branch ends once too few candidates are left to fill the clique
         while cand.bit_count() >= need:
-            v = (cand & -cand).bit_length() - 1
-            cand &= cand - 1
-            extend(members | 1 << v, cand & adj[v], need - 1)
+            low = cand & -cand
+            cand ^= low
+            if need == 1:
+                out.append(members | low)
+            else:
+                extend(members | low, cand & adj[low.bit_length() - 1], need - 1)
 
+    if n == 0:
+        return [0]
     extend(0, (1 << g.n) - 1, n)
     return out
 
@@ -586,13 +598,16 @@ def _pick_mode(search: str, m: int, kind: str, r: int) -> str:
                 f"(cap {NAIVE_MAX_EDGES[kind]})"
             )
         return "naive"
-    raw = os.environ.get(BUDGET_ENV_VAR, str(REDUCED_MAX_EDGES[kind]))
-    try:  # int() raises ValueError past sys.get_int_max_str_digits() digits
-        budget = int(raw) if raw.strip().isdecimal() else 0
-    except ValueError:
-        budget = 0
-    if budget < 1:
-        raise RequestError(f"{BUDGET_ENV_VAR} must be a positive integer, got {raw!r}")
+    raw = os.environ.get(BUDGET_ENV_VAR)
+    if raw is None:
+        budget = REDUCED_MAX_EDGES[kind]
+    else:
+        try:  # int() raises ValueError past sys.get_int_max_str_digits() digits
+            budget = int(raw) if raw.strip().isdecimal() else 0
+        except ValueError:
+            budget = 0
+        if budget < 1:
+            raise RequestError(f"{BUDGET_ENV_VAR} must be a positive integer, got {raw!r}")
     if m > budget:
         raise UndecidedError(
             f"undecided: {m} edges is too large (budget {budget}; "
@@ -609,8 +624,8 @@ def _decide(host: Graph | Hypergraph, n: int, t: int, search: str) -> ArrowVerdi
     kind = "graph" if isinstance(host, Graph) else "hyper"
     r = host.r
     _check_nt(n, t, n_min=r)
-    mode = _pick_mode(search, host.edge_count(), kind, r)
     edge_masks = host.edge_masks
+    mode = _pick_mode(search, len(edge_masks), kind, r)
     if r == 2:
         graph = host if kind == "graph" else _graph_of(host.n, edge_masks)
         windows = _cliques_of_graph(graph, n)

@@ -104,7 +104,15 @@ class Graph(Record):
     @property
     def edge_masks(self) -> list[int]:
         """Every edge as a two-vertex mask, in edges() order."""
-        return [1 << u | 1 << v for u, v in self.edges()]
+        out = []
+        for u, row in enumerate(self.adj):
+            bit = 1 << u
+            rest = row >> (u + 1) << (u + 1)
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                out.append(bit | low)
+        return out
 
     def edge_count(self) -> int:
         return sum(a.bit_count() for a in self.adj) // 2
@@ -187,9 +195,17 @@ def disjoint_union(graphs: Sequence[Graph]) -> Graph:
 def max_matching(g: Graph) -> int:
     """Matching number, by branching on the lowest non-isolated vertex.
 
-    Summed over the connected components: the memo is keyed on sets of
-    available vertices, so one search over k components would store the
-    product of their subset counts rather than the sum.
+    Summed over the connected components of the non-isolated vertices:
+    the memo is keyed on sets of available vertices, so one search over k
+    components would store the product of their subset counts rather than
+    the sum.  On each component C a greedy matching comes first, each
+    vertex in turn taking its lowest free neighbour.  If it leaves at most
+    one vertex of C uncovered it is maximum, and the search is skipped.
+    Proof: a matching of size k covers 2k distinct vertices of C, so
+    nu(C) <= floor(|C|/2).  The greedy one, of size k, has
+    2k >= |C| - 1, so k >= ceil((|C| - 1)/2) = floor(|C|/2) >= nu(C),
+    and k <= nu(C) as it is a matching.  A complete graph, such as the
+    blue clique of a threshold coloring, always exits here.
     """
     adj = g.adj
     memo: dict[int, int] = {}
@@ -221,8 +237,20 @@ def max_matching(g: Graph) -> int:
         memo[avail] = best
         return best
 
-    # singletons hold no edge
-    return sum(rec(comp) for comp in _components(g) if comp & (comp - 1))
+    total = 0
+    # isolated vertices hold no edge
+    for comp in _components(g, sum(1 << v for v, nb in enumerate(adj) if nb)):
+        free, size, rest = comp, 0, comp
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            if free & low:
+                nb = adj[low.bit_length() - 1] & free
+                if nb:
+                    free ^= low | nb & -nb
+                    size += 1
+        total += size if free & (free - 1) == 0 else rec(comp)
+    return total
 
 
 def has_clique(g: Graph, k: int) -> bool:
@@ -535,11 +563,16 @@ def _canon_connected(g: Graph) -> tuple[tuple[tuple[int, int], ...], list[_Perm]
     return tuple([divmod(k, n) for k in best]), relabeled
 
 
-def _components(g: Graph) -> list[int]:
-    """The connected components as vertex masks, by lowest vertex."""
+def _components(g: Graph, rest: int | None = None) -> list[int]:
+    """The connected components as vertex masks, by lowest vertex.
+
+    Only of the vertices in `rest` when it is given, a set that holds
+    every neighbour of its vertices.
+    """
     adj = g.adj
     comps = []
-    rest = (1 << g.n) - 1
+    if rest is None:
+        rest = (1 << g.n) - 1
     while rest:
         comp = frontier = rest & -rest
         while frontier:

@@ -208,6 +208,29 @@ def test_root_merge_reuses_the_packing_of_choose(monkeypatch):
     assert sum(1 for parts in calls if not parts) == 3
 
 
+def test_twin_classes_are_listed_only_when_a_search_needs_them(monkeypatch):
+    # a root decided by the packing bound and a host with no window need
+    # no memo key and grow no S, so they never list the twin classes; a
+    # search that merges lists them once
+    real = rsize.arrowing._twin_classes
+    calls = []
+
+    def counting(graph):
+        calls.append(graph)
+        return real(graph)
+
+    monkeypatch.setattr(rsize.arrowing, "_twin_classes", counting)
+    # two disjoint triangles pack 2 > t-1 = 1 cliques that each need a merge
+    v = arrows_pair(disjoint_union([complete(3), complete(3)]), 3, 2)
+    assert (v.arrows, v.mode, v.nodes) == (True, "structural", 0)
+    v = arrows_pair(Graph(4, [(0, 1), (1, 2), (2, 3)]), 3, 1)
+    assert (v.arrows, v.mode, v.nodes) == (False, "structural", 1)
+    assert calls == []
+    v = arrows_pair(complete(8), 4, 3)
+    assert (v.arrows, v.nodes) == (True, 8)
+    assert len(calls) == 1
+
+
 def test_frankl_phase_refutes_below_the_hyper_threshold():
     # K_7^3 with (5,2), one vertex below R(K_5^3, 2K_3^3) = 8: the reduced
     # DFS needs 44 nodes; the phase fails at i = 1 and i = 2, and at

@@ -219,6 +219,56 @@ def test_max_matching_on_disjoint_unions_against_bruteforce():
         assert max_matching(g) == brute_max_matching(g.n, g.edges()), g
 
 
+def test_max_matching_greedy_exit_and_search_agree_with_bruteforce():
+    # components that the greedy matching saturates (cliques, even paths)
+    # and ones it may not (sparse random parts, stars, odd cycles), among
+    # isolated vertices, in shuffled labels; at most 16 edges keeps the
+    # oracle's subset scan small
+    rng = random.Random(67)
+    checked = 0
+    while checked < 80:
+        parts = []
+        for _ in range(rng.randint(1, 4)):
+            k = rng.randint(1, 6)
+            shape = rng.choice(["clique", "path", "cycle", "star", "random"])
+            if shape == "clique":
+                parts.append(complete(k))
+            elif shape == "path":
+                parts.append(Graph(k, [(i, i + 1) for i in range(k - 1)]))
+            elif shape == "cycle" and k >= 3:
+                parts.append(Graph(k, [(i, (i + 1) % k) for i in range(k)]))
+            elif shape == "star":
+                parts.append(Graph(k, [(0, i) for i in range(1, k)]))
+            else:
+                parts.append(random_graph(rng, k, rng.randint(0, k * (k - 1) // 2)))
+        parts += [Graph(1)] * rng.randint(0, 3)
+        union = disjoint_union(parts)
+        if union.edge_count() > 16:
+            continue
+        checked += 1
+        perm = list(range(union.n))
+        rng.shuffle(perm)
+        g = relabel(union, perm)
+        assert max_matching(g) == brute_max_matching(g.n, g.edges()), g
+
+
+def test_max_matching_searches_where_the_greedy_matching_falls_short():
+    # greedy takes (0,1) and strands 2 and 3; the search finds (0,2), (1,3)
+    assert max_matching(Graph(4, [(0, 1), (0, 2), (1, 3)])) == 2
+    # a complete component is saturated greedily, so K_23 needs no search
+    assert max_matching(complete(23)) == 11
+
+
+def test_edge_masks_are_the_edges_as_masks():
+    rng = random.Random(71)
+    cases = [Graph(0), Graph(5), complete(1), complete(2), complete(9), complete(64)]
+    for _ in range(60):
+        nv = rng.choice([2, 3, 7, 33, 64])
+        cases.append(Graph(nv, [tuple(rng.sample(range(nv), 2)) for _ in range(rng.randint(0, 3 * nv))]))
+    for g in cases:
+        assert g.edge_masks == [1 << u | 1 << v for u, v in g.edges()], g
+
+
 def test_has_clique_known_and_bruteforce():
     assert has_clique(complete(6), 6)
     assert not has_clique(complete(6), 7)
